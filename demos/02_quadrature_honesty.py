@@ -23,8 +23,7 @@ corpus = [
     # exponential decay, the tame reference case
     (Integrand(eval=lambda t: mpmath.exp(-t), label="exp(-t)"), mpf(1)),
     # algebraic decay
-    (Integrand(eval=lambda t: 1 / (1 + t) ** 2, label="1/(1+t)^2",
-               decay_class="algebraic"), mpf(1)),
+    (Integrand(eval=lambda t: 1 / (1 + t) ** 2, label="1/(1+t)^2"), mpf(1)),
     # cancellation near zero, handled by its series form
     (dirichlet_integrand(ctx), euler_gamma_ref(ctx)),
     # integrable log singularity at the left endpoint

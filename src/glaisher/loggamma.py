@@ -118,7 +118,6 @@ def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
         eval=raw,
         near_zero=series,
         label=f"feaux(x={mpmath.nstr(x, 8)})",
-        decay_class="algebraic",
     )
 
 
@@ -185,7 +184,6 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
         eval=raw,
         near_zero=series,
         label=f"kummer(x={mpmath.nstr(x, 8)})",
-        decay_class="exponential",
     )
 
 
@@ -244,7 +242,6 @@ def fourier_a_n_integrand(n: int, ctx: ComputeContext) -> Integrand:
         eval=raw,
         near_zero=series,
         label=f"fourier_a_n(n={n})",
-        decay_class="algebraic",
     )
 
 
@@ -309,7 +306,6 @@ def dirichlet_integrand(ctx: ComputeContext) -> Integrand:
         eval=raw,
         near_zero=series,
         label="dirichlet_gamma",
-        decay_class="algebraic",
     )
 
 

@@ -13,10 +13,15 @@ Two transforms cover every integral in the project:
 Both run the trapezoid rule with level doubling (h = 2^-level), reusing
 all previous evaluations; a level's new contribution comes from the odd
 multiples of the new step.  Convergence is declared when successive levels
-differ by less than the requested tolerance.  The reported error estimate
-is that last inter-level difference plus the (double-exponentially small)
-truncation bound of the two scan tails, floored at one digit above the
-working precision so it can never understate round-off.
+differ by less than the requested tolerance, or one level earlier, when
+the Borwein-Bailey-Girgensohn extrapolation of the last two differences
+(D1^2/D2 in log10 terms) puts the current level below it while the
+digits still grow at least 1.5-fold per level.  The reported error
+estimate is the last inter-level difference plus the
+(double-exponentially small) truncation bound of the two scan tails,
+floored at one digit above the working precision so it can never
+understate round-off; after an extrapolated stop it is the tolerance the
+stop certifies.
 
 Abscissae near a finite endpoint are computed as offsets from that
 endpoint, 1 - tanh(s) = 2/(e^{2s} + 1), never by subtraction; otherwise
@@ -31,9 +36,8 @@ hundreds of digits to cancellation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
@@ -41,8 +45,6 @@ from mpmath import mp, mpf
 from .context import ComputeContext, Real
 
 DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** -8
-
-DecayClass = Literal["exponential", "algebraic"]
 
 
 class QuadratureError(RuntimeError):
@@ -89,7 +91,6 @@ class Integrand:
     label: str
     near_zero: Callable[[Real], Real] | None = None
     threshold: float = DEFAULT_NEAR_ZERO_THRESHOLD
-    decay_class: DecayClass = "exponential"
 
     def __call__(self, t: Real) -> Real:
         if self.near_zero is not None and t < self.threshold:
@@ -193,13 +194,15 @@ def _run_levels(g, tol, ctx, cutoff):
     if cap_p or cap_n:
         return value, delta, evaluations, levels, False
 
+    log_tol = mpmath.log10(tol)
+    value_prev = None
     for level in range(1, ctx.quad_max_level + 1):
         h = h / 2
         pos, ev_p, cap_p = _sum_side(g, h, +1, 1, 2, cutoff, side_cap(h))
         neg, ev_n, cap_n = _sum_side(g, h, -1, 1, 2, cutoff, side_cap(h))
         evaluations += ev_p + ev_n
         total = total + pos + neg
-        value_prev = value
+        value_prev2, value_prev = value_prev, value
         value = h * total
         levels = level + 1
         delta = abs(value - value_prev)
@@ -207,7 +210,29 @@ def _run_levels(g, tol, ctx, cutoff):
             return value, delta, evaluations, levels, False
         if delta <= tol:
             return value, delta, evaluations, levels, True
+        if value_prev2 is not None and _extrapolated_below(
+            delta, abs(value - value_prev2), log_tol
+        ):
+            return value, delta, evaluations, levels, True
     return value, delta, evaluations, levels, False
+
+
+def _extrapolated_below(delta1, delta2, log_tol):
+    """Whether the current level's error is predicted to be within tol.
+
+    With D1 = log10|I_L - I_{L-1}| and D2 = log10|I_L - I_{L-2}|, the
+    digits of a double-exponential rule roughly double per level, so the
+    error of I_L is about 10^(D1^2/D2) (Borwein-Bailey-Girgensohn; Bailey,
+    Jeyabalan & Li 2005), bounded below by 10^(2 D1).  The prediction is
+    trusted only while the digits still grow fast (D1/D2 >= 1.5): once
+    round-off or a faulty integrand stalls the sequence, D1^2/D2 can fall
+    below tol although the value is stuck far short of it.
+    """
+    d1 = mpmath.log10(delta1)
+    d2 = mpmath.log10(delta2)
+    if not (d2 < 0 and d1 / d2 >= 1.5):
+        return False
+    return max(d1 * d1 / d2, 2 * d1) <= log_tol
 
 
 def _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol):
@@ -218,9 +243,12 @@ def _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol):
     floor = mpf(10) ** (-(ctx.precision_digits + 1)) * max(mpf(1), abs(value))
     estimate = delta + 8 * cutoff + floor
     if converged and estimate > tol:
-        # delta <= tol held at convergence; only the padding can push the
-        # sum over, and the padding sits ten digits below tol by
-        # construction, so the clamp never hides real error.
+        # Two ways to get here.  After a plain stop (delta <= tol) only the
+        # padding can push the sum over, and it sits ten digits below tol.
+        # After an extrapolated stop delta is the error of the previous
+        # level, not of this one; the stop certifies tol, so tol is what is
+        # reported -- never the extrapolated figure, which can understate
+        # the true error.
         estimate = +tol
     return QuadratureResult(
         value=value,
@@ -311,7 +339,7 @@ def integrate_finite(
 
 
 def error_model_check(
-    known: list[tuple[Integrand, Real, "IntegralSpec"]] | list,
+    known: list[tuple],
     ctx: ComputeContext,
 ) -> ErrorModelReport:
     """Run the engine on integrals with known values; audit the estimates.

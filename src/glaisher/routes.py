@@ -148,7 +148,6 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
         eval=raw,
         near_zero=series,
         label="res1",
-        decay_class="algebraic",
     )
 
 
@@ -186,7 +185,10 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
                 tau_j = 4 * four_k * (four_k - 1) * bern / (fact2k * mpf(4) ** j)
             piece = (tau_j - e_j) / 4 * t_pow
             acc += piece
-            if abs(piece) < eps * max(abs(acc), mpf(1) / 4) and j > 4:
+            # Only odd j carry tau_j; an even-j piece holds just e_j, whose
+            # factorial decay outruns the tanh tail, so a small one there
+            # says nothing about the terms still to come.
+            if j % 2 == 1 and j > 4 and abs(piece) < eps * max(abs(acc), mpf(1) / 4):
                 break
             t_pow *= t
         return acc
@@ -216,7 +218,6 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
         eval=raw,
         near_zero=series,
         label=label,
-        decay_class="exponential" if measure == "dt_over_t" else "algebraic",
     )
 
 
@@ -254,7 +255,6 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
         eval=raw,
         near_zero=series,
         label="pain1",
-        decay_class="algebraic",
     )
 
 
@@ -295,7 +295,6 @@ def pain2_integrand(ctx: ComputeContext) -> Integrand:
         eval=raw,
         near_zero=series,
         label="pain2",
-        decay_class="exponential",
     )
 
 

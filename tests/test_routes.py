@@ -22,6 +22,8 @@ from glaisher import (
     route_hasse,
     route_kummer,
     route_limit,
+    route_pain1,
+    route_pain2,
 )
 from glaisher.quadrature import integrate_zero_to_inf
 from glaisher.routes import pain1_integrand, pain2_integrand
@@ -72,6 +74,15 @@ class TestIntegralRoutes:
             c = ctx50.constants
             rhs = 3 * consensus50 - mpf(7) / 12 * c.log2 + c.log_pi / 2 - 1
             assert abs(result.value - rhs) < mpf(10) ** -38
+
+    @pytest.mark.parametrize(
+        "route", [route_pain1, route_pain2, route_feaux, route_kummer],
+        ids=lambda route: route.__name__,
+    )
+    def test_hundred_digits_stop_one_level_early(self, route):
+        # the extrapolated stop ends at level 8 (about 1515 evaluations);
+        # waiting for |I_L - I_(L-1)| <= tol cost level 9 too (about 3000)
+        assert route(make_context(100)).evaluations <= 1520
 
     def test_determinism_bit_identical(self, ctx30):
         a = route_feaux(ctx30)
