@@ -154,7 +154,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(value, digits, shown) -> str:
+def _fmt(value, shown) -> str:
     return real_to_decimal(value, max(shown, 5))
 
 
@@ -193,7 +193,7 @@ def cmd_compute(args) -> int:
         lines = [f"log A estimates at {digits} digits (showing {shown}):"]
         for e in doc.estimates:
             lines.append(
-                f"  {e.route_id:16s} {_fmt(e.value, digits, shown)}"
+                f"  {e.route_id:16s} {_fmt(e.value, shown)}"
                 f"   (error est {mpmath.nstr(e.error_estimate, 3)}, "
                 f"{e.evaluations} evaluations, {e.elapsed:.2f}s)"
             )

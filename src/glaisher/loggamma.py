@@ -18,10 +18,10 @@ The representations:
   int_0^inf [2 n pi/(t^2 + 4 n^2 pi^2) - e^-t/(2 n pi)] dt/t.
 
 Each improper integrand cancels near t = 0 (both bracket terms approach
-the same constant), so each carries a ``near_zero`` series built from the
-:mod:`glaisher.smallt` kernels; the raw form compensates with extra digits
-scaled to the observed cancellation, which keeps the mandatory
-raw-vs-series consistency check meaningful.
+the same constant), so each carries a ``near_zero`` series built on the
+:mod:`glaisher.smallt` power-series kernel; the raw form compensates with
+extra digits scaled to the observed cancellation, which keeps the
+mandatory raw-vs-series consistency check meaningful.
 
 Also here: the Dirichlet integral for Euler's constant (the quadrature
 cross-check of the context's reference gamma) and the Barnes-G identity
@@ -31,6 +31,7 @@ log G(1+z) = z(1-z)/2 + (z/2) log 2pi + z log Gamma(z) - int_0^z log Gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import mpmath
 from mpmath import mp, mpf
@@ -43,6 +44,7 @@ from .quadrature import (
     integrate_zero_to_inf,
 )
 from .smallt import (
+    PowerSeries,
     cancellation_guard,
     expm1_minus_x,
     one_plus_em1z_over_z,
@@ -140,8 +142,11 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     """Integrand of the Kummer formula at parameter x.
 
     Both bracket terms approach 1-2x at t = 0.  The near-zero form expands
-    sinh(at) - 2a e^-t sinh(t/2) (a = 1/2 - x) as a single power series
-    whose O(t) coefficients cancel exactly, then divides by t sinh(t/2).
+    N(t) = sinh(at) - 2a e^-t sinh(t/2) (a = 1/2 - x) as one power series
+    sum_{j>=2} c_j t^j whose O(t) coefficients cancel exactly, then divides
+    by t sinh(t/2).  The coefficients depend on a, so each call builds its
+    own :class:`~glaisher.smallt.PowerSeries`; at x = 1/2 they all vanish
+    and so does the series.
     """
     with ctx.workdps(20):
         x = mpf(x)
@@ -155,30 +160,18 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
             bracket = mpmath.sinh(a * t) / mpmath.sinh(t / 2) - 2 * a * mpmath.exp(-t)
             return +(bracket / t)
 
+    def coefficient(k):
+        # c_j = s_j - a ((-1/2)^j - (-3/2)^j)/j! with j = k + 2: s_j = a^j/j!
+        # (odd j only) from sinh(at), the rest from 2a e^-t sinh(t/2) =
+        # a (e^(-t/2) - e^(-3t/2)); the j = 1 terms cancel exactly.
+        j = k + 2
+        s_j = a ** j if j % 2 else 0
+        return (s_j - a * ((-1) ** j - (-3) ** j) / 2 ** j) / factorial(j)
+
+    numerator_over_t2 = PowerSeries(coefficient)
+
     def series(t):
-        eps = mpf(10) ** (-(mp.dps + 5))
-        # numerator N(t) = sum_{k>=2} (s_k - a c_k) t^k, with
-        # s_k = a^k/k! (k odd), c_k = ((-1/2)^k - (-3/2)^k)/k!
-        acc = mpf(0)
-        a_pow = a                      # a^k
-        half_pow = mpf(-1) / 2         # (-1/2)^k
-        three_pow = mpf(-3) / 2        # (-3/2)^k
-        fact = mpf(1)                  # k!
-        t_pow = t                      # t^k
-        k = 1
-        while True:
-            k += 1
-            a_pow *= a
-            half_pow *= mpf(-1) / 2
-            three_pow *= mpf(-3) / 2
-            fact *= k
-            t_pow *= t
-            s_k = a_pow if (k % 2 == 1) else mpf(0)
-            piece = (s_k - a * (half_pow - three_pow)) / fact * t_pow
-            acc += piece
-            if abs(piece) < eps * max(abs(acc), t * t) and k > 4:
-                break
-        return acc / (t * mpmath.sinh(t / 2))
+        return t * numerator_over_t2(t) / mpmath.sinh(t / 2)
 
     return Integrand(
         eval=raw,

@@ -28,8 +28,8 @@ endpoint, 1 - tanh(s) = 2/(e^{2s} + 1), never by subtraction; otherwise
 endpoint-singular integrands would see catastrophically rounded inputs.
 
 Integrands declare an optional ``near_zero`` evaluation (an analytic
-small-t series) below a stated threshold; the engine switches to it
-automatically.  That is essential here: the exp-sinh map probes abscissae
+small-t series) for t below ``DEFAULT_NEAR_ZERO_THRESHOLD``; the engine
+switches to it automatically.  That is essential here: the exp-sinh map probes abscissae
 down to t ~ 10^-(P+12), where the raw forms of the route integrands lose
 hundreds of digits to cancellation.
 """
@@ -81,19 +81,19 @@ class Integrand:
     """One integrand plus the metadata the engine needs to treat it honestly.
 
     ``eval`` is the literal form; ``near_zero``, when provided, is an
-    analytically rewritten evaluation valid for t below ``threshold``, used
-    by the engine in place of ``eval`` there.  The two must agree to
-    10^-(P-8) on (0, threshold]; tests enforce that for every project
-    integrand (it is the check that the series algebra matches the formula).
+    analytically rewritten evaluation valid for t below
+    ``DEFAULT_NEAR_ZERO_THRESHOLD``, used by the engine in place of ``eval``
+    there.  The two must agree to 10^-(P-8) on (0, threshold]; tests
+    enforce that for every project integrand (it is the check that the
+    series algebra matches the formula).
     """
 
     eval: Callable[[Real], Real]
     label: str
     near_zero: Callable[[Real], Real] | None = None
-    threshold: float = DEFAULT_NEAR_ZERO_THRESHOLD
 
     def __call__(self, t: Real) -> Real:
-        if self.near_zero is not None and t < self.threshold:
+        if self.near_zero is not None and t < DEFAULT_NEAR_ZERO_THRESHOLD:
             return self.near_zero(t)
         return self.eval(t)
 

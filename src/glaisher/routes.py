@@ -48,16 +48,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import ceil
-from typing import Literal
+from math import ceil, factorial
+from typing import Callable, Literal
 
 import mpmath
 from mpmath import mp, mpf
 
-from .context import ComputeContext, PrecisionError, Real
+from .context import ComputeContext, ConstantsSet, PrecisionError, Real
 from .loggamma import DomainError, log_gamma_ref
 from .quadrature import Integrand, integrate_finite, integrate_zero_to_inf
-from .smallt import cancellation_guard, t_minus_log1p
+from .smallt import PowerSeries, cancellation_guard, t_minus_log1p
 
 ROUTE_IDS = ("limit", "pain1", "pain2", "feaux", "kummer", "fourier_series", "hasse")
 IDENTITY_IDS = ("glaisher_half", "gla2", "log_sin", "res2_measure_check")
@@ -92,13 +92,46 @@ class IdentityResidual:
     tolerance_used: Real
 
 
-def _clock():
-    return time.perf_counter()
-
-
 # ---------------------------------------------------------------------------
 # Integrands of the four integral routes
 # ---------------------------------------------------------------------------
+
+def _res1_psi_coefficient(k: int) -> mpf:
+    # psi(z)/z = sum_k (-1)^k z^k / (2^(k+3) (k+3)!)
+    return mpf((-1) ** k) / (2 ** (k + 3) * factorial(k + 3))
+
+
+def _res2_coefficient(k: int) -> mpf:
+    # Coefficient of t^k in [4 tanh(t/4) - t e^-t] / (4 t^2), with j = k + 2:
+    # (tau_j - e_j) / 4, where e_j = (-1)^(j-1)/(j-1)! comes from t e^-t and
+    # tau_j = 4^(m+1) (4^m - 1) B_2m / ((2m)! 4^j) from 4 tanh(t/4) at odd
+    # j = 2m - 1.
+    j = k + 2
+    c = -mpf((-1) ** (j - 1)) / factorial(j - 1)
+    if j % 2:
+        m = (j + 1) // 2
+        p, q = mpmath.bernfrac(2 * m)
+        c += mpf(4 ** (m + 1) * (4 ** m - 1) * p) / (q * factorial(2 * m) * 4 ** j)
+    return c / 4
+
+
+def _pain1_coefficient(k: int) -> mpf:
+    # S(y) = sum_{j>=1} 2j / (4^j (2j+1)!) y^(j-1), with j = k + 1
+    return mpf(2 * (k + 1)) / (4 ** (k + 1) * factorial(2 * k + 3))
+
+
+def _pain2_coefficient(k: int) -> mpf:
+    # n_j = 8/j! - 3/(j-1)! - 8/(2^j j!) = (2^j (8 - 3j) - 8) / (2^j j!),
+    # with j = k + 3: n_1 = n_2 = 0 (and the -x term cancels n_1's 1).
+    j = k + 3
+    return mpf(2 ** j * (8 - 3 * j) - 8) / (2 ** j * factorial(j))
+
+
+_RES1_PSI = PowerSeries(_res1_psi_coefficient)
+_RES2_BRACKET_OVER_T2 = PowerSeries(_res2_coefficient)
+_PAIN1_S = PowerSeries(_pain1_coefficient)
+_PAIN2_NUMERATOR_OVER_X3 = PowerSeries(_pain2_coefficient)
+
 
 def res1_integrand(ctx: ComputeContext) -> Integrand:
     """Feaux-route integrand; three terms of size t^-2 cancelling to O(t).
@@ -106,7 +139,8 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
     With L = log(1+t) the bracket collapses to
         e^-L [ expm1(L-t)/8 + psi(L) ],
     psi(z) = sum_{j>=1} -(-1/2)^{j+2} z^j/(j+2)! = z/48 - z^2/384 + ...,
-    which is the near-zero form (limit of the integrand at 0 is 1/48).
+    which is the near-zero form (limit of the integrand at 0 is 1/48);
+    psi runs on the shared :class:`~glaisher.smallt.PowerSeries` kernel.
     Decay at infinity is only 1/(t^2 log t); the exp-sinh transform still
     wins because the transformed tail dies double-exponentially.
     """
@@ -121,28 +155,10 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
             )
             return +(bracket / t)
 
-    def psi(z):
-        eps = mpf(10) ** (-(mp.dps + 5))
-        acc = mpf(0)
-        coeff = mpf(-1) / 8            # (-1/2)^{j+2} at j = 1
-        power = z                      # z^j
-        fact = mpf(6)                  # (j+2)!
-        j = 1
-        while True:
-            piece = -coeff * power / fact
-            acc += piece
-            if abs(piece) < eps * max(abs(acc), abs(z)) and j > 3:
-                break
-            j += 1
-            coeff *= mpf(-1) / 2
-            power *= z
-            fact *= j + 2
-        return acc
-
     def series(t):
         lmt = t_minus_log1p(t)         # t - log(1+t), O(t^2), exact series
         L = t - lmt
-        return mpmath.exp(-L) * (mpmath.expm1(-lmt) / 8 + psi(L)) / t
+        return mpmath.exp(-L) * (mpmath.expm1(-lmt) / 8 + L * _RES1_PSI(L)) / t
 
     return Integrand(
         eval=raw,
@@ -154,44 +170,15 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
 def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Integrand:
     """Kummer-route integrand [tanh(t/4)/t - e^-t/4] / t (or without /t).
 
-    Near zero the bracket is t/4 - (25/192) t^2 + ...; the series form
-    subtracts the Taylor coefficients of 4 tanh(t/4) and t e^-t exactly
-    (the O(t) parts are equal), then divides by 4 t^2.
+    Near zero the bracket is t/4 - (25/192) t^2 + ...; the series form is
+    [4 tanh(t/4) - t e^-t] / (4 t^2) as one power series in t, whose
+    coefficients subtract the Taylor coefficients of 4 tanh(t/4) and
+    t e^-t exactly (the O(t) parts are equal), summed on the shared
+    :class:`~glaisher.smallt.PowerSeries` kernel.
     """
 
     def raw_bracket(t):
         return mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4
-
-    def series_bracket_over_t2(t):
-        # [4 tanh(t/4) - t e^-t] / (4 t^2) as one power series in t;
-        # coefficients tau_j from 4 tanh(t/4) (odd j only), e_j from t e^-t.
-        eps = mpf(10) ** (-(mp.dps + 5))
-        acc = mpf(0)
-        t_pow = mpf(1)                 # t^{j-2}
-        fact = mpf(1)                  # (j-1)!
-        j = 1
-        k = 1
-        while True:
-            j += 1
-            fact *= j - 1
-            e_j = (mpf(-1) ** (j - 1)) / fact
-            tau_j = mpf(0)
-            if j % 2 == 1:
-                k += 1
-                four_k = mpf(4) ** k
-                bern = mpmath.bernoulli(2 * k)
-                fact2k = mpmath.factorial(2 * k)
-                # coefficient of t^j in 4 tanh(t/4), j = 2k-1
-                tau_j = 4 * four_k * (four_k - 1) * bern / (fact2k * mpf(4) ** j)
-            piece = (tau_j - e_j) / 4 * t_pow
-            acc += piece
-            # Only odd j carry tau_j; an even-j piece holds just e_j, whose
-            # factorial decay outruns the tanh tail, so a small one there
-            # says nothing about the terms still to come.
-            if j % 2 == 1 and j > 4 and abs(piece) < eps * max(abs(acc), mpf(1) / 4):
-                break
-            t_pow *= t
-        return acc
 
     if measure == "dt_over_t":
 
@@ -200,7 +187,7 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
                 return +(raw_bracket(t) / t)
 
         def series(t):
-            return series_bracket_over_t2(t)
+            return _RES2_BRACKET_OVER_T2(t)
 
         label = "res2[dt/t]"
     else:
@@ -210,7 +197,7 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
                 return +raw_bracket(t)
 
         def series(t):
-            return t * series_bracket_over_t2(t)
+            return t * _RES2_BRACKET_OVER_T2(t)
 
         label = "res2[dt]"
 
@@ -226,6 +213,7 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
 
     x coth(x/2) - 2 = x^3 S(x^2) / sinh(x/2) with
     S(y) = sum_{j>=1} 2j / (4^j (2j+1)!) y^{j-1}; no subtraction survives.
+    S runs on the shared :class:`~glaisher.smallt.PowerSeries` kernel.
     """
 
     def raw(x):
@@ -233,23 +221,7 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
             return +((1 - mpmath.exp(-x / 2)) * (x * mpmath.coth(x / 2) - 2) / x ** 3)
 
     def series(x):
-        eps = mpf(10) ** (-(mp.dps + 5))
-        y = x * x
-        acc = mpf(0)
-        power = mpf(1)                 # y^{j-1}
-        fact = mpf(6)                  # (2j+1)!
-        four = mpf(4)                  # 4^j
-        j = 1
-        while True:
-            piece = 2 * j / (four * fact) * power
-            acc += piece
-            if abs(piece) < eps * abs(acc) and j > 2:
-                break
-            j += 1
-            power *= y
-            fact *= (2 * j) * (2 * j + 1)
-            four *= 4
-        return -mpmath.expm1(-x / 2) * acc / mpmath.sinh(x / 2)
+        return -mpmath.expm1(-x / 2) * _PAIN1_S(x * x) / mpmath.sinh(x / 2)
 
     return Integrand(
         eval=raw,
@@ -263,7 +235,9 @@ def pain2_integrand(ctx: ComputeContext) -> Integrand:
 
     Numerator Taylor coefficients n_k = 8/k! - 3/(k-1)! - 8/(2^k k!)
     (minus 1 at k = 1) vanish identically for k <= 2; the series starts at
-    -x^3/3.  The denominator is 4 x^3 e^x (expm1(x)/x), all stable factors.
+    -x^3/3, and sum_{k>=3} n_k x^(k-3) runs on the shared
+    :class:`~glaisher.smallt.PowerSeries` kernel.  The denominator is
+    4 x^3 e^x (expm1(x)/x), all stable factors.
     """
 
     def raw(x):
@@ -273,23 +247,7 @@ def pain2_integrand(ctx: ComputeContext) -> Integrand:
                      / (4 * x * x * ex * (ex - 1)))
 
     def series(x):
-        eps = mpf(10) ** (-(mp.dps + 5))
-        acc = mpf(0)
-        power = mpf(1)                 # x^{k-3}
-        fact = mpf(1)                  # (k-1)!, seeded at k = 2
-        two_pow = mpf(4)               # 2^k, seeded at k = 2
-        k = 2
-        while True:
-            k += 1
-            fact *= k - 1
-            two_pow *= 2
-            n_k = 8 / (fact * k) - 3 / fact - 8 / (two_pow * fact * k)
-            piece = n_k * power
-            acc += piece
-            if abs(piece) < eps * abs(acc) and k > 5:
-                break
-            power *= x
-        return acc / (4 * mpmath.exp(x) * (mpmath.expm1(x) / x))
+        return _PAIN2_NUMERATOR_OVER_X3(x) / (4 * mpmath.exp(x) * (mpmath.expm1(x) / x))
 
     return Integrand(
         eval=raw,
@@ -302,24 +260,49 @@ def pain2_integrand(ctx: ComputeContext) -> Integrand:
 # The seven routes
 # ---------------------------------------------------------------------------
 
-def route_feaux(ctx: ComputeContext) -> RouteEstimate:
-    """log A from the Feaux-derived integral (first main identity)."""
-    start = _clock()
-    result = integrate_zero_to_inf(res1_integrand(ctx), ctx=ctx)
-    result.require_converged("feaux")
-    c = ctx.constants
+def _integral_route(
+    ctx: ComputeContext,
+    route_id: str,
+    integrand: Integrand,
+    closed_form: Callable[[Real, Real, ConstantsSet], tuple[Real, Real]],
+    *,
+    interval: tuple[Real, Real] | None = None,
+    label: str | None = None,
+    parameters: dict | None = None,
+) -> RouteEstimate:
+    """Integrate over (0, inf), or over ``interval``, and map the integral
+    I and its error to log A and its error by ``closed_form(I, err, c)``,
+    evaluated at P+10 digits with the context constants c."""
+    start = time.perf_counter()
+    if interval is None:
+        result = integrate_zero_to_inf(integrand, ctx=ctx)
+    else:
+        result = integrate_finite(integrand, *interval, ctx=ctx)
+    result.require_converged(label or route_id)
     with ctx.workdps(10):
-        value = +(mpf(1) / 3 + mpf(7) / 36 * c.log2 - c.log_pi / 6
-                  + mpf(2) / 3 * result.value)
-        err = +(mpf(2) / 3 * result.error_estimate)
+        value, err = closed_form(result.value, result.error_estimate, ctx.constants)
+        value, err = +value, +err
     return RouteEstimate(
-        route_id="feaux",
+        route_id=route_id,
         value=value,
         error_estimate=err,
-        parameters={},
+        parameters=parameters or {},
         evaluations=result.evaluations,
-        elapsed=_clock() - start,
+        elapsed=time.perf_counter() - start,
     )
+
+
+def route_feaux(ctx: ComputeContext) -> RouteEstimate:
+    """log A from the Feaux-derived integral (first main identity)."""
+    return _integral_route(
+        ctx, "feaux", res1_integrand(ctx),
+        lambda I, err, c: (mpf(1) / 3 + mpf(7) / 36 * c.log2 - c.log_pi / 6
+                           + mpf(2) / 3 * I, mpf(2) / 3 * err),
+    )
+
+
+def _kummer_log_a(I, err, c):
+    return c.log2 / 36 + I / 3, err / 3
 
 
 def route_kummer(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> RouteEstimate:
@@ -330,67 +313,34 @@ def route_kummer(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Rou
     [0, 100] and must disagree with every honest route by far more than
     the 0.01 control threshold.
     """
-    start = _clock()
-    integrand = res2_integrand(ctx, measure)
     if measure == "dt_over_t":
-        result = integrate_zero_to_inf(integrand, ctx=ctx)
-        result.require_converged("kummer")
-        params = {"measure": "dt_over_t"}
-    elif measure == "dt":
-        result = integrate_finite(integrand, mpf(0), mpf(DT_CONTROL_UPPER), ctx=ctx)
-        result.require_converged("kummer[dt control]")
-        params = {"measure": "dt", "truncation": DT_CONTROL_UPPER}
-    else:
-        raise ValueError(f"unknown res2 measure {measure!r}")
-    c = ctx.constants
-    with ctx.workdps(10):
-        value = +(c.log2 / 36 + result.value / 3)
-        err = +(result.error_estimate / 3)
-    return RouteEstimate(
-        route_id="kummer",
-        value=value,
-        error_estimate=err,
-        parameters=params,
-        evaluations=result.evaluations,
-        elapsed=_clock() - start,
-    )
+        return _integral_route(
+            ctx, "kummer", res2_integrand(ctx, measure), _kummer_log_a,
+            parameters={"measure": "dt_over_t"},
+        )
+    if measure == "dt":
+        return _integral_route(
+            ctx, "kummer", res2_integrand(ctx, measure), _kummer_log_a,
+            interval=(mpf(0), mpf(DT_CONTROL_UPPER)),
+            label="kummer[dt control]",
+            parameters={"measure": "dt", "truncation": DT_CONTROL_UPPER},
+        )
+    raise ValueError(f"unknown res2 measure {measure!r}")
 
 
 def route_pain1(ctx: ComputeContext) -> RouteEstimate:
     """log A from the cotanh integral identity."""
-    start = _clock()
-    result = integrate_zero_to_inf(pain1_integrand(ctx), ctx=ctx)
-    result.require_converged("pain1")
-    c = ctx.constants
-    with ctx.workdps(10):
-        value = +((result.value + c.log2 / 3 + mpf(1) / 8) / 3)
-        err = +(result.error_estimate / 3)
-    return RouteEstimate(
-        route_id="pain1",
-        value=value,
-        error_estimate=err,
-        parameters={},
-        evaluations=result.evaluations,
-        elapsed=_clock() - start,
+    return _integral_route(
+        ctx, "pain1", pain1_integrand(ctx),
+        lambda I, err, c: ((I + c.log2 / 3 + mpf(1) / 8) / 3, err / 3),
     )
 
 
 def route_pain2(ctx: ComputeContext) -> RouteEstimate:
     """log A from the exponential-kernel integral identity."""
-    start = _clock()
-    result = integrate_zero_to_inf(pain2_integrand(ctx), ctx=ctx)
-    result.require_converged("pain2")
-    c = ctx.constants
-    with ctx.workdps(10):
-        value = +((result.value + mpf(7) / 12 * c.log2 - c.log_pi / 2 + 1) / 3)
-        err = +(result.error_estimate / 3)
-    return RouteEstimate(
-        route_id="pain2",
-        value=value,
-        error_estimate=err,
-        parameters={},
-        evaluations=result.evaluations,
-        elapsed=_clock() - start,
+    return _integral_route(
+        ctx, "pain2", pain2_integrand(ctx),
+        lambda I, err, c: ((I + mpf(7) / 12 * c.log2 - c.log_pi / 2 + 1) / 3, err / 3),
     )
 
 
@@ -420,7 +370,7 @@ def route_limit(ctx: ComputeContext, n: int = 64, richardson_order: int = 3) -> 
         raise DomainError(f"route_limit requires n >= 2, got {n}")
     if richardson_order < 0:
         raise DomainError(f"richardson_order must be >= 0, got {richardson_order}")
-    start = _clock()
+    start = time.perf_counter()
     points = [n * 2 ** i for i in range(richardson_order + 2)]
     evaluations = 0
     values = []
@@ -459,7 +409,7 @@ def route_limit(ctx: ComputeContext, n: int = 64, richardson_order: int = 3) -> 
         error_estimate=err,
         parameters={"n": n, "richardson_order": richardson_order},
         evaluations=evaluations,
-        elapsed=_clock() - start,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -507,7 +457,7 @@ def route_fourier_series(
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    start = _clock()
+    start = time.perf_counter()
     c = ctx.constants
     with ctx.workdps(10):
         partial = mpf(0)
@@ -533,7 +483,7 @@ def route_fourier_series(
         error_estimate=err,
         parameters={"n_terms": n_terms, "accelerate": accelerate},
         evaluations=n_terms,
-        elapsed=_clock() - start,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -541,6 +491,37 @@ def hasse_required_digits(n_terms: int, output_digits: int = 20) -> int:
     """Context digits needed for N Hasse terms: the 2^n binomial growth
     burns ceil(0.302 N) digits of cancellation before any output digit."""
     return ceil(0.302 * n_terms) + output_digits
+
+
+def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
+    """Yield (n, outer term, partial sum) for n = 0..n_max at P+10 digits.
+
+    Refuses to start when the context precision cannot absorb the
+    cancellation of the inner sums (the result would be silent garbage).
+    Each step runs in its own precision block, so a caller that stops
+    early leaves no precision change behind.
+    """
+    needed = hasse_required_digits(n_max)
+    if ctx.precision_digits < needed:
+        raise PrecisionError(
+            f"insufficient precision for hasse with N={n_max}: context has "
+            f"{ctx.precision_digits} digits, needs >= {needed} "
+            f"(ceil(0.302 N) + 20)"
+        )
+    with ctx.workdps(10):
+        logs = [mpmath.log(mpf(k + 1)) for k in range(n_max + 1)]
+        total = mpf(0)
+    for n in range(n_max + 1):
+        with ctx.workdps(10):
+            inner = mpf(0)
+            binom = 1                  # C(n, k), exact integer recurrence
+            for k in range(n + 1):
+                term = mpf(binom * (k + 1) ** 2) * logs[k]
+                inner += -term if (k % 2) else term
+                binom = binom * (n - k) // (k + 1)
+            outer = inner / (n + 1)
+            total += outer
+        yield n, outer, total
 
 
 def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:
@@ -558,29 +539,10 @@ def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    needed = hasse_required_digits(n_terms)
-    if ctx.precision_digits < needed:
-        raise PrecisionError(
-            f"insufficient precision for hasse with N={n_terms}: context has "
-            f"{ctx.precision_digits} digits, needs >= {needed} "
-            f"(ceil(0.302 N) + 20)"
-        )
-    start = _clock()
-    evaluations = 0
+    start = time.perf_counter()
+    for _, last_outer, total in _hasse_partial_sums(ctx, n_terms):
+        pass
     with ctx.workdps(10):
-        logs = [mpmath.log(mpf(k + 1)) for k in range(n_terms + 1)]
-        total = mpf(0)
-        last_outer = mpf(0)
-        for n in range(n_terms + 1):
-            inner = mpf(0)
-            binom = 1                  # C(n, k), exact integer recurrence
-            for k in range(n + 1):
-                term = mpf(binom * (k + 1) ** 2) * logs[k]
-                inner += -term if (k % 2) else term
-                binom = binom * (n - k) // (k + 1)
-            evaluations += n + 1
-            last_outer = inner / (n + 1)
-            total += last_outer
         value = +(mpf(1) / 8 - total / 2)
         floor = mpf(10) ** (-(ctx.precision_digits + 1))
         err = +(abs(last_outer) / 2 * max(1, 2 * n_terms // 3) + floor)
@@ -588,9 +550,9 @@ def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:
         route_id="hasse",
         value=value,
         error_estimate=err,
-        parameters={"n_terms": n_terms, "required_digits": needed},
-        evaluations=evaluations,
-        elapsed=_clock() - start,
+        parameters={"n_terms": n_terms, "required_digits": hasse_required_digits(n_terms)},
+        evaluations=(n_terms + 1) * (n_terms + 2) // 2,   # inner terms, k <= n <= N
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -609,25 +571,10 @@ def hasse_first_n(
     2/(n^2 (log n)^3), so the tail shrinks like 2/(N (log N)^3) (locally
     N^{-3/2} near N = 200) and six digits need N ~ 4500.
     """
-    needed = hasse_required_digits(n_max)
-    if ctx.precision_digits < needed:
-        raise PrecisionError(
-            f"insufficient precision for hasse scan to N={n_max}: context has "
-            f"{ctx.precision_digits} digits, needs >= {needed}"
-        )
     with ctx.workdps(10):
         target = mpf(10) ** (-digits)
-        logs = [mpmath.log(mpf(k + 1)) for k in range(n_max + 1)]
-        total = mpf(0)
         best = mpmath.inf
-        for n in range(n_max + 1):
-            inner = mpf(0)
-            binom = 1
-            for k in range(n + 1):
-                term = mpf(binom * (k + 1) ** 2) * logs[k]
-                inner += -term if (k % 2) else term
-                binom = binom * (n - k) // (k + 1)
-            total += inner / (n + 1)
+        for n, _, total in _hasse_partial_sums(ctx, n_max):
             value = mpf(1) / 8 - total / 2
             gap = abs(value - consensus) / abs(consensus)
             best = min(best, gap)

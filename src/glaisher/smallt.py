@@ -1,26 +1,66 @@
-"""Small-argument series kernels for the cancellation-prone integrands.
+"""Small-argument series for the cancellation-prone integrands.
 
 Every improper integrand in this project is a difference of terms that
 agree to several orders at t = 0; evaluated literally they lose
 O(log10(1/t)) digits per cancelled order.  The route and log-Gamma modules
-rebuild each integrand from the helpers below so that the subtraction is
-performed exactly in the series coefficients instead of in floating point.
+rebuild each integrand near zero from power series whose coefficients
+already hold the cancelled differences, so the subtraction is done
+exactly in the coefficients instead of in floating point.
 
-All helpers are adaptive: terms are accumulated until they drop below the
-current working precision (read from ``mp.dps`` at call time), so the same
-code serves 20-digit and 200-digit contexts.  The series here converge for
-|t| <= 0.5, which covers every near-zero threshold used in the project
-(default 2^-8) with a large margin.
+All of those series run on one kernel, :class:`PowerSeries`.  It takes a
+coefficient function k -> c_k, caches the c_k per working precision
+(``mp.prec``) and sums sum_{k>=0} c_k z^k forward, stopping after two
+consecutive terms at or below 10^-(dps+5) times the running sum.  The
+stop is relative, so a tiny result keeps its full working precision; two
+terms rather than one guard against a single term that happens to be
+small.  The series here converge for |z| <= 0.5, which covers every
+near-zero threshold used in the project (2^-8) with a large margin.
 """
 
 from __future__ import annotations
 
+from math import factorial
+from typing import Callable
+
 import mpmath
 from mpmath import mp, mpf
 
+# mpf values are exact, so these serve every working precision.
+_ZERO = mpf(0)
+_ONE = mpf(1)
 
-def _eps() -> mpf:
-    return mpf(10) ** (-(mp.dps + 5))
+
+class PowerSeries:
+    """sum_{k>=0} c_k z^k, with ``coefficient(k)`` giving c_k.
+
+    ``coefficient`` is called at the working precision, at most once per
+    k and precision; its results are kept for later calls.
+    """
+
+    def __init__(self, coefficient: Callable[[int], mpf]):
+        self._coefficient = coefficient
+        self._cache: dict[int, tuple[mpf, list[mpf]]] = {}
+
+    def __call__(self, z: mpf) -> mpf:
+        entry = self._cache.get(mp.prec)
+        if entry is None:
+            entry = self._cache[mp.prec] = (mpf(10) ** (-(mp.dps + 5)), [])
+        eps, coefficients = entry
+        acc = _ZERO
+        power = _ONE
+        last_small = False
+        k = 0
+        while True:
+            if k == len(coefficients):
+                coefficients.append(self._coefficient(k))
+            term = coefficients[k] * power
+            acc += term
+            small = abs(term) <= eps * abs(acc)
+            if small and last_small:
+                return acc
+            last_small = small
+            power *= z
+            k += 1
 
 
 def cancellation_guard(t, digits_per_decade: int) -> int:
@@ -35,64 +75,37 @@ def cancellation_guard(t, digits_per_decade: int) -> int:
     return 10 + digits_per_decade * int(mpmath.ceil(-mpmath.log10(t)))
 
 
+# (t - log(1+t)) / t^2 = sum_k (-1)^k t^k / (k+2)
+_LOG1P_TAIL = PowerSeries(lambda k: mpf((-1) ** k) / (k + 2))
+
+# (expm1(z) - z) / z^2 = sum_k z^k / (k+2)!
+_EXPM1_TAIL = PowerSeries(lambda k: mpf(1) / factorial(k + 2))
+
+
 def t_minus_log1p(t: mpf) -> mpf:
     """t - log(1+t) = sum_{k>=2} (-1)^k t^k / k, exact to working precision.
 
     Forming log(1+t) directly costs absolute accuracy ~10^-dps from the
     rounding of 1+t, which is fatal when the result ~ t^2/2 is itself tiny.
     """
-    if abs(t) > mpf("0.5"):
+    if abs(t) > 0.5:
         return t - mpmath.log(1 + t)
-    eps = _eps()
-    acc = mpf(0)
-    power = t
-    k = 1
-    while True:
-        k += 1
-        power *= t
-        piece = power / k
-        acc = acc + piece if (k % 2 == 0) else acc - piece
-        if abs(piece) < eps * max(1, abs(acc)):
-            break
-    return acc
+    return t * t * _LOG1P_TAIL(t)
 
 
 def expm1_minus_x(z: mpf) -> mpf:
     """expm1(z) - z = sum_{k>=2} z^k / k!  (no cancellation for small z)."""
-    if abs(z) > mpf("0.5"):
+    if abs(z) > 0.5:
         return mpmath.expm1(z) - z
-    eps = _eps()
-    acc = mpf(0)
-    term = z
-    k = 1
-    while True:
-        k += 1
-        term = term * z / k
-        acc += term
-        if abs(term) < eps * max(1, abs(acc)):
-            break
-    return acc
+    return z * z * _EXPM1_TAIL(z)
 
 
 def one_plus_em1z_over_z(z: mpf) -> mpf:
-    """1 + expm1(-z)/z = sum_{j>=1} (-1)^{j+1} z^j / (j+1)!.
+    """1 + expm1(-z)/z = expm1_minus_x(-z)/z = sum_{j>=1} (-1)^{j+1} z^j / (j+1)!.
 
     Appears in the Feaux integrand where expm1(-x L)/L cancels against the
     x e^{-t} term; value z/2 - z^2/6 + ... near zero.
     """
-    if abs(z) > mpf("0.5"):
+    if abs(z) > 0.5:
         return 1 + mpmath.expm1(-z) / z
-    eps = _eps()
-    acc = mpf(0)
-    power = mpf(1)         # z^j
-    fact = mpf(1)          # (j+1)!
-    j = 0
-    while True:
-        j += 1
-        power *= z
-        fact *= j + 1
-        piece = power / fact
-        acc = acc + piece if (j % 2 == 1) else acc - piece
-        if abs(piece) < eps * max(1, abs(acc)) and j > 3:
-            break
-    return acc
+    return z * _EXPM1_TAIL(-z)

@@ -21,6 +21,7 @@ from glaisher.loggamma import (
     fourier_a_n_integrand,
     kummer_integrand,
 )
+from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
 from glaisher.routes import (
     pain1_integrand,
     pain2_integrand,
@@ -240,7 +241,7 @@ class TestNearZeroConsistency:
         assert integrand.near_zero is not None
         bound = mpf(10) ** (-(digits - 8))
         with ctx.workdps(20):
-            t0 = mpf(integrand.threshold)
+            t0 = mpf(DEFAULT_NEAR_ZERO_THRESHOLD)
             for scale in ("0.99", "0.5", "0.1", "1e-3", "1e-6"):
                 t = t0 * mpf(scale)
                 raw = integrand.eval(t)

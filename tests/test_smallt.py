@@ -1,0 +1,85 @@
+"""The small-argument series: helpers against their closed forms, and the
+per-precision coefficient cache of the shared power-series kernel."""
+
+from __future__ import annotations
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from glaisher import make_context
+from glaisher.loggamma import kummer_integrand
+from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
+from glaisher.smallt import expm1_minus_x, one_plus_em1z_over_z, t_minus_log1p
+
+from test_quadrature import PROJECT_INTEGRANDS, build_integrand
+
+CLOSED_FORMS = {
+    t_minus_log1p: lambda t: t - mpmath.log1p(t),
+    expm1_minus_x: lambda z: mpmath.expm1(z) - z,
+    one_plus_em1z_over_z: lambda z: 1 + mpmath.expm1(-z) / z,
+}
+
+
+def assert_matches_closed_form(helper, x, dps):
+    """helper(x) at dps digits within 10^-(dps-2) relative of its closed
+    form, which is evaluated at three times the digits plus the digits its
+    own cancellation costs at x."""
+    with mp.workdps(dps):
+        value = helper(x)
+    cancelled = 2 * int(mpmath.ceil(-mpmath.log10(x)))
+    with mp.workdps(3 * dps + cancelled):
+        exact = CLOSED_FORMS[helper](mpf(x))
+        rel = abs(value - exact) / abs(exact)
+        assert rel <= mpf(10) ** (-(dps - 2)), (
+            f"{helper.__name__} at x = {mpmath.nstr(x, 6)}, {dps} digits: "
+            f"relative error {mpmath.nstr(rel, 3)}"
+        )
+
+
+@pytest.mark.parametrize("helper", list(CLOSED_FORMS), ids=lambda h: h.__name__)
+@pytest.mark.parametrize("dps, exponent", [(220, 200), (70, 100)])
+def test_helper_relative_accuracy_at_tiny_argument(helper, dps, exponent):
+    assert_matches_closed_form(helper, mpf(2) ** -exponent, dps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    x=st.floats(min_value=0, max_value=DEFAULT_NEAR_ZERO_THRESHOLD, exclude_min=True),
+    dps=st.sampled_from([30, 70, 220]),
+    helper=st.sampled_from(list(CLOSED_FORMS)),
+)
+def test_helper_relative_accuracy_below_threshold(x, dps, helper):
+    assert_matches_closed_form(helper, mpf(x), dps)
+
+
+def test_series_cache_is_per_precision():
+    # Each near_zero series first runs at 50 digits, then at 400: a
+    # coefficient cache that ignored the precision would hand the 400-digit
+    # sum 70-digit coefficients and miss the raw form by ~1e-70.
+    low, high = make_context(50), make_context(400)
+    bound = mpf(10) ** (-(high.precision_digits - 8))
+    for name in PROJECT_INTEGRANDS:
+        integrand = build_integrand(name, high)
+        with high.workdps(20):
+            ts = [mpf(DEFAULT_NEAR_ZERO_THRESHOLD) * mpf(s) for s in ("0.5", "1e-3")]
+        with low.workdps(20):
+            for t in ts:
+                integrand.near_zero(t)
+        with high.workdps(20):
+            for t in ts:
+                raw, series = integrand.eval(t), integrand.near_zero(t)
+                assert abs(raw - series) < bound * max(1, abs(series)), (
+                    f"{name} at t={mpmath.nstr(t, 6)}: raw={mpmath.nstr(raw, 25)} "
+                    f"series={mpmath.nstr(series, 25)}"
+                )
+
+
+def test_kummer_series_vanishes_at_half(ctx50):
+    # a = 1/2 - x = 0 makes every coefficient 0; the sum must stop at 0.
+    integrand = kummer_integrand(mpf(1) / 2, ctx50)
+    with ctx50.workdps(20):
+        assert integrand.near_zero(mpf("1e-3")) == 0
+        assert integrand.eval(mpf("1e-3")) == 0
