@@ -3,7 +3,11 @@
 The oracle ``log_gamma_ref`` is a Stirling asymptotic series after an
 upward recurrence shift; it is the yardstick every quadrature-based
 representation is tested against (the integrals under test must not be
-their own oracle).
+their own oracle).  The shift costs two logs whatever its length: log z
+and the log of the running product of z + j, kept in Python integers in
+fixed point.  The Stirling coefficients, (log 2pi)/2 and the stop threshold
+are cached per working precision, and the series steps by one multiply by
+1/z^2 per term.
 
 The representations:
 
@@ -35,6 +39,7 @@ from math import factorial
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .context import ComputeContext, Real
 from .quadrature import (
@@ -60,32 +65,68 @@ class DomainError(ValueError):
 # Stirling oracle
 # ---------------------------------------------------------------------------
 
-def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
-    """log Gamma(x) for x > 0 via Stirling's series with recurrence shift.
+# Per working precision (mp.prec): (log 2pi)/2, the stop threshold and the
+# Stirling coefficients B_2k / (2k (2k-1)) computed so far, k = 1, 2, ...
+_STIRLING: dict[int, tuple[mpf, mpf, list[mpf]]] = {}
 
-    The argument is shifted upward until it exceeds 10 P / 7 (P = context
-    digits), where the asymptotic series reaches the target accuracy in
-    ~P/4 terms; the shifted logs are subtracted back out.
+
+def _stirling_coefficient(k: int) -> mpf:
+    p, q = mpmath.bernfrac(2 * k)
+    return mpf(p) / (q * (2 * k) * (2 * k - 1))
+
+
+def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
+    """log Gamma(x) for finite x > 0 via Stirling's series with recurrence shift.
+
+    The argument is shifted upward by n steps to z + n >= 10 P / 7 (P =
+    context digits), where the asymptotic series reaches the target
+    accuracy in 22/37/69 terms at 50/100/200 digits.  The shift
+    log z + log prod_{j=1}^{n-1} (z + j) takes two logs: the product is
+    accumulated in Python integers in (prec + 20)-bit fixed point, and
+    log z is kept apart so an argument far below the fixed-point unit
+    keeps its full relative accuracy.
     """
-    if not x > 0:
-        raise DomainError(f"log_gamma_ref requires x > 0, got {mpmath.nstr(mpf(x), 8)}")
+    if not (x > 0 and mpmath.isfinite(x)):
+        raise DomainError(
+            f"log_gamma_ref requires finite x > 0, got {mpmath.nstr(mpf(x), 8)}"
+        )
     digits = ctx.precision_digits
     with mp.workdps(digits + 15):
         z = mpf(x)
         z_min = mpf(10) * digits / 7
-        shift = mpf(0)
-        while z < z_min:
-            shift += mpmath.log(z)
-            z += 1
-        acc = (z - mpf(1) / 2) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
-        eps = mpf(10) ** (-(digits + 12))
+        shift = 0
+        if z < z_min:
+            n = int(mpmath.ceil(z_min - z))
+            width = mp.prec + 20
+            one = 1 << width
+            factor = to_fixed(z._mpf_, width)
+            product = one
+            for _ in range(n - 1):
+                factor += one
+                product = product * factor >> width
+            shift = mpmath.log(z) + mpmath.log(mpf((product, -width)))
+            z += n
+        entry = _STIRLING.get(mp.prec)
+        if entry is None:
+            entry = _STIRLING[mp.prec] = (
+                mpmath.log(2 * mpmath.pi) / 2,
+                mpf(10) ** (-(digits + 12)),
+                [],
+            )
+        half_log_2pi, eps, coefficients = entry
+        acc = (z - mpf(1) / 2) * mpmath.log(z) - z + half_log_2pi
+        power = 1 / z
+        inv_z2 = power * power
         k = 0
         while True:
-            k += 1
-            term = mpmath.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * z ** (2 * k - 1))
+            if k == len(coefficients):
+                coefficients.append(_stirling_coefficient(k + 1))
+            term = coefficients[k] * power
             acc += term
             if abs(term) < eps:
                 break
+            power *= inv_z2
+            k += 1
         return +(acc - shift)
 
 

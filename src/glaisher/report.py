@@ -307,6 +307,7 @@ def _serialize_json(doc: ReportDocument) -> bytes:
                 "identity_id": r.identity_id,
                 "residual": _dec(r.residual, digits),
                 "tolerance_used": _dec(r.tolerance_used, digits),
+                "elapsed": r.elapsed,
             }
             for r in doc.residuals
         ],
@@ -381,6 +382,7 @@ def deserialize_report(raw: bytes, ctx: ComputeContext) -> ReportDocument:
                 identity_id=r["identity_id"],
                 residual=real_from_decimal(r["residual"], ctx),
                 tolerance_used=real_from_decimal(r["tolerance_used"], ctx),
+                elapsed=r["elapsed"],
             )
         )
     doc.agreement_matrix = {

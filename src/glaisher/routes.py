@@ -90,6 +90,7 @@ class IdentityResidual:
     identity_id: str
     residual: Real
     tolerance_used: Real
+    elapsed: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +622,7 @@ def glaisher_identity_residual(
     ``log2_coefficient`` overrides the exact 7/24 for negative-control
     tests (a wrong coefficient must create a visible residual).
     """
+    start = time.perf_counter()
     if log_a is None:
         log_a = route_feaux(ctx).value
     integrand = Integrand(
@@ -638,12 +640,14 @@ def glaisher_identity_residual(
         identity_id="glaisher_half",
         residual=residual,
         tolerance_used=ctx.target_tolerance,
+        elapsed=time.perf_counter() - start,
     )
 
 
 def gla2_residual(ctx: ComputeContext, log_a: Real | None = None) -> IdentityResidual:
     """Residual of log A = (2/3) int_0^1/2 log Gamma(x) dx
     - (5/36) log 2 - (log pi)/6 against the feaux route value."""
+    start = time.perf_counter()
     if log_a is None:
         log_a = route_feaux(ctx).value
     integrand = Integrand(
@@ -660,11 +664,13 @@ def gla2_residual(ctx: ComputeContext, log_a: Real | None = None) -> IdentityRes
         identity_id="gla2",
         residual=residual,
         tolerance_used=ctx.target_tolerance,
+        elapsed=time.perf_counter() - start,
     )
 
 
 def log_sin_check(ctx: ComputeContext) -> IdentityResidual:
     """Residual of int_0^1/2 log sin(pi x) dx = -(log 2)/2."""
+    start = time.perf_counter()
     pi_local = ctx.constants.pi
     integrand = Integrand(
         eval=lambda x: mpmath.log(mpmath.sin(pi_local * x)),
@@ -678,6 +684,7 @@ def log_sin_check(ctx: ComputeContext) -> IdentityResidual:
         identity_id="log_sin",
         residual=residual,
         tolerance_used=ctx.target_tolerance,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -691,6 +698,7 @@ def res2_measure_check(
     exceeds the 0.01 tolerance, demonstrating that the dt reading of the
     identity is wrong.
     """
+    start = time.perf_counter()
     if consensus is None:
         consensus = consensus_log_a(ctx)
     dt_route = route_kummer(ctx, measure="dt")
@@ -700,4 +708,5 @@ def res2_measure_check(
         identity_id="res2_measure_check",
         residual=residual,
         tolerance_used=mpf(DT_CONTROL_TOLERANCE),
+        elapsed=time.perf_counter() - start,
     )

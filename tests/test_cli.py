@@ -91,6 +91,13 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--digits", "20")
         assert code == EXIT_OK
 
+    def test_hundred_digits_passes_every_identity(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--digits", "100")
+        assert code == EXIT_OK
+        rows = [line.split() for line in out.splitlines() if "residual =" in line]
+        assert [row[0] for row in rows] == ["glaisher_half", "gla2", "log_sin"]
+        assert all(row[-1] == "ok" for row in rows)
+
 
 class TestConvergenceCommand:
     def test_three_rows_for_three_grid_points(self, capsys):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from glaisher import loggamma
 from glaisher import (
     DomainError,
     dirichlet_gamma,
@@ -16,9 +19,34 @@ from glaisher import (
     kummer_log_gamma,
     log_barnes_g,
     log_gamma_ref,
+    make_context,
 )
 
 from conftest import abs_diff, rel_diff
+
+
+def oracle_error(x, digits):
+    """Error of log_gamma_ref(x) at ``digits`` against mpmath.loggamma at
+    digits + 30, relative to max(1, |log Gamma(x)|): near the zeros of log
+    Gamma at 1 and 2 the shift and the series cancel, so only absolute
+    accuracy on the scale of 1 is meaningful there."""
+    got = log_gamma_ref(x, make_context(digits))
+    with mp.workdps(digits + 30):
+        expected = mpmath.loggamma(x)
+        return abs(got - expected) / max(mpf(1), abs(expected))
+
+
+def oracle_arguments(digits):
+    """Arguments across every path of the oracle at ``digits``: far below
+    the fixed-point unit of the shift product, tiny, fractional, on either
+    side of the 10 P / 7 shift target, and far above it."""
+    target = -(-10 * digits // 7)
+    with mp.workdps(digits):
+        return [
+            mpf("1e-4950"), mpf("3e-20000"), mpf(2) ** -200, mpf("1e-6"),
+            mpf(1) / 3, mpf(1) / 4, mpf(1), mpf(2),
+            target + mpf(1) / 3, target - mpf(1) / 3, mpf(4000), mpf(10) ** 40,
+        ]
 
 
 class TestStirlingOracle:
@@ -48,6 +76,37 @@ class TestStirlingOracle:
             log_gamma_ref(mpf(0), ctx50)
         with pytest.raises(DomainError):
             log_gamma_ref(mpf(-3), ctx50)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_rejects_non_finite(self, ctx50, bad):
+        with pytest.raises(DomainError):
+            log_gamma_ref(mpf(bad), ctx50)
+
+    @pytest.mark.parametrize("digits", [50, 100, 200, 400])
+    def test_against_external_oracle_beyond_fifty_digits(self, digits):
+        for x in oracle_arguments(digits):
+            err = oracle_error(x, digits)
+            assert err <= mpf(10) ** -(digits + 10), (
+                f"x = {mpmath.nstr(x, 6)} at {digits} digits: error {mpmath.nstr(err, 3)}"
+            )
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        x=st.floats(min_value=0, max_value=8, exclude_min=True),
+        digits=st.sampled_from([30, 70, 220]),
+    )
+    def test_property_against_external_oracle(self, x, digits):
+        assert oracle_error(mpf(x), digits) <= mpf(10) ** -(digits + 10)
+
+    def test_cache_is_per_precision(self, monkeypatch):
+        # A 400-digit call between two 50-digit calls must neither reuse
+        # the 50-digit table nor change what the 50-digit call returns.
+        monkeypatch.setattr(loggamma, "_STIRLING", {})
+        with mp.workdps(50):
+            x = mpf(1) / 3
+        first = log_gamma_ref(x, make_context(50))
+        assert oracle_error(x, 400) <= mpf(10) ** -410
+        assert log_gamma_ref(x, make_context(50))._mpf_ == first._mpf_
 
 
 class TestFeauxRepresentation:

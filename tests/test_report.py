@@ -75,6 +75,9 @@ class TestRunAll:
         ids = {r.identity_id for r in small_report.residuals}
         assert {"glaisher_half", "gla2", "log_sin", "res2_measure_check"} <= ids
 
+    def test_identity_residuals_are_timed(self, small_report):
+        assert all(r.elapsed > 0 for r in small_report.residuals)
+
     def test_context_info_carries_request(self, small_report):
         assert small_report.context_info["requested_routes"] == ["feaux", "kummer"]
         assert small_report.context_info["precision_digits"] == 30
@@ -143,8 +146,10 @@ class TestSerialization:
             assert a.route_id == b.route_id
             assert a.evaluations == b.evaluations
             assert rel_diff(a.value, b.value) < tol
+        assert len(doc.residuals) == len(small_report.residuals)
         for a, b in zip(doc.residuals, small_report.residuals):
             assert a.identity_id == b.identity_id
+            assert a.elapsed == b.elapsed
         assert doc.agreement_matrix["routes"] == small_report.agreement_matrix["routes"]
 
     def test_json_numbers_are_decimal_strings(self, small_report):
