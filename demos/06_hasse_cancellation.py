@@ -2,10 +2,12 @@
 
 The inner alternating binomial sums reach ~2^n before collapsing to
 contributions of about 2/(n (log n)^3), so ~0.302 n decimal digits
-vanish into cancellation; the route refuses precision budgets that
-cannot absorb it.  Convergence is honest but slow: the outer terms decay
-like 2/(n^2 (log n)^3), so the measured profile reaches 4 relative
-digits first at N = 176, 5 at N = 849, and would need N ~ 4500 for 6.
+vanish into cancellation.  The route reads them off a fixed-point
+forward-difference table, whose row n adds up to 2^n roundings in the
+same way; it refuses precision budgets that cannot absorb that.
+Convergence is honest but slow: the outer terms decay like
+2/(n^2 (log n)^3), so the measured profile reaches 4 relative digits
+first at N = 176, 5 at N = 849, and 6 only at N = 4597.
 
     python demos/06_hasse_cancellation.py
 """
@@ -49,4 +51,4 @@ first6, best = hasse_first_n(ctx, digits=6, n_max=200, consensus=consensus)
 print(f"\nfirst N with 4 relative digits: {first4}")
 print(f"first N with 6 relative digits below 200: {first6} "
       f"(best gap {mpmath.nstr(best, 3)}; the 2/(n^2 (log n)^3) term law puts "
-      f"6 digits near N ~ 4500)")
+      f"6 digits first at N = 4597)")

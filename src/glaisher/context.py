@@ -113,7 +113,11 @@ def make_context(precision_digits: int = 50, quad_max_level: int = 12) -> Comput
 
 
 def compute_constants(ctx: ComputeContext) -> ConstantsSet:
-    """Evaluate the constant set at the context precision (plus guard)."""
+    """Evaluate the constant set at the context precision (plus guard).
+
+    Always a fresh evaluation; ``ComputeContext.constants`` caches the
+    first one.
+    """
     with ctx.workdps(10):
         pi = +mpmath.pi
         log2 = mpmath.log(mpf(2))
@@ -153,11 +157,6 @@ def euler_gamma_ref(ctx: ComputeContext) -> Real:
         value = acc - mpmath.log(nn)
     with ctx.workdps(10):
         return +value
-
-
-def recompute_constants(ctx: ComputeContext) -> ConstantsSet:
-    """Fresh evaluation, bypassing the cache (idempotence checks)."""
-    return compute_constants(ctx)
 
 
 def real_to_decimal(x: Real, digits: int) -> str:

@@ -7,7 +7,7 @@ Criterion 7 checks the Hasse series at the accuracy it has.  Its outer
 terms decay like 2/(n^2 (log n)^3) (measured n^2 (log n)^3 |term| = 1.97,
 1.86, 1.84, 1.82 at n = 10, 100, 200, 1000), so the relative gap is
 8.2e-5 at N = 200: four digits arrive first at N = 176, five at N = 849,
-and six only near N ~ 4500.  The criterion asserts four digits by
+and six only at N = 4597.  The criterion asserts four digits by
 N <= 200, that cancellation at the precision rule's budget leaves the
 promised 20 output digits at N = 200, and that the N = 200 error
 estimate is honest (true error <= 10x estimate).
@@ -191,7 +191,7 @@ class TestAcceptance:
         # The outer terms decay like 2/(n^2 (log n)^3), so the relative
         # gap after N terms is about 8.2e-5 at N = 200: four digits is
         # what N <= 200 can give (first at N = 176), five need N = 849 and
-        # six N ~ 4500.  Checked here: (a) four digits by N = 200, (b) the
+        # six N = 4597.  Checked here: (a) four digits by N = 200, (b) the
         # cancellation stays inside the precision rule's budget, so the
         # gap is truncation and not rounding, (c) the error estimate is
         # honest at N = 200.
@@ -211,11 +211,11 @@ class TestAcceptance:
                         f"{mpmath.nstr(best, 3)}); N={n_max} keeps {mpmath.nstr(kept, 3)} "
                         f"digits at {digits}-digit precision (need {promised}); true error "
                         f"{mpmath.nstr(ratio, 3)}x estimate (need <= 10); 5 digits need "
-                        f"N=849, 6 N~4500 by the 2/(n^2 (log n)^3) term law")
+                        f"N=849, 6 N=4597 by the 2/(n^2 (log n)^3) term law")
         assert first4 is not None, (
             f"no N <= {n_max} brings the Hasse partial sum within 1e-4 of consensus: "
             f"best relative gap {mpmath.nstr(best, 4)}; the 2/(n^2 (log n)^3) term law "
-            "gives 8.2e-5 at N=200 (4 digits first at N=176, 5 at N=849, 6 near N~4500)"
+            "gives 8.2e-5 at N=200 (4 digits first at N=176, 5 at N=849, 6 at N=4597)"
         )
         assert kept >= promised, (
             f"N={n_max} at {digits} digits agrees with the {digits + 40}-digit sum to "

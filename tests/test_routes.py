@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
@@ -26,7 +28,7 @@ from glaisher import (
     route_pain2,
 )
 from glaisher.quadrature import integrate_zero_to_inf
-from glaisher.routes import pain1_integrand, pain2_integrand
+from glaisher.routes import _hasse_partial_sums, pain1_integrand, pain2_integrand
 
 from conftest import abs_diff, rel_diff
 
@@ -233,6 +235,37 @@ class TestHasseRoute:
         assert first is None
         assert mpf("5e-5") < best < mpf("2e-4")
 
+    @pytest.mark.parametrize("n_max", [1, 2, 40, 200])
+    def test_difference_table_matches_direct_sums(self, n_max):
+        # Every outer term (1/(n+1)) sum_k (-1)^k C(n,k) (k+1)^2 log(k+1)
+        # against the same sum with exact binomials at 40 more digits.
+        digits = hasse_required_digits(n_max)
+        promised = digits - hasse_required_digits(n_max, output_digits=0)
+        ctx = make_context(digits)
+        with mp.workdps(digits + 40):
+            logs = [mpmath.log(k + 1) for k in range(n_max + 1)]
+            direct = [
+                mpmath.fsum((-1) ** k * comb(n, k) * (k + 1) ** 2 * logs[k]
+                            for k in range(n + 1)) / (n + 1)
+                for n in range(n_max + 1)
+            ]
+        seen = 0
+        for n, outer, _ in _hasse_partial_sums(ctx, n_max):
+            with mp.workdps(digits + 40):
+                gap = abs(outer - direct[n])
+            assert gap <= mpf(10) ** -promised, f"n={n}: |table - direct| = {mpmath.nstr(gap, 3)}"
+            seen += 1
+        assert seen == n_max + 1
+        assert route_hasse(ctx, n_terms=n_max).evaluations == (n_max + 1) * (n_max + 2) // 2
+
+    @pytest.mark.slow
+    def test_six_digits_first_at_4597(self, consensus50):
+        # The 2/(n^2 (log n)^3) term law puts six relative digits far
+        # beyond N = 200; measured: first at N = 4597 (gap 9.9996e-7).
+        ctx = make_context(hasse_required_digits(4700))
+        first, best = hasse_first_n(ctx, digits=6, n_max=4700, consensus=consensus50)
+        assert first == 4597
+
     def test_determinism(self, ctx50):
         a = route_hasse(ctx50, n_terms=40)
         b = route_hasse(ctx50, n_terms=40)
@@ -252,6 +285,12 @@ class TestIdentityResiduals:
     def test_log_sin_residual_small(self, ctx50):
         res = log_sin_check(ctx50)
         assert abs(res.residual) < mpf(10) ** -40
+
+    def test_log_sin_residual_within_tolerance_at_400_digits(self):
+        # An extrapolated stop that only just predicted tol missed it here
+        # (-1.37e-390 against 1e-390); the one-digit margin mends that.
+        res = log_sin_check(make_context(400))
+        assert abs(res.residual) <= res.tolerance_used
 
     def test_log_sin_residual_at_twenty_digits(self, ctx20):
         res = log_sin_check(ctx20)
