@@ -51,6 +51,7 @@ from .quadrature import (
 from .smallt import (
     PowerSeries,
     cancellation_guard,
+    exp_neg_tail,
     expm1_minus_x,
     one_plus_em1z_over_z,
     t_minus_log1p,
@@ -148,7 +149,7 @@ def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     def raw(t):
         with mp.extradps(cancellation_guard(t, 2)):
             L = mpmath.log(1 + t)
-            bracket = x * mpmath.exp(-t) + ((1 + t) ** (-x - 1) - 1 / (1 + t)) / L
+            bracket = x * exp_neg_tail(t) + ((1 + t) ** (-x - 1) - 1 / (1 + t)) / L
             return +(bracket / t)
 
     def series(t):
@@ -266,7 +267,7 @@ def fourier_a_n_integrand(n: int, ctx: ComputeContext) -> Integrand:
 
     def raw(t):
         with mp.extradps(cancellation_guard(t, 1)):
-            bracket = two_n_pi / (t * t + four_n2_pi2) - mpmath.exp(-t) / two_n_pi
+            bracket = two_n_pi / (t * t + four_n2_pi2) - exp_neg_tail(t) / two_n_pi
             return +(bracket / t)
 
     def series(t):
@@ -331,7 +332,7 @@ def dirichlet_integrand(ctx: ComputeContext) -> Integrand:
 
     def raw(t):
         with mp.extradps(cancellation_guard(t, 2)):
-            return +((1 / (1 + t) - mpmath.exp(-t)) / t)
+            return +((1 / (1 + t) - exp_neg_tail(t)) / t)
 
     def series(t):
         return mpmath.exp(-t) * expm1_minus_x(t) / (t * (1 + t))

@@ -23,6 +23,26 @@ floored at one digit above the working precision so it can never
 understate round-off; after an extrapolated stop it is the tolerance the
 stop certifies.
 
+Nodes come in +-u pairs, one exp per pair.  A level walks u = k h once,
+stepping (pi/4) e^{kh} and (pi/4) e^{-kh} by one fixed-point
+multiplication each, so (pi/2) sinh u and (pi/2) cosh u cost no
+transcendental call (mpmath's ``TanhSinh.calc_nodes`` does the same).
+With s = (pi/2) sinh u, exp-sinh takes t(u) = e^s and t(-u) = 1/t(u),
+and its two weights share (pi/2) cosh u; tanh-sinh takes E = e^{2s}, and
+the endpoint offset and the weight are the same for +u and -u.  Both
+sides advance in one loop, but each keeps its own sum, stop and cap, so
+the summation order and every evaluation count are those of a
+per-abscissa scan.  The stepping error budget: for a level of at most
+n steps the fixed point carries W = prec + bit_length(n) + 4 bits, so
+the drift stays below an eighth of an ulp of the working precision, and
+the stepped sinh and cosh are as accurate as direct calls (tests hold
+every node through level 10 to 10^-(P+15) of the per-abscissa
+formulas).  Only the current pair is alive; no node list
+is built.  Nodes are not cached between integrals either: a cache would
+outlive one computation in a long-lived process (the benchmark's closed
+loop reuses one context), so what it saves would be measured warm and
+the cost of a first call would go unseen.
+
 Abscissae near a finite endpoint are computed as offsets from that
 endpoint, 1 - tanh(s) = 2/(e^{2s} + 1), never by subtraction; otherwise
 endpoint-singular integrands would see catastrophically rounded inputs.
@@ -37,14 +57,18 @@ hundreds of digits to cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .context import ComputeContext, Real
 
 DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** -8
+
+_ZERO = mpf(0)
 
 
 class QuadratureError(RuntimeError):
@@ -136,83 +160,142 @@ class ErrorModelReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _sum_side(g, h, direction, start, step, cutoff, max_terms):
-    """Trapezoid terms g(k h) for k = start, start+step, ... in one direction.
+def _scaled_sinh_cosh(h, step, count):
+    """Yield ((pi/2) sinh u, (pi/2) cosh u) for u = h, h + step h, ...
 
-    Stops after two consecutive terms below ``cutoff`` (double-exponential
-    decay makes a single dip unlikely, two is belt and braces).  Returns
-    (sum, evaluations, hit_cap).  Hitting the cap means the transformed
-    summand is not dying off, i.e. the integral diverges or decays too
-    slowly for the transform; the caller reports it as non-convergence.
+    ``count`` values in all.  (pi/4) e^u and (pi/4) e^-u are carried as
+    W-bit fixed-point integers and stepped by one multiplication each with
+    e^{+-step h}, so a scan calls no transcendental function to place its
+    abscissae; their difference and sum are the two scaled values.  Each
+    step adds at most about two units of 2^-W to either factor, relative
+    to cosh u, so after ``count`` steps the drift is below
+    2 count 2^-W cosh u.  With W = prec + bit_length(count) + 4 that is
+    below an eighth of an ulp of the working precision, relative to
+    sinh u as well (near u = 0, sinh u ~ u >= h and count >= 1/h): the
+    stepped values are as accurate as direct sinh and cosh calls.
     """
-    acc = mpf(0)
-    small = 0
-    evals = 0
-    k = start
-    while True:
-        term = g(direction * k * h)
-        evals += 1
-        acc += term
-        if abs(term) < cutoff:
-            small += 1
-            if small >= 2:
-                return acc, evals, False
+    width = mp.prec + count.bit_length() + 4
+    with mp.workprec(width + 10):
+        quarter_pi = to_fixed(mpmath.pi._mpf_, width - 2)
+        up = to_fixed(mpmath.exp(h)._mpf_, width)
+        down = to_fixed(mpmath.exp(-h)._mpf_, width)
+        step_up = to_fixed(mpmath.exp(step * h)._mpf_, width)
+        step_down = to_fixed(mpmath.exp(-step * h)._mpf_, width)
+    a = quarter_pi * up >> width          # (pi/4) e^u
+    b = quarter_pi * down >> width        # (pi/4) e^-u
+    for _ in range(count):
+        yield mpf((a - b, -width)), mpf((a + b, -width))
+        a = a * step_up >> width
+        b = b * step_down >> width
+
+
+class _Side:
+    """Running sum of one side (u > 0 or u < 0) of one level's scan.
+
+    The side stops after two consecutive terms below ``cutoff``
+    (double-exponential decay makes a single dip unlikely, two is belt
+    and braces), or after more than ``max_terms`` terms.  Hitting that
+    cap means the transformed summand is not dying off, i.e. the
+    integral diverges or decays too slowly for the transform; the caller
+    reports it as non-convergence.
+    """
+
+    __slots__ = ("total", "evaluations", "small", "live", "hit_cap", "cutoff", "max_terms")
+
+    def __init__(self, cutoff, max_terms):
+        self.total = _ZERO
+        self.evaluations = 0
+        self.small = 0
+        self.live = True
+        self.hit_cap = False
+        self.cutoff = cutoff
+        self.max_terms = max_terms
+
+    def add(self, term):
+        self.total += term
+        self.evaluations += 1
+        if abs(term) < self.cutoff:
+            self.small += 1
+            if self.small >= 2:
+                self.live = False
+                return
         else:
-            small = 0
-        k += step
-        if evals > max_terms:
-            return acc, evals, True
+            self.small = 0
+        if self.evaluations > self.max_terms:
+            self.live = False
+            self.hit_cap = True
 
 
-def _run_levels(g, tol, ctx, cutoff):
-    """Shared level-doubling loop over a transformed summand g(u).
+def _level_nodes(pair, level, u_cap):
+    """Node pairs of one level, lazily, and the per-side term cap.
 
-    Each level halves h and adds the odd multiples of the new step, so no
-    abscissa is ever evaluated twice.  Summation order is fixed (centre,
-    then ascending positive, then ascending negative abscissae), which
-    keeps repeated runs bit-identical.
+    Level 0 takes u = 1, 2, 3, ... at h = 1; level L >= 1 takes the odd
+    multiples of h = 2^-L, the abscissae the levels before it lack.
+    ``pair`` maps ((pi/2) sinh u, (pi/2) cosh u) to the nodes and weights
+    at +u and -u, (x+, w+, x-, w-), with one exp.  One pair is alive at
+    a time; no node list is kept.
     """
-    # Where the scan can possibly need to reach: |u| such that the
-    # double-exponential factor alone is below the cutoff, plus margin.
-    u_cap = mpmath.asinh((ctx.precision_digits + 30) * mpmath.log(10) / (mpmath.pi / 2)) + 3
-    evaluations = 0
+    h = mpmath.ldexp(1, -level)
+    max_terms = int(u_cap / h) + 16
+    scaled = _scaled_sinh_cosh(h, 1 if level == 0 else 2, max_terms + 1)
+    return h, max_terms, starmap(pair, scaled)
 
-    def side_cap(h):
-        return int(u_cap / h) + 16
 
-    # Level 0: full sum at h = 1.
-    h = mpf(1)
-    center = g(mpf(0))
-    evaluations += 1
-    pos, ev_p, cap_p = _sum_side(g, h, +1, 1, 1, cutoff, side_cap(h))
-    neg, ev_n, cap_n = _sum_side(g, h, -1, 1, 1, cutoff, side_cap(h))
-    evaluations += ev_p + ev_n
-    total = center + pos + neg           # sum of g at integer multiples of h
-    value = h * total
-    levels = 1
-    delta = abs(value)
-    if cap_p or cap_n:
-        return value, delta, evaluations, levels, False
+def _scan_cap(ctx):
+    """|u| such that the double-exponential factor alone is below the
+    cutoff, plus margin: where a scan can possibly need to reach."""
+    return mpmath.asinh((ctx.precision_digits + 30) * mpmath.log(10) / (mpmath.pi / 2)) + 3
 
+
+def _run_levels(f, centre, pair, tol, ctx, cutoff):
+    """Shared level-doubling loop over the nodes of one transform.
+
+    ``centre`` is the node and weight at u = 0; ``pair`` gives the nodes
+    and weights at +-u (see :func:`_level_nodes`).  Each level halves h
+    and adds the odd multiples of the new step, so no abscissa is ever
+    evaluated twice.  Both sides of a level advance in one loop, one
+    pair at a time, but each keeps its own sum, stop and cap.  The
+    summation order is fixed (centre, then ascending positive, then
+    ascending negative abscissae), which keeps repeated runs
+    bit-identical.  A node of zero weight contributes 0 without an
+    evaluation of f (it still counts as one).
+    """
+
+    def term(x, weight):
+        if not weight:
+            return _ZERO
+        v = f(x)
+        if mpmath.isnan(v) or mpmath.isinf(v):
+            raise IntegrandEvaluationError(f.label, x)
+        return v * weight
+
+    u_cap = _scan_cap(ctx)
     log_tol = mpmath.log10(tol)
-    value_prev = None
-    for level in range(1, ctx.quad_max_level + 1):
-        h = h / 2
-        pos, ev_p, cap_p = _sum_side(g, h, +1, 1, 2, cutoff, side_cap(h))
-        neg, ev_n, cap_n = _sum_side(g, h, -1, 1, 2, cutoff, side_cap(h))
-        evaluations += ev_p + ev_n
-        total = total + pos + neg
+    total = term(*centre)       # weighted f at every multiple of h so far
+    evaluations = 1
+    value = value_prev = None
+    for level in range(ctx.quad_max_level + 1):
+        h, max_terms, nodes = _level_nodes(pair, level, u_cap)
+        pos = _Side(cutoff, max_terms)
+        neg = _Side(cutoff, max_terms)
+        for x_pos, w_pos, x_neg, w_neg in nodes:
+            if pos.live:
+                pos.add(term(x_pos, w_pos))
+            if neg.live:
+                neg.add(term(x_neg, w_neg))
+            if not (pos.live or neg.live):
+                break
+        evaluations += pos.evaluations + neg.evaluations
+        total = total + pos.total + neg.total
         value_prev2, value_prev = value_prev, value
         value = h * total
         levels = level + 1
-        delta = abs(value - value_prev)
-        if cap_p or cap_n:
+        delta = abs(value - value_prev) if level else abs(value)
+        if pos.hit_cap or neg.hit_cap:
             return value, delta, evaluations, levels, False
-        if delta <= tol:
+        if level >= 1 and delta <= tol:
             return value, delta, evaluations, levels, True
-        if value_prev2 is not None and _extrapolated_below(
-            delta, abs(value - value_prev2), log_tol
-        ):
+        if level >= 2 and _extrapolated_below(delta, abs(value - value_prev2), log_tol):
             return value, delta, evaluations, levels, True
     return value, delta, evaluations, levels, False
 
@@ -262,6 +345,49 @@ def _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol):
     )
 
 
+def _exp_sinh_nodes(skip_below):
+    """Centre and ``pair`` function of the exp-sinh map t = e^{(pi/2) sinh u}.
+
+    With s = (pi/2) sinh u and w = (pi/2) cosh u, one exp gives both
+    nodes, t(u) = e^s and t(-u) = 1/t(u), and both weights t c cosh u =
+    t w.  A weight on the t < 1 side below ``skip_below`` is returned as
+    0, so the integrand is not evaluated there.
+    """
+
+    def pair(s, w):
+        t = mpmath.exp(s)
+        t_neg = 1 / t
+        w_neg = t_neg * w
+        if w_neg < skip_below:
+            w_neg = _ZERO
+        return t, t * w, t_neg, w_neg
+
+    return (mpf(1), mpmath.pi / 2), pair
+
+
+def _tanh_sinh_nodes(a, b):
+    """Centre and ``pair`` function of the tanh-sinh map on [a, b].
+
+    x(+-u) = mid +- half tanh s with s = (pi/2) sinh u.  With E = e^{2s}
+    (the pair's one exp), the offset from the nearer endpoint,
+    half (1 - tanh s) = 2 half / (E + 1), is formed without subtraction,
+    and the weight half c cosh u / cosh(s)^2 = half w 4E / (E + 1)^2
+    (w = (pi/2) cosh u) is the same on both sides.  There is no weight
+    short-circuit: endpoint-singular integrands (x^-1/2, log sin) can
+    outgrow a tiny weight by many orders.
+    """
+    half = (b - a) / 2
+    mid = (a + b) / 2
+
+    def pair(s, w):
+        big = mpmath.exp(2 * s)
+        offset = 2 * half / (big + 1)
+        weight = 4 * half * w * big / (big + 1) ** 2
+        return b - offset, weight, a + offset, weight
+
+    return (mid, half * (mpmath.pi / 2)), pair
+
+
 def integrate_zero_to_inf(
     f: Integrand,
     tol: Real | None = None,
@@ -277,22 +403,13 @@ def integrate_zero_to_inf(
 
     with ctx.workdps(20):
         cutoff = mpf(10) ** (-(ctx.precision_digits + 10))
-        c = +mpmath.pi / 2
-
-        def g(u):
-            t = mpmath.exp(c * mpmath.sinh(u))
-            weight = t * c * mpmath.cosh(u)
-            if t < 1 and weight < cutoff / 8:
-                # Safe short-circuit on the t -> 0 side only: every project
-                # integrand has a finite limit there (spec invariant), so
-                # the vanishing weight alone kills the term.
-                return mpf(0)
-            v = f(t)
-            if mpmath.isnan(v) or mpmath.isinf(v):
-                raise IntegrandEvaluationError(f.label, t)
-            return v * weight
-
-        value, delta, evaluations, levels, converged = _run_levels(g, tol, ctx, cutoff)
+        # Safe short-circuit on the t -> 0 side only: every project
+        # integrand has a finite limit there (spec invariant), so the
+        # vanishing weight alone kills the term.
+        centre, pair = _exp_sinh_nodes(skip_below=cutoff / 8)
+        value, delta, evaluations, levels, converged = _run_levels(
+            f, centre, pair, tol, ctx, cutoff
+        )
         return _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol)
 
 
@@ -318,26 +435,10 @@ def integrate_finite(
 
     with ctx.workdps(20):
         cutoff = mpf(10) ** (-(ctx.precision_digits + 10))
-        c = +mpmath.pi / 2
-        a = mpf(a)
-        b = mpf(b)
-        half = (b - a) / 2
-        mid = (a + b) / 2
-
-        def g(u):
-            s = c * mpmath.sinh(u)
-            # 1 - tanh|s| = 2 / (e^{2|s|} + 1), computed without subtraction.
-            offset = 2 * half / (mpmath.exp(2 * abs(s)) + 1)
-            x = mid if s == 0 else (b - offset if s > 0 else a + offset)
-            # No weight short-circuit here: endpoint-singular integrands
-            # (x^-1/2, log sin) can outgrow a tiny weight by many orders.
-            weight = half * c * mpmath.cosh(u) / mpmath.cosh(s) ** 2
-            v = f(x)
-            if mpmath.isnan(v) or mpmath.isinf(v):
-                raise IntegrandEvaluationError(f.label, x)
-            return v * weight
-
-        value, delta, evaluations, levels, converged = _run_levels(g, tol, ctx, cutoff)
+        centre, pair = _tanh_sinh_nodes(mpf(a), mpf(b))
+        value, delta, evaluations, levels, converged = _run_levels(
+            f, centre, pair, tol, ctx, cutoff
+        )
         return _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol)
 
 

@@ -62,7 +62,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .context import ComputeContext, ConstantsSet, PrecisionError, Real
 from .loggamma import DomainError, log_gamma_ref
 from .quadrature import Integrand, integrate_finite, integrate_zero_to_inf
-from .smallt import PowerSeries, cancellation_guard, t_minus_log1p
+from .smallt import PowerSeries, cancellation_guard, exp_neg_tail, t_minus_log1p
 
 ROUTE_IDS = ("limit", "pain1", "pain2", "feaux", "kummer", "fourier_series", "hasse")
 IDENTITY_IDS = ("glaisher_half", "gla2", "log_sin", "res2_measure_check")
@@ -155,7 +155,7 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
         with mp.extradps(cancellation_guard(t, 3)):
             L = mpmath.log(1 + t)
             bracket = (
-                mpmath.exp(-t) / 8
+                exp_neg_tail(t) / 8
                 - 1 / ((1 + t) ** (mpf(3) / 2) * L * L)
                 - (L - 2) / (2 * (1 + t) * L * L)
             )
@@ -184,7 +184,7 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
     """
 
     def raw_bracket(t):
-        return mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4
+        return mpmath.tanh(t / 4) / t - exp_neg_tail(t) / 4
 
     if measure == "dt_over_t":
 
@@ -224,7 +224,7 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
 
     def raw(x):
         with mp.extradps(cancellation_guard(x, 2)):
-            return +((1 - mpmath.exp(-x / 2)) * (x * mpmath.coth(x / 2) - 2) / x ** 3)
+            return +((1 - exp_neg_tail(x / 2)) * (x * mpmath.coth(x / 2) - 2) / x ** 3)
 
     def series(x):
         return -mpmath.expm1(-x / 2) * _PAIN1_S(x * x) / mpmath.sinh(x / 2)

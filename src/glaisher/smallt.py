@@ -15,6 +15,13 @@ stop is relative, so a tiny result keeps its full working precision; two
 terms rather than one guard against a single term that happens to be
 small.  The series here converge for |z| <= 0.5, which covers every
 near-zero threshold used in the project (2^-8) with a large margin.
+
+The far tail has the opposite trouble.  The exp-sinh map also probes
+t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
+an algebraic term of size 1/t to 1/t^2.  There e^-t is far below half an
+ulp of that term, yet mpmath spends milliseconds on it (an integer power
+once t > 2^prec).  :func:`exp_neg_tail` returns an exact 0 instead, in
+the range where the sum rounds to the same bits either way.
 """
 
 from __future__ import annotations
@@ -73,6 +80,27 @@ def cancellation_guard(t, digits_per_decade: int) -> int:
     if t >= 1:
         return 10
     return 10 + digits_per_decade * int(mpmath.ceil(-mpmath.log10(t)))
+
+
+def exp_neg_tail(t: mpf) -> mpf:
+    """e^-t, or exact 0 once t > 2 mp.prec.
+
+    Only for a caller that adds the result (times a factor it shares
+    with the other term) to a term of magnitude >~ 1/t^2 at the current
+    working precision; the project's callers (the raw forms of pain1,
+    res1, res2, the Feaux bracket, Dirichlet and Fourier a_n) add it to
+    terms of size 1/t to 1/t^2.  Then the 0 is exact after rounding: for
+    t > 2 prec, e^-t < 2^(-2.88 prec), so t^2 e^-t < 2^(-prec-2) for
+    every prec >= 10.  e^-t is under a quarter ulp of any term >= 1/t^2,
+    with most of 0.88 prec more bits to spare for a smaller constant
+    factor, and adding it leaves that term's bits as they are.  The
+    exponentially small values of other integrands (pain2's e^x,
+    Kummer's sinh ratio) are the whole value there and must not pass
+    through this helper.
+    """
+    if t > 2 * mp.prec:
+        return _ZERO
+    return mpmath.exp(-t)
 
 
 # (t - log(1+t)) / t^2 = sum_k (-1)^k t^k / (k+2)

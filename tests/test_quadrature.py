@@ -21,7 +21,13 @@ from glaisher.loggamma import (
     fourier_a_n_integrand,
     kummer_integrand,
 )
-from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
+from glaisher.quadrature import (
+    DEFAULT_NEAR_ZERO_THRESHOLD,
+    _exp_sinh_nodes,
+    _level_nodes,
+    _scan_cap,
+    _tanh_sinh_nodes,
+)
 from glaisher.routes import (
     pain1_integrand,
     pain2_integrand,
@@ -123,7 +129,7 @@ class TestErrorModel:
             (inv_sqrt(), mpf(2), (mpf(0), mpf(1))),
         ]
 
-    @pytest.mark.parametrize("digits", [50, 100, 200])
+    @pytest.mark.parametrize("digits", [50, 100, 200, pytest.param(400, marks=pytest.mark.slow)])
     def test_true_error_within_ten_times_estimate(self, digits):
         ctx = make_context(digits)
         report = error_model_check(self.corpus(ctx), ctx)
@@ -287,6 +293,66 @@ class TestNearZeroConsistency:
             p2 = pain2_integrand(ctx50).near_zero(mpf("1e-20"))
             assert abs(p1 - mpf(1) / 12) < mpf("1e-19")
             assert abs(p2 + mpf(1) / 12) < mpf("1e-19")
+
+
+class TestPairNodes:
+    """The stepped pair nodes against the per-abscissa formulas.
+
+    Every pair the levels 0..10 yield is checked against direct formulas
+    at P+40 digits, from a fresh exp(u) per abscissa: the scaled
+    (pi/2) sinh u and (pi/2) cosh u the stepping produces, out to the
+    per-side cap, and, for |u| <= the scan cap (as far as a converging
+    scan can reach), both nodes and weights of both transforms:
+    t = e^s, t c cosh u (exp-sinh) and the offset 1/(e^{2s} + 1),
+    c cosh u / (2 cosh(s)^2) (tanh-sinh on [0, 1]), s = c sinh u,
+    c = pi/2.  Drift in the stepped e^{+-kh} grows with the pair index,
+    so the far pairs of the deep levels are where it would show.  (Past
+    the scan cap, where only a divergent scan goes, out to twice as far,
+    s grows past 10^6, and the rounding of s alone moves e^s by more
+    than the bound, with or without stepping.)
+    """
+
+    @pytest.mark.parametrize("digits", [50, 200, 400])
+    def test_stepped_nodes_match_direct_formulas(self, digits):
+        ctx = make_context(digits)
+        with ctx.workdps(20):
+            _, exp_sinh = _exp_sinh_nodes(skip_below=0)
+            _, tanh_sinh = _tanh_sinh_nodes(mpf(0), mpf(1))
+            u_cap = _scan_cap(ctx)
+            stepped = []
+            for level in range(11):
+                h, _, scaled = _level_nodes(lambda s, w: (s, w), level, u_cap)
+                step = 1 if level == 0 else 2
+                for i, (s, w) in enumerate(scaled):
+                    u = (1 + step * i) * h
+                    nodes = exp_sinh(s, w) + tanh_sinh(s, w) if u <= u_cap else ()
+                    stepped.append((u, (s, w) + nodes))
+        bound = mpf(10) ** -(digits + 15)
+        names = ("sinh", "cosh", "t+", "w+", "t-", "w-", "x+", "v+", "x-", "v-")
+        misses = []
+        node_pairs = 0
+        with ctx.workdps(40):
+            c = mpmath.pi / 2
+            for u, got in stepped:
+                e = mpmath.exp(u)
+                s = c * (e - 1 / e) / 2
+                w = c * (e + 1 / e) / 2
+                want = [s, w]
+                if len(got) > 2:
+                    node_pairs += 1
+                    t = mpmath.exp(s)
+                    offset = 1 / (t * t + 1)
+                    weight = 2 * w / (t + 1 / t) ** 2
+                    want += [t, t * w, 1 / t, w / t, 1 - offset, weight, offset, weight]
+                for name, g, v in zip(names, got, want):
+                    if abs(g - v) > bound * abs(v):
+                        misses.append(f"{name} at u = {mpmath.nstr(u, 8)}: relative "
+                                      f"error {mpmath.nstr(abs(g / v - 1), 3)}")
+        assert node_pairs > 2 ** 10
+        assert not misses, (
+            f"{len(misses)} values over {len(stepped)} steps ({node_pairs} node pairs) "
+            f"off by more than 1e-{digits + 15}; first: {misses[:3]}"
+        )
 
 
 class TestDeterminism:

@@ -27,7 +27,7 @@ from glaisher import (
     route_pain1,
     route_pain2,
 )
-from glaisher.quadrature import integrate_zero_to_inf
+from glaisher.quadrature import integrate_finite, integrate_zero_to_inf
 from glaisher.routes import _hasse_partial_sums, pain1_integrand, pain2_integrand
 
 from conftest import abs_diff, rel_diff
@@ -78,13 +78,41 @@ class TestIntegralRoutes:
             assert abs(result.value - rhs) < mpf(10) ** -38
 
     @pytest.mark.parametrize(
-        "route", [route_pain1, route_pain2, route_feaux, route_kummer],
-        ids=lambda route: route.__name__,
+        "route, evaluations",
+        [
+            pytest.param(route_pain1, 1515, id="route_pain1"),
+            pytest.param(route_pain2, 1025, id="route_pain2"),
+            pytest.param(route_feaux, 1511, id="route_feaux"),
+            pytest.param(route_kummer, 1516, id="route_kummer"),
+        ],
     )
-    def test_hundred_digits_stop_one_level_early(self, route):
-        # the extrapolated stop ends at level 8 (about 1515 evaluations);
-        # waiting for |I_L - I_(L-1)| <= tol cost level 9 too (about 3000)
-        assert route(make_context(100)).evaluations <= 1520
+    def test_hundred_digits_stop_one_level_early(self, route, evaluations):
+        # the extrapolated stop ends at level 8; waiting for
+        # |I_L - I_(L-1)| <= tol cost level 9 too (about 3000).  The counts
+        # are exact: they depend only on where each side's scan stops, so
+        # a change to node generation must leave them as they are.
+        assert route(make_context(100)).evaluations == evaluations
+
+    def test_fifty_digit_evaluation_counts(self, routes50):
+        counts = {name: r.evaluations for name, r in routes50.items()}
+        assert counts == {"pain1": 694, "pain2": 480, "feaux": 690, "kummer": 694}
+
+    def test_identity_integral_counts_at_fifty_digits(self, ctx50, consensus50, monkeypatch):
+        import glaisher.routes
+
+        counts = []
+
+        def counting(*args, **kwargs):
+            result = integrate_finite(*args, **kwargs)
+            counts.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(glaisher.routes, "integrate_finite", counting)
+        glaisher_identity_residual(ctx50, consensus50)
+        gla2_residual(ctx50, consensus50)
+        log_sin_check(ctx50)
+        res2_measure_check(ctx50, consensus50)
+        assert counts == [152, 165, 147, 564]
 
     def test_determinism_bit_identical(self, ctx30):
         a = route_feaux(ctx30)

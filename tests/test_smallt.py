@@ -12,7 +12,12 @@ from mpmath import mp, mpf
 from glaisher import make_context
 from glaisher.loggamma import kummer_integrand
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
-from glaisher.smallt import expm1_minus_x, one_plus_em1z_over_z, t_minus_log1p
+from glaisher.smallt import (
+    cancellation_guard,
+    expm1_minus_x,
+    one_plus_em1z_over_z,
+    t_minus_log1p,
+)
 
 from test_quadrature import PROJECT_INTEGRANDS, build_integrand
 
@@ -83,3 +88,70 @@ def test_kummer_series_vanishes_at_half(ctx50):
     with ctx50.workdps(20):
         assert integrand.near_zero(mpf("1e-3")) == 0
         assert integrand.eval(mpf("1e-3")) == 0
+
+
+def _res1_unguarded(t):
+    L = mpmath.log(1 + t)
+    bracket = (
+        mpmath.exp(-t) / 8
+        - 1 / ((1 + t) ** (mpf(3) / 2) * L * L)
+        - (L - 2) / (2 * (1 + t) * L * L)
+    )
+    return bracket / t
+
+
+def _feaux_unguarded(x):
+    def form(t):
+        L = mpmath.log(1 + t)
+        return (x * mpmath.exp(-t) + ((1 + t) ** (-x - 1) - 1 / (1 + t)) / L) / t
+    return form
+
+
+def _fourier_unguarded(n, ctx):
+    with ctx.workdps(10):
+        two_n_pi = 2 * n * (+mpmath.pi)
+        four_n2_pi2 = two_n_pi ** 2
+    return lambda t: (two_n_pi / (t * t + four_n2_pi2) - mpmath.exp(-t) / two_n_pi) / t
+
+
+# Raw forms that take e^-t through exp_neg_tail: (digits lost per decade,
+# the same expression with a plain exp).
+def _unguarded_forms(ctx):
+    return {
+        "pain1": (2, lambda x: (1 - mpmath.exp(-x / 2)) * (x * mpmath.coth(x / 2) - 2) / x ** 3),
+        "res1": (3, _res1_unguarded),
+        "res2_dt_over_t": (2, lambda t: (mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4) / t),
+        "res2_dt": (2, lambda t: mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4),
+        "dirichlet": (2, lambda t: (1 / (1 + t) - mpmath.exp(-t)) / t),
+        "feaux_quarter": (2, _feaux_unguarded(mpf(1) / 4)),
+        "a_3": (1, _fourier_unguarded(3, ctx)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_unguarded_forms(make_context(20))))
+@pytest.mark.parametrize("digits", [200, 400])
+def test_far_tail_exp_guard_is_bit_identical(name, digits):
+    # exp_neg_tail returns 0 for t > 2 prec, where prec is the precision
+    # the raw form runs at (t >= 1: context + 20 + 10 guard digits).  The
+    # guarded form must round to exactly the bits of the plain-exp form
+    # on both sides of that edge (pain1's argument is x/2, so its edge
+    # sits at x = 4 prec), over a grid of prec/4 steps through both
+    # edges, and far out where a plain exp costs milliseconds.  A lower
+    # edge (say prec/4) leaves e^-t above an ulp and turns this red.
+    ctx = make_context(digits)
+    integrand = build_integrand(name, ctx)
+    per_decade, unguarded = _unguarded_forms(ctx)[name]
+    with ctx.workdps(30):
+        prec = mp.prec
+    points = [2 * prec - 1, 2 * prec + 1, 4 * prec - 2, 4 * prec + 2, 10 ** 3]
+    points += [k * prec // 4 for k in range(1, 21)]
+    points = [mpf(p) for p in points] + [mpf(10) ** 230, mpf(10) ** 450]
+    for t in points:
+        with ctx.workdps(20):
+            got = integrand.eval(t)
+            with mp.extradps(cancellation_guard(t, per_decade)):
+                want = +unguarded(t)
+        assert got._mpf_ == want._mpf_, (
+            f"{name} at t = {mpmath.nstr(t, 8)} ({digits} digits, edge {2 * prec}): "
+            f"guarded {mpmath.nstr(got, 20)} vs plain {mpmath.nstr(want, 20)}"
+        )
