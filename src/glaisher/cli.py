@@ -5,9 +5,11 @@ Exit codes follow the verification-tool contract:
 * 0 -- success (compute: all requested routes agree pairwise within ten
   times the sum of their error estimates; verify: all identity residuals
   below tolerance).
-* 1 -- configuration error (unknown route, empty grid, bad digits).
+* 1 -- configuration error (unknown route, empty grid, bad digits), or
+  a route that refused the requested precision or parameters while every
+  route that ran agreed.
 * 2 -- numerical disagreement (a route pair out of tolerance, a residual
-  above tolerance).
+  above tolerance) or a route that failed numerically.
 
 Values in text mode are truncated to (digits - 10) displayed digits so
 the output never implies precision the error estimates do not back.
@@ -183,6 +185,7 @@ def cmd_compute(args) -> int:
                 allowed = 10 * (ests[i].error_estimate + ests[j].error_estimate)
                 if gap > allowed:
                     disagreements.append((ests[i].route_id, ests[j].route_id, gap, allowed))
+    failures = [f for f in doc.failures if f.route_id != "identity_checks"]
 
     if args.output == "json":
         _emit(args, serialize(doc, "json").decode() + "\n")
@@ -198,7 +201,7 @@ def cmd_compute(args) -> int:
                 f"{e.evaluations} evaluations, {e.elapsed:.2f}s)"
             )
         for f in doc.failures:
-            lines.append(f"  {f.route_id:16s} FAILED: {f.error}")
+            lines.append(f"  {f.route_id:16s} {'REFUSED' if f.refused else 'FAILED'}: {f.error}")
         lines.append("pairwise |difference| matrix:")
         ids = doc.agreement_matrix["routes"]
         for rid, row in zip(ids, doc.agreement_matrix["matrix"]):
@@ -212,12 +215,13 @@ def cmd_compute(args) -> int:
                     f"> allowed {mpmath.nstr(allowed, 4)}"
                 )
         else:
-            lines.append("all requested routes agree pairwise within tolerance")
+            which = "the routes that ran" if failures else "all requested routes"
+            lines.append(f"{which} agree pairwise within tolerance")
         _emit(args, "\n".join(lines) + "\n")
 
-    if any(f.route_id != "identity_checks" for f in doc.failures):
+    if disagreements or not all(f.refused for f in failures):
         return EXIT_DISAGREE
-    return EXIT_DISAGREE if disagreements else EXIT_OK
+    return EXIT_CONFIG if failures else EXIT_OK
 
 
 def cmd_verify(args) -> int:

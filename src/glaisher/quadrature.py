@@ -230,14 +230,17 @@ def _level_nodes(pair, level, u_cap):
     """Node pairs of one level, lazily, and the per-side term cap.
 
     Level 0 takes u = 1, 2, 3, ... at h = 1; level L >= 1 takes the odd
-    multiples of h = 2^-L, the abscissae the levels before it lack.
-    ``pair`` maps ((pi/2) sinh u, (pi/2) cosh u) to the nodes and weights
-    at +u and -u, (x+, w+, x-, w-), with one exp.  One pair is alive at
-    a time; no node list is kept.
+    multiples of h = 2^-L, the abscissae the levels before it lack, so
+    its stride is 2h.  ``pair`` maps ((pi/2) sinh u, (pi/2) cosh u) to
+    the nodes and weights at +u and -u, (x+, w+, x-, w-), with one exp.
+    One pair is alive at a time; no node list is kept.  The cap counts
+    strides, so a side that hits it (after ``max_terms`` + 1 terms) has
+    gone no further than u_cap plus one stride.
     """
     h = mpmath.ldexp(1, -level)
-    max_terms = int(u_cap / h) + 16
-    scaled = _scaled_sinh_cosh(h, 1 if level == 0 else 2, max_terms + 1)
+    step = 1 if level == 0 else 2
+    max_terms = int(u_cap / (step * h))
+    scaled = _scaled_sinh_cosh(h, step, max_terms + 1)
     return h, max_terms, starmap(pair, scaled)
 
 

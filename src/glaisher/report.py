@@ -9,6 +9,9 @@ diff-able and re-parseable without loss.
 Route failures never abort a run: a verification tool that dies on the
 first bad route hides every other result.  Failures land in a ``failures``
 list with their message, and the matrix simply omits the failed route.
+A route that declines to run at this precision or on these parameters
+(``PrecisionError``, ``DomainError``) is marked ``refused``; that is a
+configuration problem, not a numerical failure.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ import mpmath
 from mpmath import mpf
 
 from . import __version__
-from .context import ComputeContext, Real, real_from_decimal, real_to_decimal
+from .context import (
+    ComputeContext,
+    PrecisionError,
+    Real,
+    real_from_decimal,
+    real_to_decimal,
+)
+from .loggamma import DomainError
 from .routes import (
     ROUTE_IDS,
     IdentityResidual,
@@ -62,6 +72,7 @@ class ConvergenceRecord:
 class RouteFailure:
     route_id: str
     error: str
+    refused: bool = False
 
 
 @dataclass
@@ -156,6 +167,8 @@ def run_all(
             estimate = _route_runner(rid, ctx, merged)
             doc.estimates.append(estimate)
             by_id[rid] = estimate
+        except (PrecisionError, DomainError) as exc:
+            doc.failures.append(RouteFailure(route_id=rid, error=str(exc), refused=True))
         except Exception as exc:          # failure isolation per route
             doc.failures.append(RouteFailure(route_id=rid, error=str(exc)))
 
@@ -301,7 +314,10 @@ def _serialize_json(doc: ReportDocument) -> bytes:
             }
             for e in doc.estimates
         ],
-        "failures": [{"route_id": f.route_id, "error": f.error} for f in doc.failures],
+        "failures": [
+            {"route_id": f.route_id, "error": f.error, "refused": f.refused}
+            for f in doc.failures
+        ],
         "residuals": [
             {
                 "identity_id": r.identity_id,
@@ -375,7 +391,9 @@ def deserialize_report(raw: bytes, ctx: ComputeContext) -> ReportDocument:
             )
         )
     for f in payload["failures"]:
-        doc.failures.append(RouteFailure(route_id=f["route_id"], error=f["error"]))
+        doc.failures.append(
+            RouteFailure(route_id=f["route_id"], error=f["error"], refused=f["refused"])
+        )
     for r in payload["residuals"]:
         doc.residuals.append(
             IdentityResidual(

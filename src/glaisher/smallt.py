@@ -8,13 +8,37 @@ already hold the cancelled differences, so the subtraction is done
 exactly in the coefficients instead of in floating point.
 
 All of those series run on one kernel, :class:`PowerSeries`.  It takes a
-coefficient function k -> c_k, caches the c_k per working precision
-(``mp.prec``) and sums sum_{k>=0} c_k z^k forward, stopping after two
-consecutive terms at or below 10^-(dps+5) times the running sum.  The
-stop is relative, so a tiny result keeps its full working precision; two
-terms rather than one guard against a single term that happens to be
-small.  The series here converge for |z| <= 0.5, which covers every
-near-zero threshold used in the project (2^-8) with a large margin.
+coefficient function k -> c_k and sums sum_{k>=0} c_k z^k in fixed point:
+per working precision (``mp.prec``) it keeps each c_k once as a W-bit
+integer, takes z once as a W-bit integer, and sums by Horner's rule,
+acc = c_k + (acc z >> W), from the last term down; only the final sum is
+rounded to an mpf.  A term costs one integer multiply and one shift
+instead of a few pure-Python mpf operations.
+
+The W budget.  W = prec + 16 + max(0, -mag(c_0)) bits.  Each Horner step
+truncates by under one unit of 2^-W and each stored c_k is off by under
+one unit; the later steps multiply those errors by |z| <= 1/2, so the sum
+is off by a few units of 2^-W in all.  The 16 guard bits put that below
+a thousandth of an ulp of a result of the size of c_0, and the c_0 shift
+keeps a small leading coefficient (Kummer's c_0 = 1/2 - x near x = 1/2)
+at the same relative accuracy as one of size 1.  Horner and not forward
+powers: a forward sum truncates z^k before multiplying it by c_k, so the
+error of a term grows with |c_k|, and the Stirling coefficients grow
+factorially (summed forward, the Stirling tail was off by 2e8 units of
+2^-prec at 70 digits and 5e141 at 420); Horner multiplies the running
+sum by z, never a rounded power by c_k.
+
+The number of terms comes from integer bit lengths: term k is below
+2^(bits(c_k) + k log2 |z|) in units of 2^-W, where the bit length and
+the top 8 bits of the fixed-point z bound log2 |z| from above.  The sum
+keeps terms up to and including the second of two consecutive terms at
+or below 10^-(dps+5) times |c_0| (times 1 if c_0 = 0), so a tiny result
+keeps its full working precision; two terms rather than one guard
+against a single coefficient that happens to be small.  The count is
+kept per (bit length, top 8 bits) of z.  The series here converge for
+|z| <= 0.5, which covers every near-zero threshold used in the project
+(2^-8) with a large margin; a series whose coefficients all vanish
+(Kummer's at x = 1/2) sums to an exact 0.
 
 The far tail has the opposite trouble.  The exp-sinh map also probes
 t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
@@ -26,48 +50,96 @@ the range where the sum rounds to the same bits either way.
 
 from __future__ import annotations
 
-from math import factorial
+from math import ceil, factorial, log2
 from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
-# mpf values are exact, so these serve every working precision.
+# An mpf 0 is exact, so it serves every working precision.
 _ZERO = mpf(0)
-_ONE = mpf(1)
+
+
+# Guard bits of the fixed-point sum beyond the working precision.
+_GUARD_BITS = 16
 
 
 class PowerSeries:
     """sum_{k>=0} c_k z^k, with ``coefficient(k)`` giving c_k.
 
-    ``coefficient`` is called at the working precision, at most once per
-    k and precision; its results are kept for later calls.
+    The sum is taken in W-bit fixed point by Horner's rule and rounded
+    once (see the module docstring for W and the stop).  ``coefficient``
+    is called at W bits, at most once per k and working precision (c_0
+    once more at the working precision, to size W); its results are kept
+    as W-bit integers for later calls.  ``z`` is an mpf.
     """
 
     def __init__(self, coefficient: Callable[[int], mpf]):
         self._coefficient = coefficient
-        self._cache: dict[int, tuple[mpf, list[mpf]]] = {}
+        self._cache: dict[int, _FixedCoefficients] = {}
 
     def __call__(self, z: mpf) -> mpf:
-        entry = self._cache.get(mp.prec)
-        if entry is None:
-            entry = self._cache[mp.prec] = (mpf(10) ** (-(mp.dps + 5)), [])
-        eps, coefficients = entry
-        acc = _ZERO
-        power = _ONE
-        last_small = False
-        k = 0
-        while True:
-            if k == len(coefficients):
-                coefficients.append(self._coefficient(k))
-            term = coefficients[k] * power
-            acc += term
-            small = abs(term) <= eps * abs(acc)
-            if small and last_small:
-                return acc
-            last_small = small
-            power *= z
-            k += 1
+        table = self._cache.get(mp.prec)
+        if table is None:
+            table = self._cache[mp.prec] = _FixedCoefficients(self._coefficient)
+        width = table.width
+        z_fixed = to_fixed(z._mpf_, width)
+        n = table.terms(abs(z_fixed) + 1)
+        acc = 0
+        for c in table.fixed[n - 1::-1]:
+            acc = c + (acc * z_fixed >> width)
+        return mpf((acc, -width))
+
+
+class _FixedCoefficients:
+    """The W-bit integers c_k of one series at one working precision, their
+    bit lengths, and the term count per magnitude of z."""
+
+    __slots__ = ("coefficient", "width", "fixed", "bits", "limit", "counts")
+
+    def __init__(self, coefficient: Callable[[int], mpf]):
+        self.coefficient = coefficient
+        c0 = coefficient(0)
+        self.width = mp.prec + _GUARD_BITS + (max(0, -mpmath.mag(c0)) if c0 else 0)
+        self.fixed: list[int] = []
+        self.bits: list[int] = []
+        self.counts: dict[tuple[int, int], int] = {}
+        self._extend()
+        # A term is small once its bound is at or below 10^-(dps+5) of
+        # |c_0| >= 2^(bits(c_0) - 1), or of 1 = 2^W when c_0 = 0.
+        scale = self.bits[0] - 1 if self.fixed[0] else self.width
+        self.limit = scale - ceil((mp.dps + 5) * log2(10))
+
+    def _extend(self) -> None:
+        with mp.workprec(self.width):
+            c = to_fixed(mpf(self.coefficient(len(self.fixed)))._mpf_, self.width)
+        self.fixed.append(c)
+        self.bits.append(abs(c).bit_length())
+
+    def terms(self, z_bound: int) -> int:
+        """How many terms a z with |z| 2^W <= ``z_bound`` needs.
+
+        The count is kept per bit length and top 8 bits of ``z_bound``,
+        which bound log2 |z| from above to within 0.012.
+        """
+        bits = z_bound.bit_length()
+        top = z_bound >> (bits - 8) if bits > 8 else z_bound << (8 - bits)
+        key = (bits, top)
+        n = self.counts.get(key)
+        if n is None:
+            log2_z = log2(top + 1) + bits - 8 - self.width
+            k = small = 0
+            while small < 2:
+                if k == len(self.fixed):
+                    self._extend()
+                if self.fixed[k] == 0 or self.bits[k] + k * log2_z <= self.limit:
+                    small += 1
+                else:
+                    small = 0
+                k += 1
+            n = self.counts[key] = k
+        return n
 
 
 def cancellation_guard(t, digits_per_decade: int) -> int:

@@ -40,6 +40,29 @@ class TestComputeCommand:
         assert code == EXIT_DISAGREE
         assert "DISAGREEMENTS" in out
 
+    def test_refused_route_exits_one_and_keeps_the_other_rows(self, capsys):
+        # hasse at its default N = 80 needs 45 digits; at 20 it refuses.
+        # A refusal is a configuration problem (exit 1), not a numerical
+        # failure, and the six routes that can run still report.
+        code, out, _ = run_cli(capsys, "compute", "--digits", "20")
+        assert code == EXIT_CONFIG
+        estimates = out.split("pairwise |difference| matrix:")[0]
+        rows = {line.split()[0]: line for line in estimates.splitlines()[1:]}
+        assert "REFUSED: insufficient precision for hasse" in rows["hasse"]
+        for rid in ("limit", "pain1", "pain2", "feaux", "kummer", "fourier_series"):
+            assert "error est" in rows[rid], rid
+        assert "the routes that ran agree pairwise" in out
+
+    def test_refusal_with_a_disagreement_exits_two(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "compute", "--digits", "20",
+            "--routes", "feaux,kummer,hasse",
+            "--res2-measure", "dt",
+        )
+        assert code == EXIT_DISAGREE
+        assert "REFUSED" in out and "DISAGREEMENTS" in out
+
     def test_json_output_parses_with_own_parser(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -100,8 +100,11 @@ class TestStirlingOracle:
 
     def test_cache_is_per_precision(self, monkeypatch):
         # A 400-digit call between two 50-digit calls must neither reuse
-        # the 50-digit table nor change what the 50-digit call returns.
+        # the 50-digit tables nor change what the 50-digit call returns.
+        # Both caches start empty: (log 2pi)/2 and the Stirling series'
+        # fixed-point coefficients.
         monkeypatch.setattr(loggamma, "_STIRLING", {})
+        monkeypatch.setattr(loggamma._STIRLING_SERIES, "_cache", {})
         with mp.workdps(50):
             x = mpf(1) / 3
         first = log_gamma_ref(x, make_context(50))

@@ -117,6 +117,43 @@ class TestResultStructure:
         assert not r.converged
 
 
+class TestScanCap:
+    """A scan that never stops goes no further than the scan cap plus one
+    stride (1 at level 0, 2h = 2^(1-L) at level L >= 1); a cap that
+    counted steps of h let levels >= 1 run out to twice the cap."""
+
+    def test_non_decaying_integrand_stops_at_the_cap(self, ctx30):
+        abscissae = []
+
+        def one(t):
+            abscissae.append(t)
+            return mpf(1)
+
+        r = integrate_zero_to_inf(Integrand(eval=one, label="one"), ctx=ctx30)
+        assert not r.converged
+        with ctx30.workdps(20):
+            u_cap = _scan_cap(ctx30)
+            u_max = max(mpmath.asinh(mpmath.log(t) / (mpmath.pi / 2)) for t in abscissae)
+        assert u_cap < u_max <= u_cap + 1
+
+    @pytest.mark.parametrize("digits", [30, 400])
+    def test_every_level_stops_within_one_stride_of_the_cap(self, digits):
+        ctx = make_context(digits)
+        with ctx.workdps(20):
+            u_cap = _scan_cap(ctx)
+            for level in range(11):
+                h, max_terms, scaled = _level_nodes(lambda s, w: s, level, u_cap)
+                stride = 1 if level == 0 else 2 * h
+                pairs = sum(1 for _ in scaled)
+                # a side that hits the cap has taken max_terms + 1 terms
+                assert pairs == max_terms + 1
+                u_last = h + stride * max_terms
+                assert u_cap < u_last + stride and u_last <= u_cap + stride, (
+                    f"level {level}: last u = {mpmath.nstr(u_last, 8)}, "
+                    f"cap {mpmath.nstr(u_cap, 8)}, stride {mpmath.nstr(stride, 3)}"
+                )
+
+
 class TestErrorModel:
     def corpus(self, ctx):
         with ctx.workdps(20):
@@ -307,9 +344,8 @@ class TestPairNodes:
     c cosh u / (2 cosh(s)^2) (tanh-sinh on [0, 1]), s = c sinh u,
     c = pi/2.  Drift in the stepped e^{+-kh} grows with the pair index,
     so the far pairs of the deep levels are where it would show.  (Past
-    the scan cap, where only a divergent scan goes, out to twice as far,
-    s grows past 10^6, and the rounding of s alone moves e^s by more
-    than the bound, with or without stepping.)
+    the scan cap only a divergent scan goes, for at most one more stride;
+    nodes there are not compared.)
     """
 
     @pytest.mark.parametrize("digits", [50, 200, 400])

@@ -63,6 +63,9 @@ class TestRunAll:
         assert succeeded == {"feaux"}
         assert failed == {"hasse"}
         assert "insufficient precision" in doc.failures[0].error
+        assert doc.failures[0].refused
+        back = deserialize_report(serialize(doc, "json"), ctx)
+        assert [(f.route_id, f.refused) for f in back.failures] == [("hasse", True)]
 
     def test_every_requested_route_appears_exactly_once(self, ctx):
         doc = run_all(ctx, ["feaux", "kummer", "limit"], params={"limit_n": 16, "limit_order": 1})

@@ -1,5 +1,6 @@
-"""The small-argument series: helpers against their closed forms, and the
-per-precision coefficient cache of the shared power-series kernel."""
+"""The small-argument series: the fixed-point kernel against the same sums
+in mpf, helpers against their closed forms, and the per-precision
+coefficient cache of the shared power-series kernel."""
 
 from __future__ import annotations
 
@@ -9,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from glaisher import make_context
-from glaisher.loggamma import kummer_integrand
+from glaisher import make_context, routes, smallt
+from glaisher.loggamma import (
+    _STIRLING_SERIES,
+    _kummer_numerator_over_t2,
+    kummer_integrand,
+)
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
 from glaisher.smallt import (
     cancellation_guard,
@@ -20,6 +25,76 @@ from glaisher.smallt import (
 )
 
 from test_quadrature import PROJECT_INTEGRANDS, build_integrand
+
+# Kummer's numerator series has c_0 = a = 1/2 - x.
+with mp.workdps(100):
+    _KUMMER_QUARTER = _kummer_numerator_over_t2(mpf(1) / 2 - mpf(1) / 4)
+    _KUMMER_NEAR_HALF = _kummer_numerator_over_t2(mpf(1) / 2 - (mpf(1) / 2 - mpf(2) ** -60))
+
+# Every series the project sums on the kernel, and whether its helper
+# passes arguments out to |z| = 1/2 (the log1p and expm1 tails do).
+KERNEL_SERIES = {
+    "res1_psi": (routes._RES1_PSI, False),
+    "res2_bracket": (routes._RES2_BRACKET_OVER_T2, False),
+    "pain1_S": (routes._PAIN1_S, False),
+    "pain2_numerator": (routes._PAIN2_NUMERATOR_OVER_X3, False),
+    "log1p_tail": (smallt._LOG1P_TAIL, True),
+    "expm1_tail": (smallt._EXPM1_TAIL, True),
+    "kummer_quarter": (_KUMMER_QUARTER, False),
+    "kummer_near_half": (_KUMMER_NEAR_HALF, False),
+    "stirling": (_STIRLING_SERIES, False),
+}
+
+
+def _mpf_sum(series, z, digits):
+    """sum c_k z^k in mpf at ``digits``, c_k from the series' own
+    coefficient function at that precision, to 10^-(digits+5) relative."""
+    with mp.workdps(digits):
+        eps = mpf(10) ** -(digits + 5)
+        acc, power, k, small = mpf(0), mpf(1), 0, 0
+        while small < 2:
+            term = series._coefficient(k) * power
+            acc += term
+            small = small + 1 if abs(term) <= eps * abs(acc) else 0
+            power *= z
+            k += 1
+        return acc
+
+
+@pytest.mark.parametrize("name", list(KERNEL_SERIES))
+@pytest.mark.parametrize("digits", [30, 70, 220, 420])
+def test_kernel_matches_mpf_sum_within_rounding(name, digits):
+    # The fixed-point Horner sum at P digits against the same sum in mpf
+    # at P+40.  The bound is 1.25 units of 2^-prec relative: correct
+    # rounding alone may take one, so the fixed-point part must stay
+    # below a quarter (it is a few units of 2^-W, with W = prec + 16 +
+    # the c_0 shift).  Measured worst 0.80.  Without the guard bits 33 of
+    # the 36 cases exceed the bound (worst 3.8); without the c_0 shift
+    # Kummer near x = 1/2 (c_0 = 2^-60) reads ~1e13 at every P; with
+    # forward powers in place of Horner the factorially growing Stirling
+    # coefficients read 2e8 at 70 digits and 5e141 at 420.
+    series, out_to_half = KERNEL_SERIES[name]
+    with mp.workdps(digits + 40):
+        if name == "stirling":
+            zs = [(mpf(7) / (10 * digits)) ** 2]
+        else:
+            zs = [mpf(2) ** -8, mpf(2) ** -8 / 3]
+            zs += [-z for z in zs] if out_to_half else []
+            zs += [mpf(1) / 2, -mpf(1) / 2] if out_to_half else []
+        zs += [mpf("1e-20"), mpf(2) ** -300]
+    misses = []
+    for z in zs:
+        with mp.workdps(digits):
+            z = +z
+            got = series(z)
+            unit = mpf(2) ** -mp.prec
+        want = _mpf_sum(series, z, digits + 40)
+        with mp.workdps(digits + 40):
+            rel = abs(got - want) / abs(want)
+            if rel > 1.25 * unit:
+                misses.append(f"z = {mpmath.nstr(z, 5)}: {mpmath.nstr(rel / unit, 3)} units")
+    assert not misses, f"{name} at {digits} digits, relative error in units of 2^-prec: {misses}"
+
 
 CLOSED_FORMS = {
     t_minus_log1p: lambda t: t - mpmath.log1p(t),
