@@ -11,6 +11,13 @@ Exit codes follow the verification-tool contract:
 * 2 -- numerical disagreement (a route pair out of tolerance, a residual
   above tolerance) or a route that failed numerically.
 
+The CLI holds no verdict of its own: it parses arguments, makes one call
+and prints.  ``compute`` reads the pairwise verdict from
+``ReportDocument.disagreements``, listed in the matrix's route order, and
+takes its parameter defaults from ``report.DEFAULT_PARAMS``; ``verify``
+prints ``routes.identity_residuals``, the same identity pass ``run_all``
+makes, without the other routes, the consensus or the dt control.
+
 Values in text mode are truncated to (digits - 10) displayed digits so
 the output never implies precision the error estimates do not back.
 """
@@ -28,18 +35,13 @@ from . import __version__
 from .context import PrecisionError, make_context, real_to_decimal
 from .report import (
     CSV_HEADER,
+    DEFAULT_PARAMS,
     ConfigError,
     convergence_study,
     run_all,
     serialize,
 )
-from .routes import (
-    ROUTE_IDS,
-    gla2_residual,
-    glaisher_identity_residual,
-    log_sin_check,
-    route_feaux,
-)
+from .routes import ROUTE_IDS, identity_residuals, route_feaux
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,32 +77,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     compute = sub.add_parser("compute", help="run routes and print the agreement matrix")
+    # Before the arguments, so that each action (and its help) gets its default.
+    compute.set_defaults(**DEFAULT_PARAMS)
     add_common(compute)
     compute.add_argument(
         "--routes",
         default=",".join(ROUTE_IDS),
         help=f"comma-separated route ids (default: all of {','.join(ROUTE_IDS)})",
     )
-    compute.add_argument("--limit-n", type=int, default=64, help="base index n for the limit route")
-    compute.add_argument(
-        "--limit-order", type=int, default=3, help="Richardson order for the limit route"
-    )
-    compute.add_argument(
-        "--fourier-n", type=int, default=100, help="partial-sum length for the series route"
-    )
+    compute.add_argument("--limit-n", type=int, help="base index n for the limit route")
+    compute.add_argument("--limit-order", type=int, help="Richardson order for the limit route")
+    compute.add_argument("--fourier-n", type=int, help="partial-sum length for the series route")
     compute.add_argument(
         "--accelerate",
+        dest="fourier_accelerate",
         action=argparse.BooleanOptionalAction,
-        default=True,
         help="apply the Euler-Maclaurin tail correction to the series route",
     )
-    compute.add_argument(
-        "--hasse-n", type=int, default=80, help="outer-sum length for the hasse route"
-    )
+    compute.add_argument("--hasse-n", type=int, help="outer-sum length for the hasse route")
     compute.add_argument(
         "--res2-measure",
         choices=("dt_over_t", "dt"),
-        default="dt_over_t",
         help="measure of the kummer-route integral; 'dt' is the deliberate "
         "negative control demonstrating that reading of the identity is a "
         "typo (it must disagree with every other route)",
@@ -156,35 +153,12 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(value, shown) -> str:
-    return real_to_decimal(value, max(shown, 5))
-
-
 def cmd_compute(args) -> int:
     digits = _resolve_digits(args)
     ctx = make_context(digits)
     route_set = [r.strip() for r in args.routes.split(",") if r.strip()]
-    params = {
-        "limit_n": args.limit_n,
-        "limit_order": args.limit_order,
-        "fourier_n": args.fourier_n,
-        "fourier_accelerate": args.accelerate,
-        "hasse_n": args.hasse_n,
-        "res2_measure": args.res2_measure,
-    }
-    doc = run_all(ctx, route_set, params)
-
-    # Pairwise agreement: each |difference| must stay below ten times the
-    # summed error estimates of the pair.
-    disagreements = []
-    with ctx.workdps(10):
-        ests = doc.estimates
-        for i in range(len(ests)):
-            for j in range(i + 1, len(ests)):
-                gap = abs(ests[i].value - ests[j].value)
-                allowed = 10 * (ests[i].error_estimate + ests[j].error_estimate)
-                if gap > allowed:
-                    disagreements.append((ests[i].route_id, ests[j].route_id, gap, allowed))
+    doc = run_all(ctx, route_set, {k: getattr(args, k) for k in DEFAULT_PARAMS})
+    disagreements = doc.disagreements
     failures = [f for f in doc.failures if f.route_id != "identity_checks"]
 
     if args.output == "json":
@@ -196,7 +170,7 @@ def cmd_compute(args) -> int:
         lines = [f"log A estimates at {digits} digits (showing {shown}):"]
         for e in doc.estimates:
             lines.append(
-                f"  {e.route_id:16s} {_fmt(e.value, shown)}"
+                f"  {e.route_id:16s} {real_to_decimal(e.value, shown)}"
                 f"   (error est {mpmath.nstr(e.error_estimate, 3)}, "
                 f"{e.evaluations} evaluations, {e.elapsed:.2f}s)"
             )
@@ -227,13 +201,8 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     digits = _resolve_digits(args)
     ctx = make_context(digits)
-    log_a = route_feaux(ctx).value
     corruption = mpf(7) / 25 if args.corrupt_constant else None
-    residuals = [
-        glaisher_identity_residual(ctx, log_a=log_a, log2_coefficient=corruption),
-        gla2_residual(ctx, log_a=log_a),
-        log_sin_check(ctx),
-    ]
+    residuals = identity_residuals(ctx, route_feaux(ctx).value, corruption)
     lines = [f"identity residuals at {digits} digits (tolerance {mpmath.nstr(ctx.target_tolerance, 3)}):"]
     failed = False
     for r in residuals:

@@ -160,7 +160,11 @@ def euler_gamma_ref(ctx: ComputeContext) -> Real:
 
 
 def real_to_decimal(x: Real, digits: int) -> str:
-    """Render ``x`` as a plain decimal string with ``digits`` significant digits."""
+    """Render ``x`` as a plain decimal string with ``digits`` significant digits.
+
+    ``x`` is rendered as it is, with no mpf() cast: a cast at the ambient
+    precision would round it to the ambient digit count first.
+    """
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
     return mpmath.nstr(x, digits)

@@ -6,6 +6,11 @@ records.  All numbers serialize as decimal strings at the full context
 precision -- binary floats cannot carry 50 digits, and the JSON must be
 diff-able and re-parseable without loss.
 
+The report owns the cross-validation verdict: ``ReportDocument.disagreements``
+lists the route pairs whose gap exceeds ten times the sum of their error
+estimates.  It reads only the matrix and the estimates, so the JSON carries
+no extra key for it and a deserialized report gives the same answer.
+
 Route failures never abort a run: a verification tool that dies on the
 first bad route hides every other result.  Failures land in a ``failures``
 list with their message, and the matrix simply omits the failed route.
@@ -21,8 +26,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from . import __version__
 from .context import (
@@ -38,9 +42,7 @@ from .routes import (
     IdentityResidual,
     RouteEstimate,
     consensus_log_a,
-    gla2_residual,
-    glaisher_identity_residual,
-    log_sin_check,
+    identity_residuals,
     res2_measure_check,
     route_feaux,
     route_fourier_series,
@@ -85,6 +87,26 @@ class ReportDocument:
     convergence_records: list[ConvergenceRecord] = field(default_factory=list)
     timestamp: str = ""
     toolkit_version: str = __version__
+
+    @property
+    def disagreements(self) -> list[tuple[str, str, Real, Real]]:
+        """Route pairs (a, b, gap, allowed) in matrix order whose gap exceeds
+        ``allowed``, ten times the sum of the pair's error estimates.
+
+        Read from the agreement matrix and the estimates alone and compared
+        at P+10 digits, so a deserialized report gives the same verdict.
+        """
+        ids = self.agreement_matrix.get("routes", [])
+        matrix = self.agreement_matrix.get("matrix", [])
+        errors = {e.route_id: e.error_estimate for e in self.estimates}
+        found = []
+        with mp.workdps(self.context_info["precision_digits"] + 10):
+            for i, a in enumerate(ids):
+                for j in range(i + 1, len(ids)):
+                    allowed = 10 * (errors[a] + errors[ids[j]])
+                    if matrix[i][j] > allowed:
+                        found.append((a, ids[j], matrix[i][j], allowed))
+        return found
 
 
 DEFAULT_PARAMS = {
@@ -175,30 +197,30 @@ def run_all(
     doc.agreement_matrix = _agreement_matrix(doc.estimates, ctx)
 
     # Identity checks: the three paper identities plus the measure control.
-    # Reuse route results where possible; the residuals need a best log A,
-    # which is the feaux value by contract.
+    # The residuals need a best log A, which is the feaux value by contract;
+    # one feaux estimate serves them and the consensus.
     try:
-        feaux = by_id.get("feaux")
-        log_a = feaux.value if feaux is not None else route_feaux(ctx).value
-        doc.residuals.append(glaisher_identity_residual(ctx, log_a=log_a))
-        doc.residuals.append(gla2_residual(ctx, log_a=log_a))
-        doc.residuals.append(log_sin_check(ctx))
+        feaux = by_id.get("feaux") or route_feaux(ctx)
+        doc.residuals.extend(identity_residuals(ctx, feaux.value))
         kummer = by_id.get("kummer")
         if kummer is not None and kummer.parameters.get("measure") == "dt":
-            # The requested run IS the control variant; compare it against
-            # an honest consensus computed on the side.
-            consensus = consensus_log_a(ctx)
-        else:
-            consensus = consensus_log_a(
-                ctx,
-                feaux=feaux,
-                kummer=kummer,
-            )
+            # The requested run IS the control variant; the consensus
+            # integrates an honest kummer on the side.
+            kummer = None
+        consensus = consensus_log_a(ctx, feaux=feaux, kummer=kummer)
         doc.residuals.append(res2_measure_check(ctx, consensus=consensus))
     except Exception as exc:
         doc.failures.append(RouteFailure(route_id="identity_checks", error=str(exc)))
 
     return doc
+
+
+# Route -> (parameter name in the records, params key) for convergence studies.
+_GRID_PARAMETERS = {
+    "limit": ("n", "limit_n"),
+    "fourier_series": ("n_terms", "fourier_n"),
+    "hasse": ("n_terms", "hasse_n"),
+}
 
 
 def convergence_study(
@@ -216,6 +238,12 @@ def convergence_study(
     """
     if route_id not in ROUTE_IDS:
         raise ConfigError(f"unknown route id {route_id!r}")
+    if route_id not in _GRID_PARAMETERS:
+        raise ConfigError(
+            f"route {route_id!r} has no convergence parameter; "
+            "use one of: limit, fourier_series, hasse"
+        )
+    param_name, key = _GRID_PARAMETERS[route_id]
     if not grid:
         raise ConfigError("grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -225,29 +253,10 @@ def convergence_study(
     merged.update(params or {})
     consensus = consensus_log_a(ctx)
 
-    param_name = {
-        "limit": "n",
-        "fourier_series": "n_terms",
-        "hasse": "n_terms",
-    }.get(route_id)
-    if param_name is None:
-        raise ConfigError(
-            f"route {route_id!r} has no convergence parameter; "
-            "use one of: limit, fourier_series, hasse"
-        )
-
     records = []
     for value in grid:
-        point = dict(merged)
-        if route_id == "limit":
-            point["limit_n"] = value
-        elif route_id == "fourier_series":
-            point["fourier_n"] = value
-            point["fourier_accelerate"] = merged.get("fourier_accelerate", False)
-        else:
-            point["hasse_n"] = value
         try:
-            estimate = _route_runner(route_id, ctx, point)
+            estimate = _route_runner(route_id, ctx, {**merged, key: value})
             with ctx.workdps(10):
                 delta = +abs(estimate.value - consensus)
             records.append(
@@ -277,12 +286,6 @@ def convergence_study(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _dec(x: Real, digits: int) -> str:
-    # no mpf() cast here: casting at ambient precision would round the
-    # value to the ambient digit count before rendering
-    return real_to_decimal(x, digits)
-
-
 def serialize(doc: ReportDocument, format: str = "json") -> bytes:
     """Serialize a report; JSON carries the whole document, CSV the flat
     convergence-record table (header ``route,param,value,estimate,abs_delta``)."""
@@ -298,7 +301,7 @@ def _serialize_json(doc: ReportDocument) -> bytes:
     payload = {
         "context_info": {
             "precision_digits": digits,
-            "target_tolerance": _dec(doc.context_info["target_tolerance"], digits),
+            "target_tolerance": real_to_decimal(doc.context_info["target_tolerance"], digits),
             "quad_max_level": doc.context_info["quad_max_level"],
             "requested_routes": doc.context_info["requested_routes"],
             "params": doc.context_info["params"],
@@ -306,8 +309,8 @@ def _serialize_json(doc: ReportDocument) -> bytes:
         "estimates": [
             {
                 "route_id": e.route_id,
-                "value": _dec(e.value, digits),
-                "error_estimate": _dec(e.error_estimate, digits),
+                "value": real_to_decimal(e.value, digits),
+                "error_estimate": real_to_decimal(e.error_estimate, digits),
                 "parameters": e.parameters,
                 "evaluations": e.evaluations,
                 "elapsed": e.elapsed,
@@ -321,8 +324,8 @@ def _serialize_json(doc: ReportDocument) -> bytes:
         "residuals": [
             {
                 "identity_id": r.identity_id,
-                "residual": _dec(r.residual, digits),
-                "tolerance_used": _dec(r.tolerance_used, digits),
+                "residual": real_to_decimal(r.residual, digits),
+                "tolerance_used": real_to_decimal(r.tolerance_used, digits),
                 "elapsed": r.elapsed,
             }
             for r in doc.residuals
@@ -330,7 +333,7 @@ def _serialize_json(doc: ReportDocument) -> bytes:
         "agreement_matrix": {
             "routes": doc.agreement_matrix.get("routes", []),
             "matrix": [
-                [_dec(v, digits) for v in row]
+                [real_to_decimal(v, digits) for v in row]
                 for row in doc.agreement_matrix.get("matrix", [])
             ],
         },
@@ -339,8 +342,8 @@ def _serialize_json(doc: ReportDocument) -> bytes:
                 "route_id": c.route_id,
                 "parameter": c.parameter,
                 "parameter_value": c.parameter_value,
-                "estimate": _dec(c.estimate, digits),
-                "abs_delta_vs_consensus": _dec(c.abs_delta_vs_consensus, digits),
+                "estimate": real_to_decimal(c.estimate, digits),
+                "abs_delta_vs_consensus": real_to_decimal(c.abs_delta_vs_consensus, digits),
                 "error": c.error,
             }
             for c in doc.convergence_records
@@ -356,8 +359,8 @@ def _serialize_csv(doc: ReportDocument) -> bytes:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for c in doc.convergence_records:
-        estimate = "" if c.error else _dec(c.estimate, digits)
-        delta = "" if c.error else _dec(c.abs_delta_vs_consensus, digits)
+        estimate = "" if c.error else real_to_decimal(c.estimate, digits)
+        delta = "" if c.error else real_to_decimal(c.abs_delta_vs_consensus, digits)
         out.write(
             f"{c.route_id},{c.parameter},{c.parameter_value},{estimate},{delta}\n"
         )

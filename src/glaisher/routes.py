@@ -45,7 +45,8 @@ hasse           log A = 1/8 - (1/2) sum_n 1/(n+1)
                 accuracy.
 
 Identity residuals: the Glaisher half-integral identity, its Gamma(x)
-variant, the log-sin integral, and the dt-measure control.
+variant, the log-sin integral (the three together from
+``identity_residuals``), and the dt-measure control.
 """
 
 from __future__ import annotations
@@ -630,6 +631,29 @@ def consensus_log_a(
         return +((feaux.value + kummer.value) / 2)
 
 
+def _identity_integral(
+    ctx: ComputeContext,
+    identity_id: str,
+    label: str,
+    f: Callable[[Real], Real],
+    residual: Callable[[Real, ConstantsSet], Real],
+) -> IdentityResidual:
+    """Integrate ``f`` over [0, 1/2] and map the integral I to the identity's
+    residual by ``residual(I, c)``, evaluated at P+10 digits with the
+    context constants c; the tolerance is the context's target."""
+    start = time.perf_counter()
+    result = integrate_finite(Integrand(eval=f, label=label), mpf(0), mpf(1) / 2, ctx=ctx)
+    result.require_converged(identity_id)
+    with ctx.workdps(10):
+        value = +residual(result.value, ctx.constants)
+    return IdentityResidual(
+        identity_id=identity_id,
+        residual=value,
+        tolerance_used=ctx.target_tolerance,
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def glaisher_identity_residual(
     ctx: ComputeContext,
     log_a: Real | None = None,
@@ -641,70 +665,56 @@ def glaisher_identity_residual(
     ``log2_coefficient`` overrides the exact 7/24 for negative-control
     tests (a wrong coefficient must create a visible residual).
     """
-    start = time.perf_counter()
     if log_a is None:
         log_a = route_feaux(ctx).value
-    integrand = Integrand(
-        eval=lambda x: log_gamma_ref(x + 1, ctx),
-        label="int_log_gamma1p_half",
-    )
-    result = integrate_finite(integrand, mpf(0), mpf(1) / 2, ctx=ctx)
-    result.require_converged("glaisher_half")
-    c = ctx.constants
-    with ctx.workdps(10):
+
+    def residual(I, c):
         coeff = mpf(7) / 24 if log2_coefficient is None else mpf(log2_coefficient)
-        rhs = -mpf(1) / 2 - coeff * c.log2 + c.log_pi / 4 + mpf(3) / 2 * log_a
-        residual = +(result.value - rhs)
-    return IdentityResidual(
-        identity_id="glaisher_half",
-        residual=residual,
-        tolerance_used=ctx.target_tolerance,
-        elapsed=time.perf_counter() - start,
+        return I - (-mpf(1) / 2 - coeff * c.log2 + c.log_pi / 4 + mpf(3) / 2 * log_a)
+
+    return _identity_integral(
+        ctx, "glaisher_half", "int_log_gamma1p_half",
+        lambda x: log_gamma_ref(x + 1, ctx), residual,
     )
 
 
 def gla2_residual(ctx: ComputeContext, log_a: Real | None = None) -> IdentityResidual:
     """Residual of log A = (2/3) int_0^1/2 log Gamma(x) dx
     - (5/36) log 2 - (log pi)/6 against the feaux route value."""
-    start = time.perf_counter()
     if log_a is None:
         log_a = route_feaux(ctx).value
-    integrand = Integrand(
-        eval=lambda x: log_gamma_ref(x, ctx),
-        label="int_log_gamma_half",
-    )
-    result = integrate_finite(integrand, mpf(0), mpf(1) / 2, ctx=ctx)
-    result.require_converged("gla2")
-    c = ctx.constants
-    with ctx.workdps(10):
-        lhs = mpf(2) / 3 * result.value - mpf(5) / 36 * c.log2 - c.log_pi / 6
-        residual = +(lhs - log_a)
-    return IdentityResidual(
-        identity_id="gla2",
-        residual=residual,
-        tolerance_used=ctx.target_tolerance,
-        elapsed=time.perf_counter() - start,
+    return _identity_integral(
+        ctx, "gla2", "int_log_gamma_half",
+        lambda x: log_gamma_ref(x, ctx),
+        lambda I, c: mpf(2) / 3 * I - mpf(5) / 36 * c.log2 - c.log_pi / 6 - log_a,
     )
 
 
 def log_sin_check(ctx: ComputeContext) -> IdentityResidual:
     """Residual of int_0^1/2 log sin(pi x) dx = -(log 2)/2."""
-    start = time.perf_counter()
     pi_local = ctx.constants.pi
-    integrand = Integrand(
-        eval=lambda x: mpmath.log(mpmath.sin(pi_local * x)),
-        label="log_sin",
+    return _identity_integral(
+        ctx, "log_sin", "log_sin",
+        lambda x: mpmath.log(mpmath.sin(pi_local * x)),
+        lambda I, c: I + c.log2 / 2,
     )
-    result = integrate_finite(integrand, mpf(0), mpf(1) / 2, ctx=ctx)
-    result.require_converged("log_sin")
-    with ctx.workdps(10):
-        residual = +(result.value + ctx.constants.log2 / 2)
-    return IdentityResidual(
-        identity_id="log_sin",
-        residual=residual,
-        tolerance_used=ctx.target_tolerance,
-        elapsed=time.perf_counter() - start,
-    )
+
+
+def identity_residuals(
+    ctx: ComputeContext, log_a: Real, log2_coefficient: Real | None = None
+) -> list[IdentityResidual]:
+    """The three paper identities, glaisher_half, gla2 and log_sin, with
+    ``log_a`` as the best log A (the feaux value by contract).
+
+    ``log2_coefficient`` goes to :func:`glaisher_identity_residual` (the
+    verify negative control).  The dt-measure control is not among them:
+    it needs the feaux/kummer consensus, which only the report forms.
+    """
+    return [
+        glaisher_identity_residual(ctx, log_a=log_a, log2_coefficient=log2_coefficient),
+        gla2_residual(ctx, log_a=log_a),
+        log_sin_check(ctx),
+    ]
 
 
 def res2_measure_check(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -113,6 +114,24 @@ class TestVerifyCommand:
     def test_lower_precision_still_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--digits", "20")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_text_keeps_the_layout_the_benchmark_parses(self, capsys, corrupt):
+        # The benchmark's gate reads verify text with these two patterns.
+        header = re.compile(r"identity residuals at (\d+) digits \(tolerance (\S+)\):")
+        row = re.compile(r"^\s+(\S+)\s+residual =\s+(\S+)\s+(ok|EXCEEDS TOLERANCE)$")
+        argv = ["verify", "--digits", "25"] + (["--corrupt-constant"] if corrupt else [])
+        code, out, _ = run_cli(capsys, *argv)
+        lines = out.splitlines()
+        m = header.match(lines[0])
+        assert m is not None and m.group(1) == "25" and float(m.group(2)) == 1e-15
+        rows = [row.match(line) for line in lines[1:4]]
+        assert all(rows), lines[1:4]
+        assert [r.group(1) for r in rows] == ["glaisher_half", "gla2", "log_sin"]
+        flags = [r.group(3) for r in rows]
+        assert flags == (["EXCEEDS TOLERANCE", "ok", "ok"] if corrupt else ["ok"] * 3)
+        assert code == (EXIT_DISAGREE if corrupt else EXIT_OK)
+        assert len(lines) == (5 if corrupt else 4)
 
     def test_hundred_digits_passes_every_identity(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--digits", "100")

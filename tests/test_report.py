@@ -8,6 +8,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+import glaisher.report
+import glaisher.routes
 from glaisher import (
     ConfigError,
     convergence_study,
@@ -96,6 +98,33 @@ class TestRunAll:
             assert ra.residual._mpf_ == rb.residual._mpf_
 
 
+class TestDisagreements:
+    def test_dt_control_disagrees_with_every_honest_route(self, ctx):
+        doc = run_all(ctx, ["feaux", "kummer", "pain2"], {"res2_measure": "dt"})
+        pairs = [("pain2", "kummer"), ("feaux", "kummer")]
+        assert [(a, b) for a, b, _, _ in doc.disagreements] == pairs
+        back = deserialize_report(serialize(doc, "json"), ctx)
+        assert [(a, b) for a, b, _, _ in back.disagreements] == pairs
+
+    def test_agreeing_report_has_none(self, small_report, ctx):
+        assert small_report.disagreements == []
+        back = deserialize_report(serialize(small_report, "json"), ctx)
+        assert back.disagreements == []
+
+    def test_feaux_is_integrated_once_when_not_requested(self, ctx, monkeypatch):
+        # The identity residuals and the consensus share one feaux estimate.
+        calls = []
+        original = glaisher.routes.res1_integrand
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(glaisher.routes, "res1_integrand", counting)
+        run_all(ctx, ["kummer"])
+        assert len(calls) == 1
+
+
 class TestConvergenceStudy:
     def test_single_point_grid(self, ctx):
         records = convergence_study("limit", [16], ctx)
@@ -133,6 +162,14 @@ class TestConvergenceStudy:
             convergence_study("limit", [32, 16], ctx)
         with pytest.raises(ConfigError, match="unknown route"):
             convergence_study("nosuch", [1], ctx)
+
+    def test_route_without_grid_parameter_fails_first(self, ctx, monkeypatch):
+        def no_consensus(*args, **kwargs):
+            raise AssertionError("consensus computed before validation")
+
+        monkeypatch.setattr(glaisher.report, "consensus_log_a", no_consensus)
+        with pytest.raises(ConfigError, match="pain1"):
+            convergence_study("pain1", [1], ctx)
 
 
 class TestSerialization:
