@@ -14,9 +14,11 @@ Exit codes follow the verification-tool contract:
 The CLI holds no verdict of its own: it parses arguments, makes one call
 and prints.  ``compute`` reads the pairwise verdict from
 ``ReportDocument.disagreements``, listed in the matrix's route order, and
-takes its parameter defaults from ``report.DEFAULT_PARAMS``; ``verify``
-prints ``routes.identity_residuals``, the same identity pass ``run_all``
-makes, without the other routes, the consensus or the dt control.
+the identity verdict from ``ReportDocument.failed_residuals``, and takes
+its parameter defaults from ``report.DEFAULT_PARAMS``; ``verify`` prints
+``routes.identity_residuals``, the same identity pass ``run_all`` makes,
+without the other routes, the consensus or the dt control, each with its
+``IdentityResidual.passed`` verdict.
 
 Values in text mode are truncated to (digits - 10) displayed digits so
 the output never implies precision the error estimates do not back.
@@ -159,6 +161,7 @@ def cmd_compute(args) -> int:
     route_set = [r.strip() for r in args.routes.split(",") if r.strip()]
     doc = run_all(ctx, route_set, {k: getattr(args, k) for k in DEFAULT_PARAMS})
     disagreements = doc.disagreements
+    failed_residuals = doc.failed_residuals
     failures = [f for f in doc.failures if f.route_id != "identity_checks"]
 
     if args.output == "json":
@@ -191,9 +194,16 @@ def cmd_compute(args) -> int:
         else:
             which = "the routes that ran" if failures else "all requested routes"
             lines.append(f"{which} agree pairwise within tolerance")
+        if failed_residuals:
+            lines.append("IDENTITY CHECKS FAILED:")
+            for r in failed_residuals:
+                lines.append(
+                    f"  {r.identity_id}: residual = {mpmath.nstr(r.residual, 4)}, "
+                    f"tolerance {mpmath.nstr(r.tolerance_used, 3)}"
+                )
         _emit(args, "\n".join(lines) + "\n")
 
-    if disagreements or not all(f.refused for f in failures):
+    if disagreements or failed_residuals or not all(f.refused for f in failures):
         return EXIT_DISAGREE
     return EXIT_CONFIG if failures else EXIT_OK
 
@@ -204,18 +214,15 @@ def cmd_verify(args) -> int:
     corruption = mpf(7) / 25 if args.corrupt_constant else None
     residuals = identity_residuals(ctx, route_feaux(ctx).value, corruption)
     lines = [f"identity residuals at {digits} digits (tolerance {mpmath.nstr(ctx.target_tolerance, 3)}):"]
-    failed = False
     for r in residuals:
-        ok = abs(r.residual) < r.tolerance_used
-        failed = failed or not ok
         lines.append(
             f"  {r.identity_id:16s} residual = {mpmath.nstr(r.residual, 4):>12s}  "
-            f"{'ok' if ok else 'EXCEEDS TOLERANCE'}"
+            f"{'ok' if r.passed else 'EXCEEDS TOLERANCE'}"
         )
     if args.corrupt_constant:
         lines.append("  (ran with the deliberately corrupted 7/25 coefficient)")
     _emit(args, "\n".join(lines) + "\n")
-    return EXIT_DISAGREE if failed else EXIT_OK
+    return EXIT_OK if all(r.passed for r in residuals) else EXIT_DISAGREE
 
 
 def cmd_convergence(args) -> int:

@@ -130,8 +130,11 @@ def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
 
     Near-zero form: the bracket equals x e^{-L} [expm1(L-t) + (1 + expm1(-xL)/L)]
     with L = log(1+t); both pieces are O(t^2) and O(t) series with no
-    subtractive cancellation.  Note the log(1+t) denominator (the
-    literature form with a bare 1+t is a known typo).
+    subtractive cancellation.  It calls no transcendental: e^{-L} is
+    exactly 1/(1+t), and with lmt = t - L from the log1p tail,
+    expm1(L-t) = -lmt + expm1_minus_x(-lmt) on the kernel.  Note the
+    log(1+t) denominator (the literature form with a bare 1+t is a known
+    typo).
     """
     with ctx.workdps(20):
         x = mpf(x)
@@ -145,8 +148,8 @@ def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     def series(t):
         lmt = t_minus_log1p(t)          # t - log(1+t) = O(t^2)
         L = t - lmt
-        inner = mpmath.expm1(-lmt) + one_plus_em1z_over_z(x * L)
-        return x * mpmath.exp(-L) * inner / t
+        inner = expm1_minus_x(-lmt) - lmt + one_plus_em1z_over_z(x * L)
+        return x * inner / ((1 + t) * t)
 
     return Integrand(
         eval=raw,

@@ -8,8 +8,11 @@ diff-able and re-parseable without loss.
 
 The report owns the cross-validation verdict: ``ReportDocument.disagreements``
 lists the route pairs whose gap exceeds ten times the sum of their error
-estimates.  It reads only the matrix and the estimates, so the JSON carries
-no extra key for it and a deserialized report gives the same answer.
+estimates, and ``ReportDocument.failed_residuals`` the identity residuals
+that fail their own verdict.  Both read only what the JSON already holds
+(the matrix, the estimates, the residuals and their tolerances), so it
+carries no extra key for them and a deserialized report gives the same
+answer.
 
 Route failures never abort a run: a verification tool that dies on the
 first bad route hides every other result.  Failures land in a ``failures``
@@ -107,6 +110,12 @@ class ReportDocument:
                     if matrix[i][j] > allowed:
                         found.append((a, ids[j], matrix[i][j], allowed))
         return found
+
+    @property
+    def failed_residuals(self) -> list[IdentityResidual]:
+        """The identity residuals whose verdict (``IdentityResidual.passed``)
+        fails; read from the residuals alone, like ``disagreements``."""
+        return [r for r in self.residuals if not r.passed]
 
 
 DEFAULT_PARAMS = {

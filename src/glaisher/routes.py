@@ -44,6 +44,18 @@ hasse           log A = 1/8 - (1/2) sum_n 1/(n+1)
                 must carry that many digits above the requested output
                 accuracy.
 
+Integrand evaluation
+--------------------
+Each integral route's integrand has a raw form, used from t = 2^-8 on,
+and a near-zero power series below it.  A raw form costs at most one
+exp: pain1 takes E = e^{-x/2} and uses coth(x/2) = (1+E^2)/(1-E^2);
+kummer takes q = e^{-t/2}, with tanh(t/4) = (1-q)/(1+q) and e^-t = q^2;
+pain2 takes e^{x/2} and squares it for e^x.  A near-zero form calls no
+transcendental at all: pain1's and pain2's are each one power series
+whose coefficients are the exact-rational quotient of two known series
+(:func:`~glaisher.smallt.quotient_series`); feaux's uses e^{-log(1+t)}
+= 1/(1+t) and the log1p and expm1 tails; kummer's is one series.
+
 Identity residuals: the Glaisher half-integral identity, its Gamma(x)
 variant, the log-sin integral (the three together from
 ``identity_residuals``), and the dt-measure control.
@@ -63,7 +75,14 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .context import ComputeContext, ConstantsSet, PrecisionError, Real
 from .loggamma import DomainError, log_gamma_ref
 from .quadrature import Integrand, integrate_finite, integrate_zero_to_inf
-from .smallt import PowerSeries, cancellation_guard, exp_neg_tail, t_minus_log1p
+from .smallt import (
+    PowerSeries,
+    cancellation_guard,
+    exp_neg_tail,
+    expm1_minus_x,
+    quotient_series,
+    t_minus_log1p,
+)
 
 ROUTE_IDS = ("limit", "pain1", "pain2", "feaux", "kummer", "fourier_series", "hasse")
 IDENTITY_IDS = ("glaisher_half", "gla2", "log_sin", "res2_measure_check")
@@ -98,6 +117,15 @@ class IdentityResidual:
     tolerance_used: Real
     elapsed: float = 0.0
 
+    @property
+    def passed(self) -> bool:
+        """The verdict: |residual| < tolerance.  The dt-measure control is
+        inverted; its residual is the dt variant's gap to the consensus,
+        and it passes when that gap exceeds the tolerance."""
+        if self.identity_id == "res2_measure_check":
+            return self.residual > self.tolerance_used
+        return abs(self.residual) < self.tolerance_used
+
 
 # ---------------------------------------------------------------------------
 # Integrands of the four integral routes
@@ -122,22 +150,32 @@ def _res2_coefficient(k: int) -> mpf:
     return c / 4
 
 
-def _pain1_coefficient(k: int) -> mpf:
-    # S(y) = sum_{j>=1} 2j / (4^j (2j+1)!) y^(j-1), with j = k + 1
-    return mpf(2 * (k + 1)) / (4 ** (k + 1) * factorial(2 * k + 3))
+def _pain1_numerator(k: int) -> tuple[int, int]:
+    # [x (1 + e^-x) - 2 (1 - e^-x)] / x^3 = sum_k (-1)^k (k+1)/(k+3)! x^k
+    return (-1) ** k * (k + 1), factorial(k + 3)
 
 
-def _pain2_coefficient(k: int) -> mpf:
+def _pain1_denominator(k: int) -> tuple[int, int]:
+    # 1 + e^{-x/2} = 2 - x/2 + x^2/8 - ...
+    return (2, 1) if k == 0 else ((-1) ** k, 2 ** k * factorial(k))
+
+
+def _pain2_numerator(k: int) -> tuple[int, int]:
     # n_j = 8/j! - 3/(j-1)! - 8/(2^j j!) = (2^j (8 - 3j) - 8) / (2^j j!),
     # with j = k + 3: n_1 = n_2 = 0 (and the -x term cancels n_1's 1).
     j = k + 3
-    return mpf(2 ** j * (8 - 3 * j) - 8) / (2 ** j * factorial(j))
+    return 2 ** j * (8 - 3 * j) - 8, 2 ** j * factorial(j)
+
+
+def _pain2_denominator(k: int) -> tuple[int, int]:
+    # 4 (e^{2x} - e^x) / x = sum_k 4 (2^(k+1) - 1) / (k+1)! x^k
+    return 4 * (2 ** (k + 1) - 1), factorial(k + 1)
 
 
 _RES1_PSI = PowerSeries(_res1_psi_coefficient)
 _RES2_BRACKET_OVER_T2 = PowerSeries(_res2_coefficient)
-_PAIN1_S = PowerSeries(_pain1_coefficient)
-_PAIN2_NUMERATOR_OVER_X3 = PowerSeries(_pain2_coefficient)
+_PAIN1 = quotient_series(_pain1_numerator, _pain1_denominator)
+_PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
 
 
 def res1_integrand(ctx: ComputeContext) -> Integrand:
@@ -146,8 +184,11 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
     With L = log(1+t) the bracket collapses to
         e^-L [ expm1(L-t)/8 + psi(L) ],
     psi(z) = sum_{j>=1} -(-1/2)^{j+2} z^j/(j+2)! = z/48 - z^2/384 + ...,
-    which is the near-zero form (limit of the integrand at 0 is 1/48);
-    psi runs on the shared :class:`~glaisher.smallt.PowerSeries` kernel.
+    which is the near-zero form (limit of the integrand at 0 is 1/48).
+    It calls no transcendental: e^-L is exactly 1/(1+t), and with
+    lmt = t - L from the log1p tail, expm1(L-t) = -lmt +
+    expm1_minus_x(-lmt); psi, both tails and so the whole form run on the
+    shared :class:`~glaisher.smallt.PowerSeries` kernel.
     Decay at infinity is only 1/(t^2 log t); the exp-sinh transform still
     wins because the transformed tail dies double-exponentially.
     """
@@ -165,7 +206,7 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
     def series(t):
         lmt = t_minus_log1p(t)         # t - log(1+t), O(t^2), exact series
         L = t - lmt
-        return mpmath.exp(-L) * (mpmath.expm1(-lmt) / 8 + L * _RES1_PSI(L)) / t
+        return ((expm1_minus_x(-lmt) - lmt) / 8 + L * _RES1_PSI(L)) / ((1 + t) * t)
 
     return Integrand(
         eval=raw,
@@ -177,6 +218,10 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
 def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Integrand:
     """Kummer-route integrand [tanh(t/4)/t - e^-t/4] / t (or without /t).
 
+    The raw form takes one exp: with q = e^{-t/2}, tanh(t/4) =
+    (1-q)/(1+q) and e^-t = q^2, so the bracket is
+    (1-q)/((1+q) t) - q^2/4; q comes from
+    :func:`~glaisher.smallt.exp_neg_tail`, an exact 0 in the far tail.
     Near zero the bracket is t/4 - (25/192) t^2 + ...; the series form is
     [4 tanh(t/4) - t e^-t] / (4 t^2) as one power series in t, whose
     coefficients subtract the Taylor coefficients of 4 tanh(t/4) and
@@ -185,7 +230,8 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
     """
 
     def raw_bracket(t):
-        return mpmath.tanh(t / 4) / t - exp_neg_tail(t) / 4
+        q = exp_neg_tail(t / 2)
+        return (1 - q) / ((1 + q) * t) - q * q / 4
 
     if measure == "dt_over_t":
 
@@ -193,9 +239,7 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
             with mp.extradps(cancellation_guard(t, 2)):
                 return +(raw_bracket(t) / t)
 
-        def series(t):
-            return _RES2_BRACKET_OVER_T2(t)
-
+        series = _RES2_BRACKET_OVER_T2
         label = "res2[dt/t]"
     else:
 
@@ -218,21 +262,26 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
 def pain1_integrand(ctx: ComputeContext) -> Integrand:
     """(1 - e^{-x/2}) (x coth(x/2) - 2) / x^3; limit 1/12 at zero.
 
-    x coth(x/2) - 2 = x^3 S(x^2) / sinh(x/2) with
-    S(y) = sum_{j>=1} 2j / (4^j (2j+1)!) y^{j-1}; no subtraction survives.
-    S runs on the shared :class:`~glaisher.smallt.PowerSeries` kernel.
+    One exp: with E = e^{-x/2}, coth(x/2) = (1+E^2)/(1-E^2), and the
+    factor 1 - E cancels against 1 - E^2 = (1-E)(1+E), so the raw form is
+        (x (1+E^2) - 2 (1-E^2)) / (x^3 (1+E)),
+    E from :func:`~glaisher.smallt.exp_neg_tail`.  Near zero the same
+    quotient is one power series: the numerator over x^3 is
+    sum_k (-1)^k (k+1)/(k+3)! x^k, the denominator 1 + e^{-x/2}, and their
+    quotient's coefficients are exact rationals
+    (:func:`~glaisher.smallt.quotient_series`); no subtraction survives
+    and no transcendental is called.
     """
 
     def raw(x):
         with mp.extradps(cancellation_guard(x, 2)):
-            return +((1 - exp_neg_tail(x / 2)) * (x * mpmath.coth(x / 2) - 2) / x ** 3)
-
-    def series(x):
-        return -mpmath.expm1(-x / 2) * _PAIN1_S(x * x) / mpmath.sinh(x / 2)
+            E = exp_neg_tail(x / 2)
+            E2 = E * E
+            return +((x * (1 + E2) - 2 * (1 - E2)) / (x ** 3 * (1 + E)))
 
     return Integrand(
         eval=raw,
-        near_zero=series,
+        near_zero=_PAIN1,
         label="pain1",
     )
 
@@ -240,25 +289,25 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
 def pain2_integrand(ctx: ComputeContext) -> Integrand:
     """((8-3x) e^x - 8 e^{x/2} - x) / (4 x^2 e^x (e^x - 1)); limit -1/12.
 
+    The raw form takes one exp, h = e^{x/2}, and squares it for e^x.
     Numerator Taylor coefficients n_k = 8/k! - 3/(k-1)! - 8/(2^k k!)
     (minus 1 at k = 1) vanish identically for k <= 2; the series starts at
-    -x^3/3, and sum_{k>=3} n_k x^(k-3) runs on the shared
-    :class:`~glaisher.smallt.PowerSeries` kernel.  The denominator is
-    4 x^3 e^x (expm1(x)/x), all stable factors.
+    -x^3/3.  The denominator is x^3 times 4 (e^{2x} - e^x)/x =
+    sum_k 4 (2^(k+1) - 1)/(k+1)! x^k, so near zero the integrand is the
+    quotient of sum_{k>=3} n_k x^(k-3) by that series, one power series
+    with exact rational coefficients
+    (:func:`~glaisher.smallt.quotient_series`) and no transcendental.
     """
 
     def raw(x):
         with mp.extradps(cancellation_guard(x, 3)):
-            ex = mpmath.exp(x)
-            return +(((8 - 3 * x) * ex - 8 * mpmath.exp(x / 2) - x)
-                     / (4 * x * x * ex * (ex - 1)))
-
-    def series(x):
-        return _PAIN2_NUMERATOR_OVER_X3(x) / (4 * mpmath.exp(x) * (mpmath.expm1(x) / x))
+            h = mpmath.exp(x / 2)
+            ex = h * h
+            return +(((8 - 3 * x) * ex - 8 * h - x) / (4 * x * x * ex * (ex - 1)))
 
     return Integrand(
         eval=raw,
-        near_zero=series,
+        near_zero=_PAIN2,
         label="pain2",
     )
 

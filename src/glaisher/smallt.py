@@ -13,7 +13,9 @@ per working precision (``mp.prec``) it keeps each c_k once as a W-bit
 integer, takes z once as a W-bit integer, and sums by Horner's rule,
 acc = c_k + (acc z >> W), from the last term down; only the final sum is
 rounded to an mpf.  A term costs one integer multiply and one shift
-instead of a few pure-Python mpf operations.
+instead of a few pure-Python mpf operations.  A near-zero form that is a
+quotient of two known series (pain1's, pain2's) becomes one series by
+:func:`quotient_series`, whose coefficients are exact rationals.
 
 The W budget.  W = prec + 16 + max(0, -mag(c_0)) bits.  Each Horner step
 truncates by under one unit of 2^-W and each stored c_k is off by under
@@ -92,6 +94,35 @@ class PowerSeries:
         return mpf((acc, -width))
 
 
+def quotient_series(
+    numerator: Callable[[int], tuple[int, int]],
+    denominator: Callable[[int], tuple[int, int]],
+) -> PowerSeries:
+    """The power series of (sum a_k z^k) / (sum b_k z^k), b_0 != 0.
+
+    ``numerator(k)`` and ``denominator(k)`` give a_k and b_k exactly, as
+    integer pairs (p, q) for p/q; c_k = (a_k - sum_{j=1..k} b_j c_(k-j)) / b_0
+    is kept as an exact rational for every precision and built only as
+    far as a sum first asks, so nothing is computed at import.
+    """
+    b: list = []
+    c: list = []
+
+    def coefficient(k: int) -> mpf:
+        # fractions (with decimal) takes about 4 ms to import: load it on
+        # first use, not with the package.
+        from fractions import Fraction
+
+        while len(c) <= k:
+            n = len(c)
+            b.append(Fraction(*denominator(n)))
+            tail = sum(b[j] * c[n - j] for j in range(1, n + 1))
+            c.append((Fraction(*numerator(n)) - tail) / b[0])
+        return mpf(c[k].numerator) / c[k].denominator
+
+    return PowerSeries(coefficient)
+
+
 class _FixedCoefficients:
     """The W-bit integers c_k of one series at one working precision, their
     bit lengths, and the term count per magnitude of z."""
@@ -148,10 +179,16 @@ def cancellation_guard(t, digits_per_decade: int) -> int:
     ``digits_per_decade`` is how many digits per decade of smallness the
     form loses (the order gap between its raw terms and their cancelled
     sum); the constant 10 covers the O(1) bookkeeping losses.
+
+    The decade count is ceil(-log10 t) bounded from above in integers:
+    with m = mag(t), t >= 2^(m-1), so -log10 t <= (1 - m) log10 2 <
+    (1 - m) 0.30103.  It is never below the exact count and at most one
+    decade above it, and it costs no logarithm.
     """
     if t >= 1:
         return 10
-    return 10 + digits_per_decade * int(mpmath.ceil(-mpmath.log10(t)))
+    bits = 1 - mpmath.mag(t)
+    return 10 + digits_per_decade * -(-bits * 30103 // 100000)
 
 
 def exp_neg_tail(t: mpf) -> mpf:

@@ -6,7 +6,10 @@ import json
 import re
 
 import pytest
+from mpmath import mpf
 
+import glaisher.report
+import glaisher.routes
 from glaisher import deserialize_report, make_context
 from glaisher.cli import EXIT_CONFIG, EXIT_DISAGREE, EXIT_OK, main
 
@@ -63,6 +66,26 @@ class TestComputeCommand:
         )
         assert code == EXIT_DISAGREE
         assert "REFUSED" in out and "DISAGREEMENTS" in out
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_failing_identity_residual_exits_two(self, capsys, monkeypatch, output):
+        # The routes agree, but glaisher_half runs with the 7/25 coefficient.
+        def corrupted(ctx, log_a):
+            return glaisher.routes.identity_residuals(ctx, log_a, mpf(7) / 25)
+
+        monkeypatch.setattr(glaisher.report, "identity_residuals", corrupted)
+        code, out, _ = run_cli(
+            capsys,
+            "compute", "--digits", "25", "--routes", "feaux,kummer",
+            "--output", output,
+        )
+        assert code == EXIT_DISAGREE
+        if output == "json":
+            doc = deserialize_report(out.encode(), make_context(25))
+            assert [r.identity_id for r in doc.failed_residuals] == ["glaisher_half"]
+        else:
+            assert "agree pairwise" in out
+            assert "IDENTITY CHECKS FAILED:\n  glaisher_half: residual = " in out
 
     def test_json_output_parses_with_own_parser(self, capsys):
         code, out, _ = run_cli(

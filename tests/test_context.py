@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 import glaisher.context
 from glaisher import (
@@ -113,6 +116,25 @@ class TestDecimalRoundTrip:
             s = real_to_decimal(v, digits)
             back = real_from_decimal(s, ctx50)
             assert rel_diff(back, v) < mpf(10) ** (-(digits - 2))
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        mantissa=st.integers(min_value=-(2 ** 1400), max_value=2 ** 1400),
+        exponent=st.integers(min_value=-3000, max_value=3000),
+        digits=st.integers(min_value=5, max_value=400),
+    )
+    @example(mantissa=0, exponent=0, digits=5)
+    def test_round_trip_property(self, mantissa, exponent, digits):
+        # Any signed mpf, exact from its mantissa and exponent, printed with
+        # ``digits`` significant digits, parses back within 10^-(digits-2)
+        # relative; zero comes back as exactly zero.
+        x = mp.make_mpf(from_man_exp(mantissa, exponent))
+        back = real_from_decimal(real_to_decimal(x, digits), make_context(max(digits, 20)))
+        if mantissa == 0:
+            assert back == 0
+            return
+        with mp.workdps(digits + 20):
+            assert abs(back - x) <= abs(x) * mpf(10) ** (2 - digits)
 
     def test_zero_round_trips(self, ctx50):
         assert real_from_decimal(real_to_decimal(mpf(0), 10), ctx50) == 0

@@ -1,0 +1,161 @@
+"""The one-exp raw forms and the transcendental-free near-zero forms of the
+integral routes' integrands, against the paper's literal expressions."""
+
+from __future__ import annotations
+
+import mpmath
+import pytest
+from mpmath import mp, mpf
+
+from glaisher import make_context, routes
+from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
+from glaisher.routes import pain1_integrand, pain2_integrand, res1_integrand, res2_integrand
+from glaisher.smallt import cancellation_guard
+
+
+def _pain1_literal(x):
+    return (1 - mpmath.exp(-x / 2)) * (x * mpmath.coth(x / 2) - 2) / x ** 3
+
+
+def _pain2_literal(x):
+    return ((8 - 3 * x) * mpmath.exp(x) - 8 * mpmath.exp(x / 2) - x) / (
+        4 * x * x * mpmath.exp(x) * (mpmath.exp(x) - 1)
+    )
+
+
+def _res2_bracket_literal(t):
+    return mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4
+
+
+# name -> (integrand factory, the paper's literal expression)
+LITERAL_FORMS = {
+    "pain1": (pain1_integrand, _pain1_literal),
+    "pain2": (pain2_integrand, _pain2_literal),
+    "res2_dt_over_t": (lambda ctx: res2_integrand(ctx, "dt_over_t"),
+                       lambda t: _res2_bracket_literal(t) / t),
+    "res2_dt": (lambda ctx: res2_integrand(ctx, "dt"), _res2_bracket_literal),
+}
+
+# t in [2^-8, 10^3]: the raw forms' whole range short of the far tail.
+RAW_GRID = ["0.00390625", "0.01", "0.1", "0.5", "1", "2.75", "10", "63.5", "400", "1000"]
+
+
+@pytest.mark.parametrize("name", list(LITERAL_FORMS))
+@pytest.mark.parametrize("digits", [50, 200])
+def test_raw_form_matches_literal_expression(name, digits):
+    # The rewritten raw form at the engine's P+20 digits against the
+    # literal expression (coth, tanh, two exps) at P+40.
+    ctx = make_context(digits)
+    factory, literal = LITERAL_FORMS[name]
+    integrand = factory(ctx)
+    bound = mpf(10) ** (-(digits - 8))
+    misses = []
+    for text in RAW_GRID:
+        with ctx.workdps(20):
+            t = mpf(text)
+            got = integrand.eval(t)
+        with ctx.workdps(40):
+            want = literal(t)
+            rel = abs(got - want) / abs(want)
+        if rel > bound:
+            misses.append(f"t = {text}: {mpmath.nstr(rel, 3)}")
+    assert not misses, f"{name} at {digits} digits: {misses}"
+
+
+QUOTIENT_SERIES = {
+    "pain1": (routes._PAIN1, _pain1_literal),
+    "pain2": (routes._PAIN2, _pain2_literal),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_SERIES))
+def test_quotient_series_matches_taylor_of_closed_form(name):
+    # mpmath.taylor differentiates the literal form numerically around the
+    # removable singularity at 0 (its k = 0 entry there is not the limit,
+    # so c_0 is checked against mpmath.limit).
+    series, literal = QUOTIENT_SERIES[name]
+    with mp.workdps(50):
+        taylor = mpmath.taylor(literal, 0, 29, singular=True)
+        taylor[0] = mpmath.limit(literal, 0)
+        for k in range(30):
+            c = series._coefficient(k)
+            rel = abs(taylor[k] - c) / abs(c)
+            assert rel < mpf(10) ** -30, f"{name} c_{k}: relative gap {mpmath.nstr(rel, 3)}"
+
+
+TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log")
+
+
+def _near_zero_forms(ctx):
+    return {
+        "pain1": pain1_integrand(ctx),
+        "pain2": pain2_integrand(ctx),
+        "res1": res1_integrand(ctx),
+        "res2_dt_over_t": res2_integrand(ctx, "dt_over_t"),
+        "res2_dt": res2_integrand(ctx, "dt"),
+    }
+
+
+def test_near_zero_forms_call_no_transcendental(monkeypatch):
+    ctx = make_context(60)        # a precision the other tests leave cold
+    forms = _near_zero_forms(ctx)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("near-zero form called an mpmath transcendental")
+
+    for fn in TRANSCENDENTALS:
+        monkeypatch.setattr(mpmath, fn, forbidden)
+    with ctx.workdps(20):
+        ts = [mpf(DEFAULT_NEAR_ZERO_THRESHOLD) * mpf(s) for s in ("0.99", "1e-3")]
+        ts.append(mpf(2) ** -200)
+        for name, integrand in forms.items():
+            for t in ts:
+                assert mpmath.isfinite(integrand.near_zero(t)), name
+
+
+@pytest.mark.parametrize("name", list(LITERAL_FORMS))
+def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
+    ctx = make_context(50)
+    integrand = LITERAL_FORMS[name][0](ctx)
+    calls = {fn: 0 for fn in TRANSCENDENTALS}
+
+    def counting(fn, original):
+        def counted(*args, **kwargs):
+            calls[fn] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for fn in TRANSCENDENTALS:
+        monkeypatch.setattr(mpmath, fn, counting(fn, getattr(mpmath, fn)))
+    for text in RAW_GRID + ["1e6"]:
+        for fn in calls:
+            calls[fn] = 0
+        with ctx.workdps(20):
+            integrand.eval(mpf(text))
+        assert calls["exp"] <= 1, f"{name} at t = {text}: {calls}"
+        assert sum(calls.values()) == calls["exp"], f"{name} at t = {text}: {calls}"
+
+
+def _old_guard(t, digits_per_decade):
+    # The log10 rule the integer bound replaced.
+    return 10 + digits_per_decade * int(mpmath.ceil(-mpmath.log10(t)))
+
+
+def test_cancellation_guard_bounds_the_log10_rule():
+    # At least the old 10 + d ceil(-log10 t), at most one decade (d digits)
+    # above it, for t in [2^-1000, 1): exact powers of 2, the nearest
+    # binary values to powers of 10, and a geometric grid between.
+    with mp.workdps(60):
+        grid = [mpf(2) ** -k for k in range(1, 1001)]
+        grid += [mpf(10) ** -j for j in range(1, 302)]
+        grid += [mpf("0.93") ** i for i in range(1, 9550, 7)]
+        grid += [1 - mpf(10) ** -50, mpf(2) ** -1000]
+        misses = []
+        for t in grid:
+            assert t < 1
+            for d in (1, 2, 3):
+                old, new = _old_guard(t, d), cancellation_guard(t, d)
+                if not old <= new <= old + d:
+                    misses.append(f"t = {mpmath.nstr(t, 8)}, d = {d}: {old} -> {new}")
+        assert not misses, misses[:10]
+    assert cancellation_guard(mpf(1), 2) == cancellation_guard(mpf(10) ** 6, 3) == 10

@@ -20,6 +20,7 @@ from glaisher import (
     serialize,
 )
 from glaisher.report import CSV_HEADER
+from glaisher.routes import IdentityResidual
 
 from conftest import rel_diff
 
@@ -123,6 +124,30 @@ class TestDisagreements:
         monkeypatch.setattr(glaisher.routes, "res1_integrand", counting)
         run_all(ctx, ["kummer"])
         assert len(calls) == 1
+
+
+class TestFailedResiduals:
+    def test_verdict_is_inverted_for_the_dt_control(self):
+        tol, control = mpf(10) ** -20, mpf("0.01")
+        assert IdentityResidual("gla2", -tol / 2, tol).passed
+        assert not IdentityResidual("gla2", -2 * tol, tol).passed
+        assert IdentityResidual("res2_measure_check", mpf("0.5"), control).passed
+        assert not IdentityResidual("res2_measure_check", mpf("0.005"), control).passed
+
+    def test_agreeing_report_has_none(self, small_report, ctx):
+        assert small_report.failed_residuals == []
+        back = deserialize_report(serialize(small_report, "json"), ctx)
+        assert back.failed_residuals == []
+
+    def test_corrupted_coefficient_fails_glaisher_half(self, ctx, monkeypatch):
+        def corrupted(ctx, log_a):
+            return glaisher.routes.identity_residuals(ctx, log_a, mpf(7) / 25)
+
+        monkeypatch.setattr(glaisher.report, "identity_residuals", corrupted)
+        doc = run_all(ctx, ["feaux"])
+        assert [r.identity_id for r in doc.failed_residuals] == ["glaisher_half"]
+        back = deserialize_report(serialize(doc, "json"), ctx)
+        assert [r.identity_id for r in back.failed_residuals] == ["glaisher_half"]
 
 
 class TestConvergenceStudy:

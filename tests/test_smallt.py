@@ -33,11 +33,13 @@ with mp.workdps(100):
 
 # Every series the project sums on the kernel, and whether its helper
 # passes arguments out to |z| = 1/2 (the log1p and expm1 tails do).
+# "pain1_S" and "pain2_numerator" keep their test ids but now name each
+# integrand's whole near-zero quotient series.
 KERNEL_SERIES = {
     "res1_psi": (routes._RES1_PSI, False),
     "res2_bracket": (routes._RES2_BRACKET_OVER_T2, False),
-    "pain1_S": (routes._PAIN1_S, False),
-    "pain2_numerator": (routes._PAIN2_NUMERATOR_OVER_X3, False),
+    "pain1_S": (routes._PAIN1, False),
+    "pain2_numerator": (routes._PAIN2, False),
     "log1p_tail": (smallt._LOG1P_TAIL, True),
     "expm1_tail": (smallt._EXPM1_TAIL, True),
     "kummer_quarter": (_KUMMER_QUARTER, False),
@@ -175,6 +177,17 @@ def _res1_unguarded(t):
     return bracket / t
 
 
+def _pain1_unguarded(x):
+    E = mpmath.exp(-x / 2)
+    E2 = E * E
+    return (x * (1 + E2) - 2 * (1 - E2)) / (x ** 3 * (1 + E))
+
+
+def _res2_bracket_unguarded(t):
+    q = mpmath.exp(-t / 2)
+    return (1 - q) / ((1 + q) * t) - q * q / 4
+
+
 def _feaux_unguarded(x):
     def form(t):
         L = mpmath.log(1 + t)
@@ -193,10 +206,10 @@ def _fourier_unguarded(n, ctx):
 # the same expression with a plain exp).
 def _unguarded_forms(ctx):
     return {
-        "pain1": (2, lambda x: (1 - mpmath.exp(-x / 2)) * (x * mpmath.coth(x / 2) - 2) / x ** 3),
+        "pain1": (2, _pain1_unguarded),
         "res1": (3, _res1_unguarded),
-        "res2_dt_over_t": (2, lambda t: (mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4) / t),
-        "res2_dt": (2, lambda t: mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4),
+        "res2_dt_over_t": (2, lambda t: _res2_bracket_unguarded(t) / t),
+        "res2_dt": (2, _res2_bracket_unguarded),
         "dirichlet": (2, lambda t: (1 / (1 + t) - mpmath.exp(-t)) / t),
         "feaux_quarter": (2, _feaux_unguarded(mpf(1) / 4)),
         "a_3": (1, _fourier_unguarded(3, ctx)),
