@@ -41,7 +41,6 @@ from .loggamma import (
     fourier_a_n,
     kummer_fourier_log_gamma,
     kummer_log_gamma,
-    log_barnes_g,
     log_gamma_ref,
 )
 from .routes import (
@@ -116,7 +115,6 @@ __all__ = [
     "integrate_zero_to_inf",
     "kummer_fourier_log_gamma",
     "kummer_log_gamma",
-    "log_barnes_g",
     "log_gamma_ref",
     "log_sin_check",
     "make_context",

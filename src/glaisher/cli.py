@@ -3,22 +3,25 @@
 Exit codes follow the verification-tool contract:
 
 * 0 -- success (compute: all requested routes agree pairwise within ten
-  times the sum of their error estimates; verify: all identity residuals
-  below tolerance).
-* 1 -- configuration error (unknown route, empty grid, bad digits), or
-  a route that refused the requested precision or parameters while every
-  route that ran agreed.
+  times the sum of their error estimates and every identity check
+  passes; verify: all identity residuals below tolerance).
+* 1 -- configuration error: a usage error (an unknown flag or a bad flag
+  value), an unknown route, an empty grid, too few digits, or a route
+  that refused the requested precision or parameters while every route
+  that ran agreed.
 * 2 -- numerical disagreement (a route pair out of tolerance, a residual
-  above tolerance) or a route that failed numerically.
+  above tolerance) or a failure that is not a refusal, of a route or of
+  the identity pass.
 
-The CLI holds no verdict of its own: it parses arguments, makes one call
-and prints.  ``compute`` reads the pairwise verdict from
-``ReportDocument.disagreements``, listed in the matrix's route order, and
-the identity verdict from ``ReportDocument.failed_residuals``, and takes
-its parameter defaults from ``report.DEFAULT_PARAMS``; ``verify`` prints
-``routes.identity_residuals``, the same identity pass ``run_all`` makes,
-without the other routes, the consensus or the dt control, each with its
-``IdentityResidual.passed`` verdict.
+The CLI holds no verdict and no document layout of its own: each command
+parses its arguments, makes one call and prints.  ``compute`` prints
+``run_all``'s report as text or JSON (``--output``) and exits with
+``ReportDocument.exit_code``; its parameter defaults come from
+``report.DEFAULT_PARAMS``.  ``verify`` prints ``routes.identity_residuals``,
+the same identity pass ``run_all`` makes, without the other routes, the
+consensus or the dt control, each with its ``IdentityResidual.passed``
+verdict.  ``convergence`` always writes the report's CSV table of its
+``convergence_study`` records.
 
 Values in text mode are truncated to (digits - 10) displayed digits so
 the output never implies precision the error estimates do not back.
@@ -36,18 +39,17 @@ from mpmath import mpf
 from . import __version__
 from .context import PrecisionError, make_context, real_to_decimal
 from .report import (
-    CSV_HEADER,
     DEFAULT_PARAMS,
+    EXIT_CONFIG,
+    EXIT_DISAGREE,
+    EXIT_OK,
     ConfigError,
+    ReportDocument,
     convergence_study,
     run_all,
     serialize,
 )
 from .routes import ROUTE_IDS, identity_residuals, route_feaux
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_DISAGREE = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        p.set_defaults(run=run)
         p.add_argument(
             "--digits",
             type=int,
@@ -70,18 +73,18 @@ def _build_parser() -> argparse.ArgumentParser:
             help="working precision in decimal digits (default 50; the "
             "GLAISHER_DIGITS environment variable overrides the default)",
         )
-        p.add_argument(
-            "--output",
-            choices=("text", "json", "csv"),
-            default="text",
-            help="output format (default text)",
-        )
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     compute = sub.add_parser("compute", help="run routes and print the agreement matrix")
     # Before the arguments, so that each action (and its help) gets its default.
     compute.set_defaults(**DEFAULT_PARAMS)
-    add_common(compute)
+    add_common(compute, cmd_compute)
+    compute.add_argument(
+        "--output",
+        choices=("text", "json"),
+        default="text",
+        help="output format (default text)",
+    )
     compute.add_argument(
         "--routes",
         default=",".join(ROUTE_IDS),
@@ -106,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser("verify", help="check the identity residuals")
-    add_common(verify)
+    add_common(verify, cmd_verify)
     verify.add_argument(
         "--corrupt-constant",
         action="store_true",
@@ -114,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "half-integral identity (the run must then fail with exit 2)",
     )
 
-    conv = sub.add_parser("convergence", help="measure route error against consensus over a grid")
-    add_common(conv)
+    conv = sub.add_parser("convergence", help="CSV of route error against consensus over a grid")
+    add_common(conv, cmd_convergence)
     conv.add_argument(
         "--route",
         default="fourier_series",
@@ -155,65 +158,57 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_compute(args) -> int:
-    digits = _resolve_digits(args)
-    ctx = make_context(digits)
+def cmd_compute(args, ctx) -> int:
     route_set = [r.strip() for r in args.routes.split(",") if r.strip()]
     doc = run_all(ctx, route_set, {k: getattr(args, k) for k in DEFAULT_PARAMS})
-    disagreements = doc.disagreements
-    failed_residuals = doc.failed_residuals
-    failures = [f for f in doc.failures if f.route_id != "identity_checks"]
-
     if args.output == "json":
         _emit(args, serialize(doc, "json").decode() + "\n")
-    elif args.output == "csv":
-        _emit(args, serialize(doc, "csv").decode())
-    else:
-        shown = max(digits - 10, 5)
-        lines = [f"log A estimates at {digits} digits (showing {shown}):"]
-        for e in doc.estimates:
+        return doc.exit_code
+
+    digits = ctx.precision_digits
+    shown = max(digits - 10, 5)
+    lines = [f"log A estimates at {digits} digits (showing {shown}):"]
+    for e in doc.estimates:
+        lines.append(
+            f"  {e.route_id:16s} {real_to_decimal(e.value, shown)}"
+            f"   (error est {mpmath.nstr(e.error_estimate, 3)}, "
+            f"{e.evaluations} evaluations, {e.elapsed:.2f}s)"
+        )
+    for f in doc.failures:
+        lines.append(f"  {f.route_id:16s} {'REFUSED' if f.refused else 'FAILED'}: {f.error}")
+    lines.append("pairwise |difference| matrix:")
+    ids = doc.agreement_matrix["routes"]
+    for rid, row in zip(ids, doc.agreement_matrix["matrix"]):
+        cells = " ".join(f"{mpmath.nstr(v, 3):>10s}" for v in row)
+        lines.append(f"  {rid:16s} {cells}")
+    if doc.disagreements:
+        lines.append("DISAGREEMENTS:")
+        for a, b, gap, allowed in doc.disagreements:
             lines.append(
-                f"  {e.route_id:16s} {real_to_decimal(e.value, shown)}"
-                f"   (error est {mpmath.nstr(e.error_estimate, 3)}, "
-                f"{e.evaluations} evaluations, {e.elapsed:.2f}s)"
+                f"  {a} vs {b}: |delta| = {mpmath.nstr(gap, 4)} "
+                f"> allowed {mpmath.nstr(allowed, 4)}"
             )
-        for f in doc.failures:
-            lines.append(f"  {f.route_id:16s} {'REFUSED' if f.refused else 'FAILED'}: {f.error}")
-        lines.append("pairwise |difference| matrix:")
-        ids = doc.agreement_matrix["routes"]
-        for rid, row in zip(ids, doc.agreement_matrix["matrix"]):
-            cells = " ".join(f"{mpmath.nstr(v, 3):>10s}" for v in row)
-            lines.append(f"  {rid:16s} {cells}")
-        if disagreements:
-            lines.append("DISAGREEMENTS:")
-            for a, b, gap, allowed in disagreements:
-                lines.append(
-                    f"  {a} vs {b}: |delta| = {mpmath.nstr(gap, 4)} "
-                    f"> allowed {mpmath.nstr(allowed, 4)}"
-                )
-        else:
-            which = "the routes that ran" if failures else "all requested routes"
-            lines.append(f"{which} agree pairwise within tolerance")
-        if failed_residuals:
-            lines.append("IDENTITY CHECKS FAILED:")
-            for r in failed_residuals:
-                lines.append(
-                    f"  {r.identity_id}: residual = {mpmath.nstr(r.residual, 4)}, "
-                    f"tolerance {mpmath.nstr(r.tolerance_used, 3)}"
-                )
-        _emit(args, "\n".join(lines) + "\n")
-
-    if disagreements or failed_residuals or not all(f.refused for f in failures):
-        return EXIT_DISAGREE
-    return EXIT_CONFIG if failures else EXIT_OK
+    else:
+        which = "the routes that ran" if doc.failures else "all requested routes"
+        lines.append(f"{which} agree pairwise within tolerance")
+    if doc.failed_residuals:
+        lines.append("IDENTITY CHECKS FAILED:")
+        for r in doc.failed_residuals:
+            lines.append(
+                f"  {r.identity_id}: residual = {mpmath.nstr(r.residual, 4)}, "
+                f"tolerance {mpmath.nstr(r.tolerance_used, 3)}"
+            )
+    _emit(args, "\n".join(lines) + "\n")
+    return doc.exit_code
 
 
-def cmd_verify(args) -> int:
-    digits = _resolve_digits(args)
-    ctx = make_context(digits)
+def cmd_verify(args, ctx) -> int:
     corruption = mpf(7) / 25 if args.corrupt_constant else None
     residuals = identity_residuals(ctx, route_feaux(ctx).value, corruption)
-    lines = [f"identity residuals at {digits} digits (tolerance {mpmath.nstr(ctx.target_tolerance, 3)}):"]
+    lines = [
+        f"identity residuals at {ctx.precision_digits} digits "
+        f"(tolerance {mpmath.nstr(ctx.target_tolerance, 3)}):"
+    ]
     for r in residuals:
         lines.append(
             f"  {r.identity_id:16s} residual = {mpmath.nstr(r.residual, 4):>12s}  "
@@ -225,45 +220,32 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in residuals) else EXIT_DISAGREE
 
 
-def cmd_convergence(args) -> int:
-    digits = _resolve_digits(args)
-    ctx = make_context(digits)
-    if not args.grid.strip():
-        raise ConfigError("convergence requires a non-empty --grid")
+def cmd_convergence(args, ctx) -> int:
     try:
         grid = [int(g) for g in args.grid.split(",") if g.strip()]
     except ValueError as exc:
         raise ConfigError(f"grid values must be integers: {args.grid!r}") from exc
-    if not grid:
-        raise ConfigError("convergence requires a non-empty --grid")
     records = convergence_study(
         args.route, grid, ctx, params={"fourier_accelerate": args.accelerate}
     )
-    lines = [CSV_HEADER]
-    for c in records:
-        if c.error:
-            lines.append(f"{c.route_id},{c.parameter},{c.parameter_value},,")
-        else:
-            lines.append(
-                f"{c.route_id},{c.parameter},{c.parameter_value},"
-                f"{real_to_decimal(c.estimate, digits)},"
-                f"{real_to_decimal(c.abs_delta_vs_consensus, digits)}"
-            )
-    _emit(args, "\n".join(lines) + "\n")
+    doc = ReportDocument(
+        context_info={"precision_digits": ctx.precision_digits}, convergence_records=records
+    )
+    _emit(args, serialize(doc, "csv").decode())
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "convergence":
-            return cmd_convergence(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error and exits 2, which is the
+        # disagreement code here; --help and --version exit 0.
+        if exc.code:
+            return EXIT_CONFIG
+        raise
+    try:
+        return args.run(args, make_context(_resolve_digits(args)))
     except (ConfigError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

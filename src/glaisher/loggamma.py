@@ -28,9 +28,12 @@ the same constant), so each carries a ``near_zero`` series built on the
 extra digits scaled to the observed cancellation, which keeps the
 mandatory raw-vs-series consistency check meaningful.
 
-Also here: the Dirichlet integral for Euler's constant (the quadrature
-cross-check of the context's reference gamma) and the Barnes-G identity
-log G(1+z) = z(1-z)/2 + (z/2) log 2pi + z log Gamma(z) - int_0^z log Gamma.
+Also here: the Dirichlet integral for Euler's constant, the quadrature
+cross-check of the context's reference gamma.
+
+Kummer's raw form reads sinh(t/2) and e^-t off one q = e^(-t/2), two
+exps in all, and the Feaux and Dirichlet near-zero forms call no
+transcendental of t: they are sums on the kernel.
 """
 
 from __future__ import annotations
@@ -43,12 +46,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .context import ComputeContext, Real
-from .quadrature import (
-    Integrand,
-    QuadratureResult,
-    integrate_finite,
-    integrate_zero_to_inf,
-)
+from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf
 from .smallt import (
     PowerSeries,
     cancellation_guard,
@@ -203,12 +201,23 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
         x = mpf(x)
         a = +(mpf(1) / 2 - x)
 
+    # The decades of 1/|a| that p - 1/p below loses on top of those of 1/t.
+    a_guard = cancellation_guard(abs(a), 1) - 10 if a else 0
+
     def raw(t):
         # 1 - 2x is written as 2a so both evaluation paths share the one
         # stored parameter; recomputing it would introduce a rounding
-        # mismatch that 1/t amplifies near the origin.
-        with mp.extradps(cancellation_guard(t, 1)):
-            bracket = mpmath.sinh(a * t) / mpmath.sinh(t / 2) - 2 * a * mpmath.exp(-t)
+        # mismatch that 1/t amplifies near the origin.  With q = e^(-t/2)
+        # and p = e^(at), sinh(t/2) = (1 - q^2)/(2q), sinh(at) = (p - 1/p)/2
+        # and e^-t = q^2: two exps in all.  In the far tail the sinh ratio
+        # is the whole value, so neither exp may be cut to 0 there.  The
+        # ratio loses a decade per decade of t below 1, and the bracket
+        # one more.
+        with mp.extradps(cancellation_guard(t, 2) + a_guard):
+            q = mpmath.exp(-t / 2)
+            p = mpmath.exp(a * t)
+            q2 = q * q
+            bracket = q * (p - 1 / p) / (1 - q2) - 2 * a * q2
             return +(bracket / t)
 
     numerator_over_t2 = _kummer_numerator_over_t2(a)
@@ -328,15 +337,24 @@ def kummer_fourier_log_gamma(x: Real, n_terms: int, ctx: ComputeContext) -> Real
 # Dirichlet integral for Euler's constant
 # ---------------------------------------------------------------------------
 
+def _dirichlet_coefficient(k: int) -> mpf:
+    # 1/(1+t) - e^-t = sum_j (-1)^j (1 - 1/j!) t^j; the j = 0, 1 terms
+    # vanish, so (1/(1+t) - e^-t)/t = t sum_k (-1)^k (1 - 1/(k+2)!) t^k.
+    return (-1) ** k * (1 - mpf(1) / factorial(k + 2))
+
+
+_DIRICHLET_SERIES = PowerSeries(_dirichlet_coefficient)
+
+
 def dirichlet_integrand(ctx: ComputeContext) -> Integrand:
-    """(1/(1+t) - e^-t)/t, rewritten near zero as e^-t (expm1(t) - t)/(t(1+t))."""
+    """(1/(1+t) - e^-t)/t, summed near zero as one power series in t."""
 
     def raw(t):
         with mp.extradps(cancellation_guard(t, 2)):
             return +((1 / (1 + t) - exp_neg_tail(t)) / t)
 
     def series(t):
-        return mpmath.exp(-t) * expm1_minus_x(t) / (t * (1 + t))
+        return t * _DIRICHLET_SERIES(t)
 
     return Integrand(
         eval=raw,
@@ -352,38 +370,3 @@ def dirichlet_gamma(
     result = integrate_zero_to_inf(dirichlet_integrand(ctx), ctx=ctx)
     result.require_converged("dirichlet_gamma")
     return (result.value, result) if full else result.value
-
-
-# ---------------------------------------------------------------------------
-# Barnes G
-# ---------------------------------------------------------------------------
-
-def log_barnes_g(
-    z: Real, ctx: ComputeContext, full: bool = False
-) -> Real | tuple[Real, QuadratureResult]:
-    """log G(1+z) for 0 < z <= 1 via the Alexejewsky identity.
-
-    The integral of log Gamma over [0, z] runs on the Stirling oracle (one
-    trusted code path); the integrable log singularity at 0 is the
-    tanh-sinh transform's job.
-    """
-    with ctx.workdps(10):
-        z = mpf(z)
-    if not (0 < z <= 1):
-        raise DomainError(f"log_barnes_g requires 0 < z <= 1, got {mpmath.nstr(z, 8)}")
-    integrand = Integrand(
-        eval=lambda x: log_gamma_ref(x, ctx),
-        label=f"int_log_gamma(z={mpmath.nstr(z, 8)})",
-    )
-    result = integrate_finite(integrand, mpf(0), z, ctx=ctx)
-    result.require_converged("log_barnes_g")
-    consts = ctx.constants
-    with ctx.workdps(10):
-        value = (
-            z * (1 - z) / 2
-            + z / 2 * consts.log_2pi
-            + z * log_gamma_ref(z, ctx)
-            - result.value
-        )
-        value = +value
-    return (value, result) if full else value

@@ -6,28 +6,36 @@ records.  All numbers serialize as decimal strings at the full context
 precision -- binary floats cannot carry 50 digits, and the JSON must be
 diff-able and re-parseable without loss.
 
+The dataclasses here and in :mod:`glaisher.routes` are the one declaration
+of the document.  ``serialize`` walks their fields in declaration order,
+so a JSON key is a field name, and ``deserialize_report`` rebuilds each
+record from its own fields, parsing those annotated ``Real``; a new field
+needs no edit to either.  The CSV view is the flat convergence-record
+table, and ``glaisher convergence`` writes it through the same writer.
+
 The report owns the cross-validation verdict: ``ReportDocument.disagreements``
 lists the route pairs whose gap exceeds ten times the sum of their error
-estimates, and ``ReportDocument.failed_residuals`` the identity residuals
-that fail their own verdict.  Both read only what the JSON already holds
-(the matrix, the estimates, the residuals and their tolerances), so it
-carries no extra key for them and a deserialized report gives the same
-answer.
+estimates, ``ReportDocument.failed_residuals`` the identity residuals
+that fail their own verdict, and ``ReportDocument.exit_code`` folds both
+and the failures into the exit code of ``glaisher compute``.  They read
+only what the JSON already holds (the matrix, the estimates, the
+residuals and their tolerances, the failures), so it carries no extra key
+for them and a deserialized report gives the same answer.
 
 Route failures never abort a run: a verification tool that dies on the
 first bad route hides every other result.  Failures land in a ``failures``
 list with their message, and the matrix simply omits the failed route.
 A route that declines to run at this precision or on these parameters
 (``PrecisionError``, ``DomainError``) is marked ``refused``; that is a
-configuration problem, not a numerical failure.
+configuration problem, not a numerical failure.  Any other failure,
+including one of the identity pass (``identity_checks``), is numerical.
 """
 
 from __future__ import annotations
 
 import datetime
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from mpmath import mp, mpf
 
@@ -58,6 +66,11 @@ from .routes import (
 
 CSV_HEADER = "route,param,value,estimate,abs_delta"
 
+# The exit codes of the command-line contract.
+EXIT_OK = 0
+EXIT_CONFIG = 1
+EXIT_DISAGREE = 2
+
 
 class ConfigError(ValueError):
     """Bad requested configuration (unknown route, empty grid, ...)."""
@@ -86,7 +99,7 @@ class ReportDocument:
     estimates: list[RouteEstimate] = field(default_factory=list)
     failures: list[RouteFailure] = field(default_factory=list)
     residuals: list[IdentityResidual] = field(default_factory=list)
-    agreement_matrix: dict = field(default_factory=dict)
+    agreement_matrix: dict = field(default_factory=lambda: {"routes": [], "matrix": []})
     convergence_records: list[ConvergenceRecord] = field(default_factory=list)
     timestamp: str = ""
     toolkit_version: str = __version__
@@ -116,6 +129,20 @@ class ReportDocument:
         """The identity residuals whose verdict (``IdentityResidual.passed``)
         fails; read from the residuals alone, like ``disagreements``."""
         return [r for r in self.residuals if not r.passed]
+
+    @property
+    def exit_code(self) -> int:
+        """The verdict as a ``glaisher compute`` exit code.
+
+        ``EXIT_DISAGREE`` (2) for a disagreeing pair, a failed residual or
+        a failure that is not a refusal (a raising identity pass included);
+        else ``EXIT_CONFIG`` (1) if a route refused; else ``EXIT_OK`` (0).
+        """
+        if self.disagreements or self.failed_residuals or not all(
+            f.refused for f in self.failures
+        ):
+            return EXIT_DISAGREE
+        return EXIT_CONFIG if self.failures else EXIT_OK
 
 
 DEFAULT_PARAMS = {
@@ -298,141 +325,59 @@ def convergence_study(
 def serialize(doc: ReportDocument, format: str = "json") -> bytes:
     """Serialize a report; JSON carries the whole document, CSV the flat
     convergence-record table (header ``route,param,value,estimate,abs_delta``)."""
+    digits = doc.context_info["precision_digits"]
     if format == "json":
-        return _serialize_json(doc)
+        return json.dumps(_encode(doc, digits), indent=2).encode()
     if format == "csv":
-        return _serialize_csv(doc)
+        rows = [CSV_HEADER]
+        for c in doc.convergence_records:
+            numbers = [c.estimate, c.abs_delta_vs_consensus]
+            cells = ["" if c.error else real_to_decimal(v, digits) for v in numbers]
+            rows.append(",".join([c.route_id, c.parameter, str(c.parameter_value), *cells]))
+        return ("\n".join(rows) + "\n").encode()
     raise ConfigError(f"unknown serialization format {format!r}")
 
 
-def _serialize_json(doc: ReportDocument) -> bytes:
-    digits = doc.context_info["precision_digits"]
-    payload = {
-        "context_info": {
-            "precision_digits": digits,
-            "target_tolerance": real_to_decimal(doc.context_info["target_tolerance"], digits),
-            "quad_max_level": doc.context_info["quad_max_level"],
-            "requested_routes": doc.context_info["requested_routes"],
-            "params": doc.context_info["params"],
-        },
-        "estimates": [
-            {
-                "route_id": e.route_id,
-                "value": real_to_decimal(e.value, digits),
-                "error_estimate": real_to_decimal(e.error_estimate, digits),
-                "parameters": e.parameters,
-                "evaluations": e.evaluations,
-                "elapsed": e.elapsed,
-            }
-            for e in doc.estimates
-        ],
-        "failures": [
-            {"route_id": f.route_id, "error": f.error, "refused": f.refused}
-            for f in doc.failures
-        ],
-        "residuals": [
-            {
-                "identity_id": r.identity_id,
-                "residual": real_to_decimal(r.residual, digits),
-                "tolerance_used": real_to_decimal(r.tolerance_used, digits),
-                "elapsed": r.elapsed,
-            }
-            for r in doc.residuals
-        ],
-        "agreement_matrix": {
-            "routes": doc.agreement_matrix.get("routes", []),
-            "matrix": [
-                [real_to_decimal(v, digits) for v in row]
-                for row in doc.agreement_matrix.get("matrix", [])
-            ],
-        },
-        "convergence_records": [
-            {
-                "route_id": c.route_id,
-                "parameter": c.parameter,
-                "parameter_value": c.parameter_value,
-                "estimate": real_to_decimal(c.estimate, digits),
-                "abs_delta_vs_consensus": real_to_decimal(c.abs_delta_vs_consensus, digits),
-                "error": c.error,
-            }
-            for c in doc.convergence_records
-        ],
-        "timestamp": doc.timestamp,
-        "toolkit_version": doc.toolkit_version,
-    }
-    return json.dumps(payload, indent=2).encode()
+def _encode(value, digits: int):
+    """The JSON form of a document or any part of it: a dataclass becomes an
+    object of its fields in declaration order, and every mpf a decimal
+    string of ``digits`` significant digits."""
+    if isinstance(value, mpf):
+        return real_to_decimal(value, digits)
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _encode(v, digits) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_encode(v, digits) for v in value]
+    return value
 
 
-def _serialize_csv(doc: ReportDocument) -> bytes:
-    digits = doc.context_info["precision_digits"]
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for c in doc.convergence_records:
-        estimate = "" if c.error else real_to_decimal(c.estimate, digits)
-        delta = "" if c.error else real_to_decimal(c.abs_delta_vs_consensus, digits)
-        out.write(
-            f"{c.route_id},{c.parameter},{c.parameter_value},{estimate},{delta}\n"
-        )
-    return out.getvalue().encode()
+def _decode(record_type, entry: dict, ctx: ComputeContext):
+    """One record from its JSON object: the fields annotated ``Real`` are
+    parsed at the context precision, the others taken as they are.  The
+    record modules postpone annotations, so ``Field.type`` is the text."""
+    return record_type(**{
+        f.name: real_from_decimal(entry[f.name], ctx) if f.type == "Real" else entry[f.name]
+        for f in fields(record_type)
+    })
 
 
 def deserialize_report(raw: bytes, ctx: ComputeContext) -> ReportDocument:
-    """Parse serialized JSON back into a document (round-trip contract)."""
+    """Parse serialized JSON back into a document (round-trip contract).
+
+    Each list field of :class:`ReportDocument` is rebuilt as the record
+    type its annotation names; the other numbers are the target tolerance
+    and the matrix cells.
+    """
+    from typing import get_args, get_type_hints
+
     payload = json.loads(raw.decode())
-    info = payload["context_info"]
-    doc = ReportDocument(
-        context_info={
-            "precision_digits": info["precision_digits"],
-            "target_tolerance": real_from_decimal(info["target_tolerance"], ctx),
-            "quad_max_level": info["quad_max_level"],
-            "requested_routes": list(info["requested_routes"]),
-            "params": dict(info["params"]),
-        },
-        timestamp=payload["timestamp"],
-        toolkit_version=payload["toolkit_version"],
-    )
-    for e in payload["estimates"]:
-        doc.estimates.append(
-            RouteEstimate(
-                route_id=e["route_id"],
-                value=real_from_decimal(e["value"], ctx),
-                error_estimate=real_from_decimal(e["error_estimate"], ctx),
-                parameters=dict(e["parameters"]),
-                evaluations=e["evaluations"],
-                elapsed=e["elapsed"],
-            )
-        )
-    for f in payload["failures"]:
-        doc.failures.append(
-            RouteFailure(route_id=f["route_id"], error=f["error"], refused=f["refused"])
-        )
-    for r in payload["residuals"]:
-        doc.residuals.append(
-            IdentityResidual(
-                identity_id=r["identity_id"],
-                residual=real_from_decimal(r["residual"], ctx),
-                tolerance_used=real_from_decimal(r["tolerance_used"], ctx),
-                elapsed=r["elapsed"],
-            )
-        )
-    doc.agreement_matrix = {
-        "routes": list(payload["agreement_matrix"]["routes"]),
-        "matrix": [
-            [real_from_decimal(v, ctx) for v in row]
-            for row in payload["agreement_matrix"]["matrix"]
-        ],
-    }
-    for c in payload["convergence_records"]:
-        doc.convergence_records.append(
-            ConvergenceRecord(
-                route_id=c["route_id"],
-                parameter=c["parameter"],
-                parameter_value=c["parameter_value"],
-                estimate=real_from_decimal(c["estimate"], ctx),
-                abs_delta_vs_consensus=real_from_decimal(
-                    c["abs_delta_vs_consensus"], ctx
-                ),
-                error=c["error"],
-            )
-        )
-    return doc
+    info, matrix = payload["context_info"], payload["agreement_matrix"]
+    info["target_tolerance"] = real_from_decimal(info["target_tolerance"], ctx)
+    matrix["matrix"] = [[real_from_decimal(v, ctx) for v in row] for row in matrix["matrix"]]
+    for name, hint in get_type_hints(ReportDocument).items():
+        if get_args(hint):                      # list[<record type>]
+            (record_type,) = get_args(hint)
+            payload[name] = [_decode(record_type, e, ctx) for e in payload[name]]
+    return ReportDocument(**payload)

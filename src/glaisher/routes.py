@@ -705,7 +705,7 @@ def _identity_integral(
 
 def glaisher_identity_residual(
     ctx: ComputeContext,
-    log_a: Real | None = None,
+    log_a: Real,
     log2_coefficient: Real | None = None,
 ) -> IdentityResidual:
     """Residual of int_0^1/2 log Gamma(x+1) dx
@@ -714,8 +714,6 @@ def glaisher_identity_residual(
     ``log2_coefficient`` overrides the exact 7/24 for negative-control
     tests (a wrong coefficient must create a visible residual).
     """
-    if log_a is None:
-        log_a = route_feaux(ctx).value
 
     def residual(I, c):
         coeff = mpf(7) / 24 if log2_coefficient is None else mpf(log2_coefficient)
@@ -727,11 +725,10 @@ def glaisher_identity_residual(
     )
 
 
-def gla2_residual(ctx: ComputeContext, log_a: Real | None = None) -> IdentityResidual:
+def gla2_residual(ctx: ComputeContext, log_a: Real) -> IdentityResidual:
     """Residual of log A = (2/3) int_0^1/2 log Gamma(x) dx
-    - (5/36) log 2 - (log pi)/6 against the feaux route value."""
-    if log_a is None:
-        log_a = route_feaux(ctx).value
+    - (5/36) log 2 - (log pi)/6 against ``log_a`` (the feaux value by
+    contract)."""
     return _identity_integral(
         ctx, "gla2", "int_log_gamma_half",
         lambda x: log_gamma_ref(x, ctx),
@@ -766,9 +763,7 @@ def identity_residuals(
     ]
 
 
-def res2_measure_check(
-    ctx: ComputeContext, consensus: Real | None = None
-) -> IdentityResidual:
+def res2_measure_check(ctx: ComputeContext, consensus: Real) -> IdentityResidual:
     """Negative control for the dt-vs-dt/t measure question.
 
     The residual is the gap between the dt-variant value (over the fixed
@@ -777,8 +772,6 @@ def res2_measure_check(
     identity is wrong.
     """
     start = time.perf_counter()
-    if consensus is None:
-        consensus = consensus_log_a(ctx)
     dt_route = route_kummer(ctx, measure="dt")
     with ctx.workdps(10):
         residual = +abs(dt_route.value - consensus)

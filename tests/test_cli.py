@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
 
+import glaisher.cli
 import glaisher.report
 import glaisher.routes
-from glaisher import deserialize_report, make_context
+from glaisher import ReportDocument, deserialize_report, make_context, serialize
 from glaisher.cli import EXIT_CONFIG, EXIT_DISAGREE, EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +93,27 @@ class TestComputeCommand:
         else:
             assert "agree pairwise" in out
             assert "IDENTITY CHECKS FAILED:\n  glaisher_half: residual = " in out
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_raising_identity_pass_exits_two(self, capsys, monkeypatch, output):
+        # With no consensus the dt control cannot run: the identity pass
+        # fails as a whole, which is a numerical failure, not a refusal.
+        def no_consensus(*args, **kwargs):
+            raise glaisher.routes.ConsensusError("feaux and kummer disagree")
+
+        monkeypatch.setattr(glaisher.report, "consensus_log_a", no_consensus)
+        code, out, _ = run_cli(
+            capsys,
+            "compute", "--digits", "25", "--routes", "feaux,kummer",
+            "--output", output,
+        )
+        assert code == EXIT_DISAGREE
+        if output == "json":
+            doc = deserialize_report(out.encode(), make_context(25))
+            assert [f.route_id for f in doc.failures] == ["identity_checks"]
+            assert doc.exit_code == EXIT_DISAGREE
+        else:
+            assert "identity_checks  FAILED: feaux and kummer disagree" in out
 
     def test_json_output_parses_with_own_parser(self, capsys):
         code, out, _ = run_cli(
@@ -192,6 +220,24 @@ class TestConvergenceCommand:
         assert code == EXIT_CONFIG
         assert "grid" in err
 
+    def test_output_is_the_report_csv(self, capsys, monkeypatch):
+        # hasse at N = 60 needs 39 digits, so the second row is an error row.
+        studied = []
+
+        def recording(*args, **kwargs):
+            studied.extend(glaisher.report.convergence_study(*args, **kwargs))
+            return studied
+
+        monkeypatch.setattr(glaisher.cli, "convergence_study", recording)
+        code, out, _ = run_cli(
+            capsys, "convergence", "--digits", "25", "--route", "hasse", "--grid", "10,60"
+        )
+        assert code == EXIT_OK
+        assert [r.error is None for r in studied] == [True, False]
+        doc = ReportDocument(context_info={"precision_digits": 25}, convergence_records=studied)
+        assert out.encode() == serialize(doc, "csv")
+        assert out.splitlines()[2] == "hasse,n_terms,60,,"
+
 
 class TestFlagSurface:
     def test_help_lists_every_flag(self, capsys):
@@ -229,7 +275,51 @@ class TestFlagSurface:
         assert code == EXIT_OK
         assert "at 25 digits" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--output", "json"],
+            ["convergence", "--route", "limit", "--grid", "16", "--output", "json"],
+            ["compute", "--output", "csv"],
+            ["compute", "--digits", "abc"],
+        ],
+        ids=["verify-json", "convergence-json", "compute-csv", "digits-abc"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        # argparse's own exit code, 2, is the disagreement code here.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "error:" in err
+
     def test_digits_below_minimum_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--digits", "10", "--routes", "feaux")
         assert code == EXIT_CONFIG
         assert "precision too low" in err
+
+
+class TestProcessExitCodes:
+    """The exit codes a shell sees, from ``python -m glaisher.cli``."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["compute", "--output", "xml"], EXIT_CONFIG),
+            (["--help"], EXIT_OK),
+            (["compute", "--digits", "20", "--routes", "feaux,hasse"], EXIT_CONFIG),
+            (["compute", "--digits", "25", "--routes", "kummer,feaux",
+              "--res2-measure", "dt"], EXIT_DISAGREE),
+        ],
+        ids=["usage-error", "help", "hasse-refuses", "dt-control"],
+    )
+    def test_exit_code(self, argv, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "glaisher.cli", *argv], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr

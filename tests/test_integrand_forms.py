@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from glaisher import make_context, routes
+from glaisher.loggamma import dirichlet_integrand, kummer_integrand
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
 from glaisher.routes import pain1_integrand, pain2_integrand, res1_integrand, res2_integrand
 from glaisher.smallt import cancellation_guard
@@ -93,6 +94,7 @@ def _near_zero_forms(ctx):
         "res1": res1_integrand(ctx),
         "res2_dt_over_t": res2_integrand(ctx, "dt_over_t"),
         "res2_dt": res2_integrand(ctx, "dt"),
+        "dirichlet": dirichlet_integrand(ctx),
     }
 
 
@@ -113,10 +115,7 @@ def test_near_zero_forms_call_no_transcendental(monkeypatch):
                 assert mpmath.isfinite(integrand.near_zero(t)), name
 
 
-@pytest.mark.parametrize("name", list(LITERAL_FORMS))
-def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
-    ctx = make_context(50)
-    integrand = LITERAL_FORMS[name][0](ctx)
+def _count_transcendentals(monkeypatch):
     calls = {fn: 0 for fn in TRANSCENDENTALS}
 
     def counting(fn, original):
@@ -127,6 +126,14 @@ def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
 
     for fn in TRANSCENDENTALS:
         monkeypatch.setattr(mpmath, fn, counting(fn, getattr(mpmath, fn)))
+    return calls
+
+
+@pytest.mark.parametrize("name", list(LITERAL_FORMS))
+def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
+    ctx = make_context(50)
+    integrand = LITERAL_FORMS[name][0](ctx)
+    calls = _count_transcendentals(monkeypatch)
     for text in RAW_GRID + ["1e6"]:
         for fn in calls:
             calls[fn] = 0
@@ -134,6 +141,20 @@ def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
             integrand.eval(mpf(text))
         assert calls["exp"] <= 1, f"{name} at t = {text}: {calls}"
         assert sum(calls.values()) == calls["exp"], f"{name} at t = {text}: {calls}"
+
+
+@pytest.mark.parametrize("x", ["0.25", "0.75"])
+def test_kummer_raw_form_takes_two_exps_and_no_sinh(x, monkeypatch):
+    ctx = make_context(50)
+    integrand = kummer_integrand(mpf(x), ctx)
+    calls = _count_transcendentals(monkeypatch)
+    for text in RAW_GRID + ["1e6"]:
+        for fn in calls:
+            calls[fn] = 0
+        with ctx.workdps(20):
+            integrand.eval(mpf(text))
+        assert calls["exp"] <= 2, f"x = {x} at t = {text}: {calls}"
+        assert sum(calls.values()) == calls["exp"], f"x = {x} at t = {text}: {calls}"
 
 
 def _old_guard(t, digits_per_decade):

@@ -17,7 +17,6 @@ from glaisher import (
     fourier_a_n,
     kummer_fourier_log_gamma,
     kummer_log_gamma,
-    log_barnes_g,
     log_gamma_ref,
     make_context,
 )
@@ -257,35 +256,3 @@ class TestDirichletGamma:
     def test_error_estimate_positive(self, ctx50):
         _, result = dirichlet_gamma(ctx50, full=True)
         assert result.error_estimate > 0
-
-
-class TestBarnesG:
-    def test_z_one_is_zero(self, ctx50):
-        # needs int_0^1 log Gamma = (1/2) log 2pi: quadrature + oracle
-        # self-consistency
-        assert abs(log_barnes_g(mpf(1), ctx50)) < mpf(10) ** -40
-
-    def test_continuity_at_zero(self, ctx50):
-        value = log_barnes_g(mpf("1e-6"), ctx50)
-        assert abs(value) < mpf("1e-5")
-
-    def test_half_consistent_with_gla2_identity(self, ctx50, routes50):
-        # log A = (2/3) int_0^1/2 log Gamma - (5/36) log 2 - (log pi)/6,
-        # with the integral recovered from log G(1+z) at z = 1/2
-        z = mpf(1) / 2
-        g_half = log_barnes_g(z, ctx50)
-        with ctx50.workdps(10):
-            lg_half = log_gamma_ref(z, ctx50)
-            integral = z * (1 - z) / 2 + z / 2 * ctx50.constants.log_2pi + z * lg_half - g_half
-            log_a = (
-                mpf(2) / 3 * integral
-                - mpf(5) / 36 * ctx50.constants.log2
-                - ctx50.constants.log_pi / 6
-            )
-        assert abs_diff(log_a, routes50["feaux"].value) < mpf(10) ** -38
-
-    def test_domain(self, ctx50):
-        with pytest.raises(DomainError):
-            log_barnes_g(mpf(0), ctx50)
-        with pytest.raises(DomainError):
-            log_barnes_g(mpf("1.5"), ctx50)

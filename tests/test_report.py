@@ -12,6 +12,7 @@ import glaisher.report
 import glaisher.routes
 from glaisher import (
     ConfigError,
+    RouteFailure,
     convergence_study,
     deserialize_report,
     make_context,
@@ -243,6 +244,38 @@ class TestSerialization:
         raw = serialize(doc, "csv").decode()
         lines = [line for line in raw.splitlines() if line]
         assert len(lines) == 1 + len(doc.convergence_records)
+
+    def test_json_re_serializes_byte_for_byte(self, ctx, monkeypatch):
+        # A refused route, a raising identity pass and an error row: every
+        # record type and every optional field the document can carry.
+        records = convergence_study("hasse", [10, 60], ctx)
+
+        def no_consensus(*args, **kwargs):
+            raise glaisher.routes.ConsensusError("feaux and kummer disagree")
+
+        monkeypatch.setattr(glaisher.report, "consensus_log_a", no_consensus)
+        doc = run_all(ctx, ["feaux", "hasse"], params={"hasse_n": 60})
+        doc.convergence_records = records
+        assert [(f.route_id, f.refused) for f in doc.failures] == [
+            ("hasse", True), ("identity_checks", False)
+        ]
+        assert [r.error is None for r in records] == [True, False]
+        raw = serialize(doc, "json")
+        back = deserialize_report(raw, ctx)
+        assert serialize(back, "json") == raw
+        assert back.exit_code == doc.exit_code == glaisher.report.EXIT_DISAGREE
+
+    def test_exit_code_reads_failures_and_residuals(self, small_report, ctx):
+        report = glaisher.report
+        doc = deserialize_report(serialize(small_report, "json"), ctx)
+        assert doc.exit_code == report.EXIT_OK
+        doc.failures = [RouteFailure("hasse", "insufficient precision for hasse", refused=True)]
+        assert doc.exit_code == report.EXIT_CONFIG
+        doc.failures.append(RouteFailure("identity_checks", "no consensus"))
+        assert doc.exit_code == report.EXIT_DISAGREE
+        doc.failures = []
+        doc.residuals[0].residual = 2 * doc.residuals[0].tolerance_used
+        assert doc.exit_code == report.EXIT_DISAGREE
 
     def test_unknown_format_rejected(self, small_report):
         with pytest.raises(ConfigError):
