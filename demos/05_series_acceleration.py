@@ -3,8 +3,9 @@
 The series log A = (log 2)/36 + (gamma + log 2pi)/12
 + (2/(3 pi^2)) sum log(2n+1)/(2n+1)^2 converges like log(N)/N: a hundred
 thousand raw terms buy five digits.  The Euler-Maclaurin tail correction
-(integral + Bernoulli terms through B6 with analytic derivatives) turns
-one hundred terms into twenty digits.
+(integral + as many Bernoulli terms as the precision needs, with the
+derivatives from a two-term integer recurrence) turns one hundred terms
+into full working precision, up to about 275 digits.
 
     python demos/05_series_acceleration.py
 """
@@ -24,7 +25,7 @@ for n in (100, 1000, 10000):
         scale = err * n / mpmath.log(n)
     print(f"  N = {n:6d}: error {mpmath.nstr(err, 3)}   error*N/log(N) = {mpmath.nstr(scale, 3)}")
 
-print("\naccelerated (Euler-Maclaurin tail through B6):")
+print("\naccelerated (Euler-Maclaurin tail, Bernoulli terms up to the precision or the turn):")
 for n in (10, 30, 100):
     est = route_fourier_series(ctx, n_terms=n, accelerate=True)
     with ctx.workdps(10):
@@ -32,4 +33,5 @@ for n in (10, 30, 100):
     print(f"  N = {n:6d}: error {mpmath.nstr(err, 3)}   (estimate {mpmath.nstr(est.error_estimate, 3)})")
 
 print("\nthe near-constant error*N/log(N) column is the measured Theta(log N / N) scale;")
-print("acceleration buys ~15 digits at N = 100 for three closed-form correction terms.")
+print("at N = 100 the tail reaches the 50-digit working precision in 15 Bernoulli terms;")
+print("at N = 10 the asymptotic series turns near 1e-30, and the estimate says so.")

@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--accelerate",
         dest="fourier_accelerate",
         action=argparse.BooleanOptionalAction,
-        help="apply the Euler-Maclaurin tail correction to the series route",
+        help="add the Euler-Maclaurin tail to the series route, with as many "
+        "Bernoulli terms as the precision needs (default on)",
     )
     compute.add_argument("--hasse-n", type=int, help="outer-sum length for the hasse route")
     compute.add_argument(

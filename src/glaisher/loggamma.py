@@ -32,8 +32,8 @@ Also here: the Dirichlet integral for Euler's constant, the quadrature
 cross-check of the context's reference gamma.
 
 Kummer's raw form reads sinh(t/2) and e^-t off one q = e^(-t/2), two
-exps in all, and the Feaux and Dirichlet near-zero forms call no
-transcendental of t: they are sums on the kernel.
+exps in all, and no near-zero form calls a transcendental of t: each is
+a sum of series on the kernel.
 """
 
 from __future__ import annotations
@@ -185,17 +185,26 @@ def _kummer_numerator_over_t2(a: mpf) -> PowerSeries:
     return PowerSeries(coefficient)
 
 
+def _t_over_sinh_half_coefficient(k: int) -> mpf:
+    # t/sinh(t/2) = sum_k c_k t^2k, from x/sinh x = sum_k (2 - 4^k) B_2k x^2k/(2k)!
+    p, q = mpmath.bernfrac(2 * k)
+    return mpf(2 * (2 - 4 ** k) * p) / (q * factorial(2 * k) * 4 ** k)
+
+
+_T_OVER_SINH_HALF = PowerSeries(_t_over_sinh_half_coefficient)
+
+
 def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     """Integrand of the Kummer formula at parameter x.
 
     Both bracket terms approach 1-2x at t = 0.  The near-zero form expands
     N(t) = sinh(at) - 2a e^-t sinh(t/2) (a = 1/2 - x) as one power series
-    sum_{j>=2} c_j t^j whose O(t) coefficients cancel exactly, then divides
-    by t sinh(t/2).  The coefficients depend on a, so each call builds its
-    own :class:`~glaisher.smallt.PowerSeries`; at x = 1/2 they all vanish
-    and the series is an exact 0.  Near x = 1/2 its leading coefficient,
-    c_2 = a, is small; the kernel's c_0 shift keeps it at full relative
-    precision.
+    sum_{j>=2} c_j t^j whose O(t) coefficients cancel exactly, times the
+    series of t/sinh(t/2) in t^2.  The coefficients of N depend on a, so
+    each call builds its own :class:`~glaisher.smallt.PowerSeries`; at
+    x = 1/2 they all vanish and the series is an exact 0.  Near x = 1/2
+    its leading coefficient, c_2 = a, is small; the kernel's c_0 shift
+    keeps it at full relative precision.
     """
     with ctx.workdps(20):
         x = mpf(x)
@@ -223,7 +232,7 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     numerator_over_t2 = _kummer_numerator_over_t2(a)
 
     def series(t):
-        return t * numerator_over_t2(t) / mpmath.sinh(t / 2)
+        return numerator_over_t2(t) * _T_OVER_SINH_HALF(t * t)
 
     return Integrand(
         eval=raw,
@@ -268,8 +277,8 @@ def fourier_a_n_integrand(n: int, ctx: ComputeContext) -> Integrand:
 
     Near zero the two bracket terms both approach 1/(2 n pi); the rewrite
     -t/(2 n pi (t^2 + 4 n^2 pi^2)) - expm1(-t)/(2 n pi t) subtracts them
-    analytically.  (That split itself cancels for large t, so it is used
-    only below the threshold.)
+    analytically, -expm1(-t)/t = 1 - (1 + expm1(-t)/t) on the kernel.
+    (That split cancels for large t, so it is used only near zero.)
     """
     with ctx.workdps(10):
         two_n_pi = 2 * n * (+mpmath.pi)
@@ -281,7 +290,7 @@ def fourier_a_n_integrand(n: int, ctx: ComputeContext) -> Integrand:
             return +(bracket / t)
 
     def series(t):
-        return -t / (two_n_pi * (t * t + four_n2_pi2)) - mpmath.expm1(-t) / (two_n_pi * t)
+        return (1 - one_plus_em1z_over_z(t) - t / (t * t + four_n2_pi2)) / two_n_pi
 
     return Integrand(
         eval=raw,

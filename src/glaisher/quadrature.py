@@ -324,28 +324,44 @@ def _extrapolated_below(delta1, delta2, log_tol):
     return max(d1 * d1 / d2, 2 * d1) <= log_tol - 1
 
 
-def _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol):
-    # Tail truncation of the scans: each side stopped once terms fell
-    # below ``cutoff``; the remainder dies double-exponentially, so a few
-    # multiples of the cutoff bound it.  The floor keeps the estimate from
-    # ever understating plain round-off at the working precision.
-    floor = mpf(10) ** (-(ctx.precision_digits + 1)) * max(mpf(1), abs(value))
-    estimate = delta + 8 * cutoff + floor
-    if converged and estimate > tol:
-        # Two ways to get here.  After a plain stop (delta <= tol) only the
-        # padding can push the sum over, and it sits ten digits below tol.
-        # After an extrapolated stop delta is the error of the previous
-        # level, not of this one; the stop certifies tol, so tol is what is
-        # reported -- never the extrapolated figure, which can understate
-        # the true error.
-        estimate = +tol
-    return QuadratureResult(
-        value=value,
-        error_estimate=estimate,
-        evaluations=evaluations,
-        levels_used=levels,
-        converged=converged,
-    )
+def _integrate(f, tol, ctx, nodes):
+    """The body of both entry points: check ``ctx`` and ``tol``, run the
+    level loop on ``nodes(cutoff)`` (centre and ``pair``) at 20 guard
+    digits, and state the estimate."""
+    if ctx is None:
+        raise ValueError("a ComputeContext is required")
+    if tol is None:
+        tol = ctx.target_tolerance
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+
+    with ctx.workdps(20):
+        cutoff = mpf(10) ** (-(ctx.precision_digits + 10))
+        centre, pair = nodes(cutoff)
+        value, delta, evaluations, levels, converged = _run_levels(
+            f, centre, pair, tol, ctx, cutoff
+        )
+        # Tail truncation of the scans: each side stopped once terms fell
+        # below ``cutoff``; the remainder dies double-exponentially, so a
+        # few multiples of the cutoff bound it.  The floor keeps the
+        # estimate from ever understating plain round-off at the working
+        # precision.
+        floor = mpf(10) ** (-(ctx.precision_digits + 1)) * max(mpf(1), abs(value))
+        estimate = delta + 8 * cutoff + floor
+        if converged and estimate > tol:
+            # Two ways to get here.  After a plain stop (delta <= tol) only
+            # the padding can push the sum over, and it sits ten digits
+            # below tol.  After an extrapolated stop delta is the error of
+            # the previous level, not of this one; the stop certifies tol,
+            # so tol is what is reported -- never the extrapolated figure.
+            estimate = +tol
+        return QuadratureResult(
+            value=value,
+            error_estimate=estimate,
+            evaluations=evaluations,
+            levels_used=levels,
+            converged=converged,
+        )
 
 
 def _exp_sinh_nodes(skip_below):
@@ -396,24 +412,10 @@ def integrate_zero_to_inf(
     tol: Real | None = None,
     ctx: ComputeContext | None = None,
 ) -> QuadratureResult:
-    """Integrate f over (0, inf) with the exp-sinh transform."""
-    if ctx is None:
-        raise ValueError("a ComputeContext is required")
-    if tol is None:
-        tol = ctx.target_tolerance
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-
-    with ctx.workdps(20):
-        cutoff = mpf(10) ** (-(ctx.precision_digits + 10))
-        # Safe short-circuit on the t -> 0 side only: every project
-        # integrand has a finite limit there (spec invariant), so the
-        # vanishing weight alone kills the term.
-        centre, pair = _exp_sinh_nodes(skip_below=cutoff / 8)
-        value, delta, evaluations, levels, converged = _run_levels(
-            f, centre, pair, tol, ctx, cutoff
-        )
-        return _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol)
+    """Integrate f over (0, inf) with the exp-sinh transform.  Every project
+    integrand has a finite limit at t = 0, so a vanishing weight on that
+    side alone kills the term, and it is not evaluated."""
+    return _integrate(f, tol, ctx, lambda cutoff: _exp_sinh_nodes(skip_below=cutoff / 8))
 
 
 def integrate_finite(
@@ -429,20 +431,9 @@ def integrate_finite(
     evaluated at the endpoints themselves, and abscissae are carried as
     exact offsets from the nearer endpoint.
     """
-    if ctx is None:
-        raise ValueError("a ComputeContext is required")
-    if tol is None:
-        tol = ctx.target_tolerance
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-
-    with ctx.workdps(20):
-        cutoff = mpf(10) ** (-(ctx.precision_digits + 10))
-        centre, pair = _tanh_sinh_nodes(mpf(a), mpf(b))
-        value, delta, evaluations, levels, converged = _run_levels(
-            f, centre, pair, tol, ctx, cutoff
-        )
-        return _finish(ctx, value, delta, evaluations, levels, converged, cutoff, tol)
+    return _integrate(f, tol, ctx, lambda cutoff: _tanh_sinh_nodes(mpf(a), mpf(b)))
 
 
 def error_model_check(

@@ -291,30 +291,15 @@ def convergence_study(
 
     records = []
     for value in grid:
+        record = ConvergenceRecord(route_id, param_name, value, mpf(0), mpf(0))
         try:
             estimate = _route_runner(route_id, ctx, {**merged, key: value})
             with ctx.workdps(10):
-                delta = +abs(estimate.value - consensus)
-            records.append(
-                ConvergenceRecord(
-                    route_id=route_id,
-                    parameter=param_name,
-                    parameter_value=value,
-                    estimate=estimate.value,
-                    abs_delta_vs_consensus=delta,
-                )
-            )
+                record.abs_delta_vs_consensus = +abs(estimate.value - consensus)
+            record.estimate = estimate.value
         except Exception as exc:
-            records.append(
-                ConvergenceRecord(
-                    route_id=route_id,
-                    parameter=param_name,
-                    parameter_value=value,
-                    estimate=mpf(0),
-                    abs_delta_vs_consensus=mpf(0),
-                    error=str(exc),
-                )
-            )
+            record.error = str(exc)
+        records.append(record)
     return records
 
 

@@ -31,9 +31,8 @@ kummer          log A = (log 2)/36 + (1/3) int [tanh(t/4)/t - e^-t/4] dt/t.
 fourier_series  log A = (log 2)/36 + (gamma + log 2pi)/12
                 + (2/(3 pi^2)) sum_{n>=0} log(2n+1)/(2n+1)^2; raw partial
                 sums converge like log N / N, so an Euler-Maclaurin tail
-                correction (Bernoulli terms through B6, derivatives of
-                f(n) = log(2n+1)/(2n+1)^2 computed analytically) makes the
-                series usable at desk scale.
+                correction is added, with as many Bernoulli terms as the
+                precision needs (up to about 275 digits at N = 100).
 hasse           log A = 1/8 - (1/2) sum_n 1/(n+1)
                 sum_k (-1)^k C(n,k) (k+1)^2 log(k+1).  The inner sum is
                 (-1)^n Delta^n f(0) for f(k) = (k+1)^2 log(k+1), read off
@@ -65,6 +64,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil, factorial, isqrt
 from typing import Callable, Literal
 
@@ -474,30 +474,43 @@ def _fourier_term(n: int) -> mpf:
     return mpmath.log(u) / (u * u)
 
 
-def _em_tail(n_from: int) -> tuple[mpf, mpf]:
-    """Euler-Maclaurin tail of sum_{n>=N} log(2n+1)/(2n+1)^2 and its error.
+def _log_over_square_derivatives():
+    """Yield the integers (a_m, b_m), m = 0, 1, 2, ..., of
+    d^m/du^m (log u / u^2) = (a_m + b_m log u) / u^(m+2):
+    a_0 = 0, b_0 = 1, a_(m+1) = b_m - (m+2) a_m, b_(m+1) = -(m+2) b_m."""
+    a, b, m = 0, 1, 0
+    while True:
+        yield a, b
+        a, b, m = b - (m + 2) * a, -(m + 2) * b, m + 1
 
-    With u = 2N+1 and derivatives of f(n) = log(2n+1)/(2n+1)^2 taken
-    analytically (f^{(k)}(n) = 2^k (a_k + b_k log u)/u^{k+2}):
 
-        tail = (log u + 1)/(2u) + f(N)/2 - B2/2! f'(N)
-               - B4/4! f'''(N) - B6/6! f^{(5)}(N)
+def _em_tail(n_from: int, digits: int) -> tuple[mpf, mpf]:
+    """Euler-Maclaurin tail of sum_{n>=N} f(n), f(n) = log(2n+1)/(2n+1)^2,
+    and the bound of its first omitted term.
 
-    The returned error bound is the magnitude of the first omitted
-    (B8/8! f^{(7)}) term.
+    With u = 2N+1, tail = (log u + 1)/(2u) + f(N)/2 - sum_k B_2k/(2k)!
+    f^(2k-1)(N), and f^(m)(N) = 2^m (a_m + b_m log u)/u^(m+2).  Terms are
+    taken while their bound |B_2k|/(2k)! 2^m (|a_m| + |b_m| log u)/u^(m+2)
+    falls and stays above 10^-(digits+5).  The bound, because the signed
+    term dips where a_m + b_m log u changes sign, long before the
+    asymptotic series turns (at k = 316 for N = 100, error about 4e-277).
     """
     u = mpf(2 * n_from + 1)
     lu = mpmath.log(u)
     tail = (lu + 1) / (2 * u) + lu / (2 * u * u)
-    # -B2/2! f' = -(1/6)/2 * 2 (1 - 2 log u)/u^3
-    tail -= mpf(1) / 12 * 2 * (1 - 2 * lu) / u ** 3
-    # -B4/4! f''' = +(1/30)/24 * 8 (26 - 24 log u)/u^5
-    tail += mpf(1) / 720 * 8 * (26 - 24 * lu) / u ** 5
-    # -B6/6! f^{(5)} = -(1/42)/720 * 32 (1044 - 720 log u)/u^7
-    tail -= mpf(1) / 30240 * 32 * (1044 - 720 * lu) / u ** 7
-    # first omitted term: B8/8! f^{(7)} with f^{(7)} = 128 (69264 - 40320 log u)/u^9
-    omitted = abs(mpf(1) / 1209600 * 128 * (69264 - 40320 * lu) / u ** 9)
-    return tail, omitted
+    small = mpf(10) ** -(digits + 5)
+    power = 2 / u ** 3                    # 2^m / u^(m+2) at m = 1
+    last = mpmath.inf
+    odd = islice(_log_over_square_derivatives(), 1, None, 2)
+    for k, (a, b) in enumerate(odd, 1):
+        p, q = mpmath.bernfrac(2 * k)
+        scale = power * p / (q * factorial(2 * k))
+        bound = abs(scale) * (abs(a) + abs(b) * lu)
+        if not small < bound < last:
+            return tail, bound
+        tail -= scale * (a + b * lu)
+        last = bound
+        power *= 4 / (u * u)
 
 
 def route_fourier_series(
@@ -508,8 +521,8 @@ def route_fourier_series(
     ``accelerate=False`` returns the raw partial sum over n < N (error
     estimate: an upper bound on the dropped tail, which really is the
     error -- the raw series converges like log N / N).  With acceleration
-    the Euler-Maclaurin tail correction is added and the estimate is the
-    first omitted Bernoulli term.
+    the tail of :func:`_em_tail` is added and the estimate is its first
+    omitted term's bound; N caps the accuracy (about 275 digits at N = 100).
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
@@ -521,7 +534,7 @@ def route_fourier_series(
             partial += _fourier_term(n)
         series_coeff = 2 / (3 * (+mpmath.pi) ** 2)
         if accelerate:
-            tail, omitted = _em_tail(n_terms)
+            tail, omitted = _em_tail(n_terms, ctx.precision_digits)
             series_sum = partial + tail
             err = series_coeff * omitted
         else:

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from glaisher import make_context, routes
-from glaisher.loggamma import dirichlet_integrand, kummer_integrand
+from glaisher.loggamma import dirichlet_integrand, fourier_a_n_integrand, kummer_integrand
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
 from glaisher.routes import pain1_integrand, pain2_integrand, res1_integrand, res2_integrand
 from glaisher.smallt import cancellation_guard
@@ -95,6 +95,8 @@ def _near_zero_forms(ctx):
         "res2_dt_over_t": res2_integrand(ctx, "dt_over_t"),
         "res2_dt": res2_integrand(ctx, "dt"),
         "dirichlet": dirichlet_integrand(ctx),
+        "kummer(x=1/4)": kummer_integrand(mpf(1) / 4, ctx),
+        "fourier_a_n(n=3)": fourier_a_n_integrand(3, ctx),
     }
 
 

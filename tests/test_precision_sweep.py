@@ -6,9 +6,10 @@ without a traceback and exit 0, or 1 when a route refuses the precision
 by name (hasse at its default N = 80 needs 45 digits).  Each estimate's
 true error, against the test-only log A = 1/12 - zeta'(-1), must be
 within ten times its error estimate, and each identity residual within
-its tolerance (the dt measure control outside its 0.01 floor).  400
-digits is left out to keep the suite's time down: ``compute`` alone
-takes about a minute there.
+its tolerance (the dt measure control outside its 0.01 floor).  The
+Fourier series route, at its default N = 100, must also be at full
+precision: estimate within 10^-(P-10).  400 digits is left out to keep
+the suite's time down: ``compute`` alone takes about a minute there.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def test_compute_and_verify_hold_their_contracts(digits, capsys, tmp_path):
             if not abs(e.value - log_a) <= 10 * e.error_estimate
         ]
     assert not misses, misses
+    fourier = next(e for e in doc.estimates if e.route_id == "fourier_series")
+    assert fourier.error_estimate <= mpf(10) ** -(digits - 10)
 
     residuals = {r.identity_id: r for r in doc.residuals}
     assert sorted(residuals) == sorted(IDENTITY_IDS)

@@ -187,6 +187,15 @@ class TestErrorModel:
         assert report.violations[0].label == "exp_decay"
 
 
+class TestToleranceCheck:
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_both_entry_points_reject_a_non_positive_tolerance(self, ctx30, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            integrate_zero_to_inf(exp_decay(), tol=tol, ctx=ctx30)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            integrate_finite(inv_sqrt(), mpf(0), mpf(1), tol=tol, ctx=ctx30)
+
+
 class TestLinearity:
     def test_linear_combination_matches(self, ctx50):
         f = exp_decay()

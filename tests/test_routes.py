@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 
 import mpmath
@@ -28,7 +29,12 @@ from glaisher import (
     route_pain2,
 )
 from glaisher.quadrature import integrate_finite, integrate_zero_to_inf
-from glaisher.routes import _hasse_partial_sums, pain1_integrand, pain2_integrand
+from glaisher.routes import (
+    _hasse_partial_sums,
+    _log_over_square_derivatives,
+    pain1_integrand,
+    pain2_integrand,
+)
 
 from conftest import abs_diff, rel_diff
 
@@ -215,6 +221,41 @@ class TestFourierSeriesRoute:
     def test_domain(self, ctx30):
         with pytest.raises(DomainError):
             route_fourier_series(ctx30, n_terms=0)
+
+
+def _fourier_true_error(est, digits):
+    # tests-only oracle: log A = 1/12 - zeta'(-1)
+    with mp.workdps(digits + 20):
+        return abs(est.value - (mpf(1) / 12 - mpmath.zeta(-1, derivative=1)))
+
+
+class TestEulerMaclaurinTail:
+    def test_recurrence_gives_the_odd_derivative_constants(self):
+        # f^(m) = 2^m (a_m + b_m log u)/u^(m+2) at m = 1, 3, 5, 7: the
+        # constants of the B2..B8 terms derived by hand
+        odd = list(islice(_log_over_square_derivatives(), 8))[1::2]
+        assert odd == [(1, -2), (26, -24), (1044, -720), (69264, -40320)]
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_full_precision_at_n100(self, digits):
+        est = route_fourier_series(make_context(digits), n_terms=100)
+        true_error = _fourier_true_error(est, digits)
+        with mp.workdps(digits + 20):
+            assert true_error <= 10 * est.error_estimate
+            assert est.error_estimate <= mpf(10) ** -(digits - 10)
+
+    def test_stops_at_the_turn(self, monkeypatch):
+        # N = 10 cannot reach 50 digits: the term bound turns at k = 34,
+        # where the error is near 5e-31; the tail stops there and says so.
+        calls = []
+        bernfrac = mpmath.bernfrac
+        monkeypatch.setattr(mpmath, "bernfrac", lambda n: calls.append(n) or bernfrac(n))
+        est = route_fourier_series(make_context(50), n_terms=10)
+        assert calls == [2 * k for k in range(1, 35)]
+        true_error = _fourier_true_error(est, 50)
+        with mp.workdps(70):
+            assert true_error <= 10 * est.error_estimate
+            assert mpf(10) ** -40 < est.error_estimate < mpf(10) ** -28
 
 
 class TestHasseRoute:
