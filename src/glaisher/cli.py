@@ -6,9 +6,9 @@ Exit codes follow the verification-tool contract:
   times the sum of their error estimates and every identity check
   passes; verify: all identity residuals below tolerance).
 * 1 -- configuration error: a usage error (an unknown flag or a bad flag
-  value), an unknown route, an empty grid, too few digits, or a route
-  that refused the requested precision or parameters while every route
-  that ran agreed.
+  value), an unknown route, an empty grid, too few digits, an ``--out``
+  path that cannot be written, or a route that refused the requested
+  precision or parameters while every route that ran agreed.
 * 2 -- numerical disagreement (a route pair out of tolerance, a residual
   above tolerance) or a failure that is not a refusal, of a route or of
   the identity pass.
@@ -17,10 +17,12 @@ The CLI holds no verdict and no document layout of its own: each command
 parses its arguments, makes one call and prints.  ``compute`` prints
 ``run_all``'s report as text or JSON (``--output``) and exits with
 ``ReportDocument.exit_code``; its parameter defaults come from
-``report.DEFAULT_PARAMS``.  ``verify`` prints ``routes.identity_residuals``,
+``report.DEFAULT_PARAMS``.  ``verify`` prints ``report.identity_report``,
 the same identity pass ``run_all`` makes, without the other routes, the
-consensus or the dt control, each with its ``IdentityResidual.passed``
-verdict.  ``convergence`` always writes the report's CSV table of its
+consensus or the dt control, each residual with its
+``IdentityResidual.passed`` verdict, and exits with the same
+``ReportDocument.exit_code``, so a raising pass exits 2 as in
+``compute``.  ``convergence`` always writes the report's CSV table of its
 ``convergence_study`` records.
 
 Values in text mode are truncated to (digits - 10) displayed digits so
@@ -46,10 +48,11 @@ from .report import (
     ConfigError,
     ReportDocument,
     convergence_study,
+    identity_report,
     run_all,
     serialize,
 )
-from .routes import ROUTE_IDS, identity_residuals, route_feaux
+from .routes import ROUTE_IDS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,8 +156,11 @@ def _resolve_digits(args) -> int:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -175,8 +181,7 @@ def cmd_compute(args, ctx) -> int:
             f"   (error est {mpmath.nstr(e.error_estimate, 3)}, "
             f"{e.evaluations} evaluations, {e.elapsed:.2f}s)"
         )
-    for f in doc.failures:
-        lines.append(f"  {f.route_id:16s} {'REFUSED' if f.refused else 'FAILED'}: {f.error}")
+    lines += _failure_lines(doc)
     lines.append("pairwise |difference| matrix:")
     ids = doc.agreement_matrix["routes"]
     for rid, row in zip(ids, doc.agreement_matrix["matrix"]):
@@ -203,22 +208,30 @@ def cmd_compute(args, ctx) -> int:
     return doc.exit_code
 
 
+def _failure_lines(doc: ReportDocument) -> list[str]:
+    return [
+        f"  {f.route_id:16s} {'REFUSED' if f.refused else 'FAILED'}: {f.error}"
+        for f in doc.failures
+    ]
+
+
 def cmd_verify(args, ctx) -> int:
     corruption = mpf(7) / 25 if args.corrupt_constant else None
-    residuals = identity_residuals(ctx, route_feaux(ctx).value, corruption)
+    doc = identity_report(ctx, corruption)
     lines = [
         f"identity residuals at {ctx.precision_digits} digits "
         f"(tolerance {mpmath.nstr(ctx.target_tolerance, 3)}):"
     ]
-    for r in residuals:
+    for r in doc.residuals:
         lines.append(
             f"  {r.identity_id:16s} residual = {mpmath.nstr(r.residual, 4):>12s}  "
             f"{'ok' if r.passed else 'EXCEEDS TOLERANCE'}"
         )
+    lines += _failure_lines(doc)
     if args.corrupt_constant:
         lines.append("  (ran with the deliberately corrupted 7/25 coefficient)")
     _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all(r.passed for r in residuals) else EXIT_DISAGREE
+    return doc.exit_code
 
 
 def cmd_convergence(args, ctx) -> int:

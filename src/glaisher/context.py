@@ -78,7 +78,6 @@ class ComputeContext:
 
     precision_digits: int
     target_tolerance: Real
-    quad_max_level: int = 12
     _constants: ConstantsSet | None = field(default=None, repr=False)
 
     @property
@@ -92,7 +91,7 @@ class ComputeContext:
         return mp.workdps(self.precision_digits + extra)
 
 
-def make_context(precision_digits: int = 50, quad_max_level: int = 12) -> ComputeContext:
+def make_context(precision_digits: int = 50) -> ComputeContext:
     """Build a context; constants stay unevaluated until first access.
 
     The default target tolerance is 10^-(P-10): ten guard digits between
@@ -105,11 +104,7 @@ def make_context(precision_digits: int = 50, quad_max_level: int = 12) -> Comput
         )
     with mp.workdps(precision_digits + 5):
         tol = mpf(10) ** (-(precision_digits - 10))
-    return ComputeContext(
-        precision_digits=precision_digits,
-        target_tolerance=tol,
-        quad_max_level=quad_max_level,
-    )
+    return ComputeContext(precision_digits=precision_digits, target_tolerance=tol)
 
 
 def compute_constants(ctx: ComputeContext) -> ConstantsSet:

@@ -13,7 +13,7 @@ Two transforms cover every integral in the project:
 Both run the trapezoid rule with level doubling (h = 2^-level), reusing
 all previous evaluations; a level's new contribution comes from the odd
 multiples of the new step.  Convergence is declared when successive levels
-differ by less than the requested tolerance, or one level earlier, when
+differ by less than the context's target tolerance, or one level earlier, when
 the Borwein-Bailey-Girgensohn extrapolation of the last two differences
 (D1^2/D2 in log10 terms) puts the current level a digit below it while the
 digits still grow at least 1.5-fold per level.  The reported error
@@ -22,6 +22,15 @@ estimate is the last inter-level difference plus the
 floored at one digit above the working precision so it can never
 understate round-off; after an extrapolated stop it is the tolerance the
 stop certifies.
+
+The context is the only source of the engine's limits: the tolerance is
+``ctx.target_tolerance`` and the level cap is a function of
+``ctx.precision_digits`` alone, max(12, bit_length(P - 1) + 4), i.e. 12
+up to 256 digits, then 13 / 14 / 15 up to 512 / 1024 / 2048 digits.
+Levels grow like log2 P: an exp-sinh integral of e^-t needs
+7 / 8 / 10 / 11 / 12 / 13 levels at 50 / 100 / 200 / 400 / 800 / 1200
+digits, and the cap stays two levels above that.  An integral that
+reaches the cap is reported as not converged.
 
 Nodes come in +-u pairs, one exp per pair.  A level walks u = k h once,
 stepping (pi/4) e^{kh} and (pi/4) e^{-kh} by one fixed-point
@@ -250,7 +259,13 @@ def _scan_cap(ctx):
     return mpmath.asinh((ctx.precision_digits + 30) * mpmath.log(10) / (mpmath.pi / 2)) + 3
 
 
-def _run_levels(f, centre, pair, tol, ctx, cutoff):
+def _max_level(precision_digits):
+    """The deepest level a scan may reach: 12 up to 256 digits, then one
+    more per doubling of P, two above what e^-t needs (module docstring)."""
+    return max(12, (precision_digits - 1).bit_length() + 4)
+
+
+def _run_levels(f, centre, pair, ctx, cutoff):
     """Shared level-doubling loop over the nodes of one transform.
 
     ``centre`` is the node and weight at u = 0; ``pair`` gives the nodes
@@ -272,12 +287,13 @@ def _run_levels(f, centre, pair, tol, ctx, cutoff):
             raise IntegrandEvaluationError(f.label, x)
         return v * weight
 
+    tol = ctx.target_tolerance
     u_cap = _scan_cap(ctx)
     log_tol = mpmath.log10(tol)
     total = term(*centre)       # weighted f at every multiple of h so far
     evaluations = 1
     value = value_prev = None
-    for level in range(ctx.quad_max_level + 1):
+    for level in range(_max_level(ctx.precision_digits) + 1):
         h, max_terms, nodes = _level_nodes(pair, level, u_cap)
         pos = _Side(cutoff, max_terms)
         neg = _Side(cutoff, max_terms)
@@ -324,14 +340,11 @@ def _extrapolated_below(delta1, delta2, log_tol):
     return max(d1 * d1 / d2, 2 * d1) <= log_tol - 1
 
 
-def _integrate(f, tol, ctx, nodes):
-    """The body of both entry points: check ``ctx`` and ``tol``, run the
-    level loop on ``nodes(cutoff)`` (centre and ``pair``) at 20 guard
+def _integrate(f, ctx, nodes):
+    """The body of both entry points: check the context's tolerance, run
+    the level loop on ``nodes(cutoff)`` (centre and ``pair``) at 20 guard
     digits, and state the estimate."""
-    if ctx is None:
-        raise ValueError("a ComputeContext is required")
-    if tol is None:
-        tol = ctx.target_tolerance
+    tol = ctx.target_tolerance
     if not tol > 0:
         raise ValueError("tolerance must be positive")
 
@@ -339,7 +352,7 @@ def _integrate(f, tol, ctx, nodes):
         cutoff = mpf(10) ** (-(ctx.precision_digits + 10))
         centre, pair = nodes(cutoff)
         value, delta, evaluations, levels, converged = _run_levels(
-            f, centre, pair, tol, ctx, cutoff
+            f, centre, pair, ctx, cutoff
         )
         # Tail truncation of the scans: each side stopped once terms fell
         # below ``cutoff``; the remainder dies double-exponentially, so a
@@ -407,24 +420,14 @@ def _tanh_sinh_nodes(a, b):
     return (mid, half * (mpmath.pi / 2)), pair
 
 
-def integrate_zero_to_inf(
-    f: Integrand,
-    tol: Real | None = None,
-    ctx: ComputeContext | None = None,
-) -> QuadratureResult:
+def integrate_zero_to_inf(f: Integrand, ctx: ComputeContext) -> QuadratureResult:
     """Integrate f over (0, inf) with the exp-sinh transform.  Every project
     integrand has a finite limit at t = 0, so a vanishing weight on that
     side alone kills the term, and it is not evaluated."""
-    return _integrate(f, tol, ctx, lambda cutoff: _exp_sinh_nodes(skip_below=cutoff / 8))
+    return _integrate(f, ctx, lambda cutoff: _exp_sinh_nodes(skip_below=cutoff / 8))
 
 
-def integrate_finite(
-    f: Integrand,
-    a: Real,
-    b: Real,
-    tol: Real | None = None,
-    ctx: ComputeContext | None = None,
-) -> QuadratureResult:
+def integrate_finite(f: Integrand, a: Real, b: Real, ctx: ComputeContext) -> QuadratureResult:
     """Integrate f over [a, b] with the tanh-sinh transform.
 
     Integrable endpoint singularities are fine; the integrand is never
@@ -433,7 +436,7 @@ def integrate_finite(
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    return _integrate(f, tol, ctx, lambda cutoff: _tanh_sinh_nodes(mpf(a), mpf(b)))
+    return _integrate(f, ctx, lambda cutoff: _tanh_sinh_nodes(mpf(a), mpf(b)))
 
 
 def error_model_check(

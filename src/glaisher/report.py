@@ -17,7 +17,8 @@ The report owns the cross-validation verdict: ``ReportDocument.disagreements``
 lists the route pairs whose gap exceeds ten times the sum of their error
 estimates, ``ReportDocument.failed_residuals`` the identity residuals
 that fail their own verdict, and ``ReportDocument.exit_code`` folds both
-and the failures into the exit code of ``glaisher compute``.  They read
+and the failures into the exit code of ``glaisher compute`` and
+``glaisher verify``.  They read
 only what the JSON already holds (the matrix, the estimates, the
 residuals and their tolerances, the failures), so it carries no extra key
 for them and a deserialized report gives the same answer.
@@ -132,7 +133,7 @@ class ReportDocument:
 
     @property
     def exit_code(self) -> int:
-        """The verdict as a ``glaisher compute`` exit code.
+        """The verdict as a ``glaisher compute`` or ``verify`` exit code.
 
         ``EXIT_DISAGREE`` (2) for a disagreeing pair, a failed residual or
         a failure that is not a refusal (a raising identity pass included);
@@ -212,7 +213,6 @@ def run_all(
         context_info={
             "precision_digits": ctx.precision_digits,
             "target_tolerance": ctx.target_tolerance,
-            "quad_max_level": ctx.quad_max_level,
             "requested_routes": list(route_set),
             "params": {k: merged[k] for k in sorted(merged)},
         },
@@ -248,6 +248,27 @@ def run_all(
     except Exception as exc:
         doc.failures.append(RouteFailure(route_id="identity_checks", error=str(exc)))
 
+    return doc
+
+
+def identity_report(ctx: ComputeContext, log2_coefficient: Real | None = None) -> ReportDocument:
+    """The identity residuals alone, from one feaux estimate, as a report.
+
+    ``glaisher verify`` runs this pass without the other routes, the
+    consensus or the dt control.  A raising feaux route or identity pass
+    lands in ``failures`` as ``identity_checks``, as in :func:`run_all`,
+    so ``ReportDocument.exit_code`` gives the verdict.
+    """
+    doc = ReportDocument(
+        context_info={
+            "precision_digits": ctx.precision_digits,
+            "target_tolerance": ctx.target_tolerance,
+        }
+    )
+    try:
+        doc.residuals.extend(identity_residuals(ctx, route_feaux(ctx).value, log2_coefficient))
+    except Exception as exc:
+        doc.failures.append(RouteFailure(route_id="identity_checks", error=str(exc)))
     return doc
 
 

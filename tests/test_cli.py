@@ -115,6 +115,18 @@ class TestComputeCommand:
         else:
             assert "identity_checks  FAILED: feaux and kummer disagree" in out
 
+    def test_raising_identity_pass_in_verify_exits_two(self, capsys, monkeypatch):
+        # verify takes its verdict from the same report: a non-finite
+        # integrand in the identity pass is a failure row and exit 2
+        monkeypatch.setattr(glaisher.routes, "log_gamma_ref", lambda x, ctx: mpf("nan"))
+        code, out, err = run_cli(capsys, "verify", "--digits", "25")
+        assert code == EXIT_DISAGREE
+        lines = out.splitlines()
+        assert lines[0].startswith("identity residuals at 25 digits")
+        assert lines[1].startswith("  identity_checks  FAILED: integrand ")
+        assert "non-finite" in lines[1]
+        assert err == ""
+
     def test_json_output_parses_with_own_parser(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -148,6 +160,22 @@ class TestComputeCommand:
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["estimates"][0]["route_id"] == "feaux"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--digits", "20", "--routes", "feaux"],
+            ["verify", "--digits", "20"],
+            ["convergence", "--digits", "20", "--route", "hasse", "--grid", "5"],
+        ],
+        ids=["compute", "verify", "convergence"],
+    )
+    def test_unwritable_out_exits_one_naming_the_path(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 class TestVerifyCommand:
@@ -309,8 +337,9 @@ class TestProcessExitCodes:
             (["compute", "--digits", "20", "--routes", "feaux,hasse"], EXIT_CONFIG),
             (["compute", "--digits", "25", "--routes", "kummer,feaux",
               "--res2-measure", "dt"], EXIT_DISAGREE),
+            (["verify", "--digits", "20", "--out", "missing-dir/out.txt"], EXIT_CONFIG),
         ],
-        ids=["usage-error", "help", "hasse-refuses", "dt-control"],
+        ids=["usage-error", "help", "hasse-refuses", "dt-control", "unwritable-out"],
     )
     def test_exit_code(self, argv, code):
         env = dict(os.environ)
