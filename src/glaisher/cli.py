@@ -7,8 +7,9 @@ Exit codes follow the verification-tool contract:
   passes; verify: all identity residuals below tolerance).
 * 1 -- configuration error: a usage error (an unknown flag or a bad flag
   value), an unknown route, an empty grid, too few digits, an ``--out``
-  path that cannot be written, or a route that refused the requested
-  precision or parameters while every route that ran agreed.
+  path that cannot be written (checked before any computation), or a
+  route that refused the requested precision or parameters while every
+  route that ran agreed.
 * 2 -- numerical disagreement (a route pair out of tolerance, a residual
   above tolerance) or a failure that is not a refusal, of a route or of
   the identity pass.
@@ -154,13 +155,27 @@ def _resolve_digits(args) -> int:
     return 50
 
 
+def _write(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Fail on an ``--out`` path that cannot be written before any
+    computation.  Appending nothing changes no file; one that did not
+    exist is removed again."""
+    existed = os.path.lexists(path)
+    _write(path, "", "a")
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -259,7 +274,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
         raise
     try:
-        return args.run(args, make_context(_resolve_digits(args)))
+        ctx = make_context(_resolve_digits(args))
+        if args.out:
+            _check_out(args.out)
+        return args.run(args, ctx)
     except (ConfigError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

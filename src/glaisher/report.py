@@ -49,6 +49,7 @@ from .context import (
     real_to_decimal,
 )
 from .loggamma import DomainError
+from .quadrature import shared_work
 from .routes import (
     ROUTE_IDS,
     IdentityResidual,
@@ -187,6 +188,7 @@ def _agreement_matrix(estimates: list[RouteEstimate], ctx: ComputeContext) -> di
     return {"routes": ids, "matrix": matrix}
 
 
+@shared_work()
 def run_all(
     ctx: ComputeContext,
     route_set: list[str] | tuple[str, ...] | None = None,
@@ -197,6 +199,9 @@ def run_all(
     Unknown route ids are a configuration error (checked before any
     computation); runtime failures of individual routes are recorded in
     the failures list and the rest of the report is still produced.
+    The whole call holds one table of shared work (quadrature nodes,
+    oracle values; :func:`~glaisher.quadrature.shared_work`), dropped on
+    return or raise.
     """
     route_set = list(ROUTE_IDS) if route_set is None else list(route_set)
     if not route_set:
@@ -251,13 +256,15 @@ def run_all(
     return doc
 
 
+@shared_work()
 def identity_report(ctx: ComputeContext, log2_coefficient: Real | None = None) -> ReportDocument:
     """The identity residuals alone, from one feaux estimate, as a report.
 
     ``glaisher verify`` runs this pass without the other routes, the
     consensus or the dt control.  A raising feaux route or identity pass
     lands in ``failures`` as ``identity_checks``, as in :func:`run_all`,
-    so ``ReportDocument.exit_code`` gives the verdict.
+    so ``ReportDocument.exit_code`` gives the verdict.  Like
+    :func:`run_all`, the call holds one table of shared work.
     """
     doc = ReportDocument(
         context_info={

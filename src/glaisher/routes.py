@@ -74,7 +74,13 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .context import ComputeContext, ConstantsSet, PrecisionError, Real
 from .loggamma import DomainError, log_gamma_ref
-from .quadrature import Integrand, integrate_finite, integrate_zero_to_inf
+from .quadrature import (
+    Integrand,
+    integrate_finite,
+    integrate_zero_to_inf,
+    shared_values,
+    shared_work,
+)
 from .smallt import (
     PowerSeries,
     cancellation_guard,
@@ -716,6 +722,16 @@ def _identity_integral(
     )
 
 
+def _log_gamma1p(x: Real, ctx: ComputeContext) -> Real:
+    """log Gamma(1+x) from the oracle, once per abscissa in one computation:
+    glaisher_half and gla2 integrate it on the same nodes."""
+    memo = shared_values(("log_gamma1p", ctx.precision_digits))
+    value = memo.get(x)
+    if value is None:
+        value = memo[x] = log_gamma_ref(x + 1, ctx)
+    return value
+
+
 def glaisher_identity_residual(
     ctx: ComputeContext,
     log_a: Real,
@@ -734,17 +750,25 @@ def glaisher_identity_residual(
 
     return _identity_integral(
         ctx, "glaisher_half", "int_log_gamma1p_half",
-        lambda x: log_gamma_ref(x + 1, ctx), residual,
+        lambda x: _log_gamma1p(x, ctx), residual,
     )
 
 
 def gla2_residual(ctx: ComputeContext, log_a: Real) -> IdentityResidual:
     """Residual of log A = (2/3) int_0^1/2 log Gamma(x) dx
     - (5/36) log 2 - (log pi)/6 against ``log_a`` (the feaux value by
-    contract)."""
+    contract).
+
+    The integrand is log Gamma(x) = log Gamma(1+x) - log x, the shift the
+    oracle itself applies below its Stirling range, so inside one
+    computation it takes glaisher_half's oracle values and adds one log.
+    What the check still tests is its own: the quadrature of a
+    log-singular integrand at x = 0 (glaisher_half's is smooth there) and
+    the paper's constants 2/3, 5/36 and 1/6 of the Gamma(x) form.
+    """
     return _identity_integral(
         ctx, "gla2", "int_log_gamma_half",
-        lambda x: log_gamma_ref(x, ctx),
+        lambda x: _log_gamma1p(x, ctx) - mpmath.log(x),
         lambda I, c: mpf(2) / 3 * I - mpf(5) / 36 * c.log2 - c.log_pi / 6 - log_a,
     )
 
@@ -759,6 +783,7 @@ def log_sin_check(ctx: ComputeContext) -> IdentityResidual:
     )
 
 
+@shared_work()
 def identity_residuals(
     ctx: ComputeContext, log_a: Real, log2_coefficient: Real | None = None
 ) -> list[IdentityResidual]:
@@ -768,6 +793,9 @@ def identity_residuals(
     ``log2_coefficient`` goes to :func:`glaisher_identity_residual` (the
     verify negative control).  The dt-measure control is not among them:
     it needs the feaux/kummer consensus, which only the report forms.
+    The call holds one table of shared work (:func:`shared_work`): the
+    three integrals share the nodes of [0, 1/2], and gla2 reuses
+    glaisher_half's oracle values.
     """
     return [
         glaisher_identity_residual(ctx, log_a=log_a, log2_coefficient=log2_coefficient),

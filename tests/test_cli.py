@@ -177,6 +177,46 @@ class TestComputeCommand:
         assert out == ""
         assert err == f"error: cannot write {target}: No such file or directory\n"
 
+    @pytest.mark.parametrize("command", ["compute", "verify", "convergence"])
+    def test_unwritable_out_fails_before_computing(self, capsys, tmp_path, monkeypatch, command):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        for name in ("run_all", "identity_report", "convergence_study"):
+            monkeypatch.setattr(glaisher.cli, name, must_not_run)
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, command, "--digits", "20", "--out", str(target))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--digits", "20", "--routes", "feaux"],
+            ["verify", "--digits", "20"],
+            ["convergence", "--digits", "20", "--route", "hasse", "--grid", "5"],
+        ],
+        ids=["compute", "verify", "convergence"],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, monkeypatch, argv):
+        # compute prints timings; one document serves both runs
+        documents = {}
+        run_all = glaisher.cli.run_all
+        monkeypatch.setattr(glaisher.cli, "run_all",
+                            lambda *a: documents.setdefault("doc", run_all(*a)))
+        code, out, _ = run_cli(capsys, *argv)
+        target = tmp_path / "out.txt"
+        target.write_text("stale content that must go")
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode()
+
+    def test_checked_out_path_is_not_left_behind_by_a_config_error(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        code, _, err = run_cli(capsys, "compute", "--routes", "nope", "--out", str(target))
+        assert code == EXIT_CONFIG and "unknown route id" in err
+        assert not target.exists()
+
 
 class TestVerifyCommand:
     def test_default_verify_exits_zero_with_three_residuals(self, capsys):

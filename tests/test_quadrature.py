@@ -146,7 +146,7 @@ class TestScanCap:
         with ctx.workdps(20):
             u_cap = _scan_cap(ctx)
             for level in range(11):
-                h, max_terms, scaled = _level_nodes(lambda s, w: s, level, u_cap)
+                h, max_terms, scaled = _level_nodes(None, None, lambda s, w: s, level, u_cap)
                 stride = 1 if level == 0 else 2 * h
                 pairs = sum(1 for _ in scaled)
                 # a side that hits the cap has taken max_terms + 1 terms
@@ -415,7 +415,7 @@ class TestPairNodes:
             u_cap = _scan_cap(ctx)
             stepped = []
             for level in range(11):
-                h, _, scaled = _level_nodes(lambda s, w: (s, w), level, u_cap)
+                h, _, scaled = _level_nodes(None, None, lambda s, w: (s, w), level, u_cap)
                 step = 1 if level == 0 else 2
                 for i, (s, w) in enumerate(scaled):
                     u = (1 + step * i) * h

@@ -1,0 +1,211 @@
+"""Work shared within one computation, and never beyond it.
+
+``run_all`` and ``identity_report`` hold one table (``quadrature.shared_work``)
+for their whole body: the integrals share quadrature nodes, and gla2
+reuses glaisher_half's log Gamma(1+x) values.  Each route still makes its
+own engine call on its own integrand, so the counts the benchmark's traced
+run reconciles still hold, and every value is the one the route gives
+alone.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import mpmath
+import pytest
+
+import glaisher.quadrature
+import glaisher.report
+import glaisher.routes
+from glaisher import make_context, run_all
+from glaisher.report import identity_report
+from glaisher.routes import (
+    ROUTE_IDS,
+    gla2_residual,
+    glaisher_identity_residual,
+    log_sin_check,
+    route_feaux,
+    route_pain1,
+)
+
+INTEGRAL_ROUTES = ("pain1", "pain2", "feaux", "kummer")
+
+
+def _bits(x):
+    return x._mpf_
+
+
+@pytest.fixture
+def engine_exp_calls(monkeypatch):
+    """Count the engine's mpmath.exp calls (one per node pair, plus four per
+    fresh level stream)."""
+    calls = [0]
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(mpmath, name)
+
+        def exp(self, *args):
+            calls[0] += 1
+            return mpmath.exp(*args)
+
+    monkeypatch.setattr(glaisher.quadrature, "mpmath", Counting())
+    return calls
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    calls = [0]
+    original = glaisher.routes.log_gamma_ref
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(glaisher.routes, "log_gamma_ref", counted)
+    return calls
+
+
+class TestReconcileInvariant:
+    """What the traced benchmark run reconciles, checked by module-attribute
+    replacement as its tracer does: an integral route's evaluations are the
+    engine evaluations made inside its own call, every engine call
+    evaluates its integrand, and route_limit's evaluations are its oracle
+    calls."""
+
+    def test_route_counts_match_the_work_beneath_them(self, monkeypatch):
+        open_routes = []        # [engine evaluations, oracle calls] per open route call
+        finished = []           # (estimate, [engine evaluations, oracle calls])
+        integrand_calls = []    # (evaluations, integrand calls) per engine call
+
+        def engine(original):
+            def counted(f, *args, **kwargs):
+                calls = [0]
+
+                def tally(form):
+                    def call(t):
+                        calls[0] += 1
+                        return form(t)
+                    return call
+
+                f = dataclasses.replace(
+                    f, eval=tally(f.eval),
+                    near_zero=f.near_zero and tally(f.near_zero),
+                )
+                result = original(f, *args, **kwargs)
+                integrand_calls.append((result.evaluations, calls[0]))
+                if open_routes:
+                    open_routes[-1][0] += result.evaluations
+                return result
+            return counted
+
+        def oracle(original):
+            def counted(*args, **kwargs):
+                if open_routes:
+                    open_routes[-1][1] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        def route(original):
+            def counted(*args, **kwargs):
+                open_routes.append([0, 0])
+                try:
+                    estimate = original(*args, **kwargs)
+                finally:
+                    work = open_routes.pop()
+                finished.append((estimate, work))
+                return estimate
+            return counted
+
+        for name in ("integrate_zero_to_inf", "integrate_finite"):
+            monkeypatch.setattr(glaisher.routes, name, engine(getattr(glaisher.routes, name)))
+        monkeypatch.setattr(glaisher.routes, "log_gamma_ref",
+                            oracle(glaisher.routes.log_gamma_ref))
+        for module in (glaisher.report, glaisher.routes):
+            for rid in ROUTE_IDS:
+                name = f"route_{rid}"
+                monkeypatch.setattr(module, name, route(getattr(module, name)))
+
+        doc = run_all(make_context(30))
+        assert not [f for f in doc.failures if not f.refused]
+
+        seen = []
+        for estimate, (evaluations, oracle_count) in finished:
+            seen.append(estimate.route_id)
+            if estimate.route_id in INTEGRAL_ROUTES:
+                assert estimate.evaluations == evaluations, estimate.route_id
+            if estimate.route_id == "limit":
+                assert estimate.evaluations == oracle_count == 1023
+        # the four routes, the limit and the dt control's kummer call
+        assert sorted(set(seen) & {*INTEGRAL_ROUTES, "limit"}) == sorted(
+            {*INTEGRAL_ROUTES, "limit"})
+        assert seen.count("kummer") == 2
+        assert len(integrand_calls) == 8
+        assert all(calls > 0 for evaluations, calls in integrand_calls if evaluations)
+
+
+class TestBitIdentity:
+    """Inside run_all every route and residual is the one computed alone."""
+
+    def test_run_all_matches_each_route_alone(self):
+        doc = run_all(make_context(50))
+        assert not doc.failures
+        for shared in doc.estimates:
+            alone = getattr(glaisher.routes, f"route_{shared.route_id}")(make_context(50))
+            assert _bits(shared.value) == _bits(alone.value), shared.route_id
+            assert _bits(shared.error_estimate) == _bits(alone.error_estimate), shared.route_id
+            assert shared.evaluations == alone.evaluations, shared.route_id
+
+        ctx = make_context(50)
+        log_a = route_feaux(ctx).value
+        alone = {
+            "glaisher_half": glaisher_identity_residual(ctx, log_a),
+            "gla2": gla2_residual(ctx, log_a),
+            "log_sin": log_sin_check(ctx),
+        }
+        residuals = {r.identity_id: r for r in doc.residuals}
+        for iid, r in alone.items():
+            assert _bits(residuals[iid].residual) == _bits(r.residual), iid
+
+
+class TestSharingIsScoped:
+    """The sharing is real within one computation and ends with it."""
+
+    def test_run_all_engine_exp_calls(self, engine_exp_calls):
+        run_all(make_context(50))
+        first = engine_exp_calls[0]
+        # 2132 with a node scan per integral
+        assert first == 759
+        run_all(make_context(50))
+        assert engine_exp_calls[0] == 2 * first
+
+    def test_identity_report_oracle_calls(self, oracle_calls):
+        doc = identity_report(make_context(100))
+        assert not doc.failures and not doc.failed_residuals
+        # 678 with an oracle call per node of glaisher_half and gla2 each
+        assert oracle_calls[0] == 342
+
+    def test_standalone_route_shares_nothing(self, engine_exp_calls):
+        ctx = make_context(30)
+        route_pain1(ctx)
+        first = engine_exp_calls[0]
+        route_pain1(ctx)
+        assert engine_exp_calls[0] == 2 * first
+
+    def test_table_is_dropped_when_the_computation_raises(self, monkeypatch):
+        def broken(*args):
+            assert glaisher.quadrature._SHARED.get() is not None
+            raise RuntimeError("matrix failed")
+
+        monkeypatch.setattr(glaisher.report, "_agreement_matrix", broken)
+        with pytest.raises(RuntimeError, match="matrix failed"):
+            run_all(make_context(20), ["feaux"])
+        assert glaisher.quadrature._SHARED.get() is None
+
+    def test_nested_blocks_share_one_table(self):
+        with glaisher.quadrature.shared_work() as outer:
+            with glaisher.quadrature.shared_work() as inner:
+                assert inner is outer
+            assert glaisher.quadrature._SHARED.get() is outer
+        assert glaisher.quadrature._SHARED.get() is None
