@@ -11,6 +11,9 @@ limit           log of the defining limit ratio at n, 2n, 4n, ...,
                 Richardson-extrapolated.  The raw sequence error is
                 empirically c/n^2 (measured c ~ 1/240), so the
                 extrapolation assumes an expansion in powers of n^-2.
+                log G(n+1) = sum_{k<n} log k! is an exact integer sum
+                over the fixed-point log table, so the route shares no
+                code with the log Gamma oracle it helps check.
 pain1, pain2    the two direct integral identities:
                   int (1-e^{-x/2}) (x coth(x/2) - 2) / x^3 dx
                       = 3 log A - (1/3) log 2 - 1/8
@@ -43,6 +46,9 @@ hasse           log A = 1/8 - (1/2) sum_n 1/(n+1)
                 must carry that many digits above the requested output
                 accuracy.
 
+The limit, Fourier and Hasse routes take their integer logarithms from
+one fixed-point table, :func:`~glaisher.smallt.fixed_logs`, built per call.
+
 Integrand evaluation
 --------------------
 Each integral route's integrand has a raw form, used from t = 2^-8 on,
@@ -65,12 +71,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from math import ceil, factorial, isqrt
+from math import ceil, factorial
 from typing import Callable, Literal
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp
 
 from .context import ComputeContext, ConstantsSet, PrecisionError, Real
 from .loggamma import DomainError, log_gamma_ref
@@ -86,6 +92,7 @@ from .smallt import (
     cancellation_guard,
     exp_neg_tail,
     expm1_minus_x,
+    fixed_logs,
     quotient_series,
     t_minus_log1p,
 )
@@ -407,7 +414,7 @@ def route_pain2(ctx: ComputeContext) -> RouteEstimate:
 
 
 def _limit_sequence_value(n: int, log_fact_sum: Real, ctx: ComputeContext) -> Real:
-    # log of the defining ratio at index n; log_fact_sum = sum log Gamma(k+1), k<n.
+    # log of the defining ratio at index n; log_fact_sum = log G(n+1).
     c = ctx.constants
     with ctx.workdps(10):
         nn = mpf(n)
@@ -420,13 +427,35 @@ def _limit_sequence_value(n: int, log_fact_sum: Real, ctx: ComputeContext) -> Re
         )
 
 
+def _log_barnes_g(points: list[int]) -> list[Real]:
+    """log G(m+1) = sum_{k<m} log k! for each m of the ascending ``points``.
+
+    Two running integer sums over the fixed-point log table of
+    :func:`~glaisher.smallt.fixed_logs`, log k! += log k and then
+    log G += log k!, so each value is rounded once, at the working
+    precision.
+    """
+    width, logs = fixed_logs(points[-1] - 1)
+    log_fact = log_g = 0
+    values = []
+    k = 1
+    for m in points:
+        while k < m:
+            log_fact += logs[k]
+            log_g += log_fact
+            k += 1
+        values.append(mpf((log_g, -width)))
+    return values
+
+
 def route_limit(ctx: ComputeContext, n: int = 64, richardson_order: int = 3) -> RouteEstimate:
     """log A from the defining limit, Richardson-extrapolated.
 
     Evaluates the log-ratio at n, 2n, ..., 2^order n (log space throughout;
-    the factorial product becomes a running sum of log Gamma values).  One
-    extra point at 2^{order+1} n feeds the error estimate: the difference
-    between the order-r extrapolations with and without it.
+    the factorial product log G(m+1) comes from :func:`_log_barnes_g`).
+    No oracle is called, so ``evaluations`` (log Gamma oracle calls) is
+    0.  One extra point at 2^{order+1} n feeds the error estimate: the
+    difference between the order-r extrapolations with and without it.
     """
     if n < 2:
         raise DomainError(f"route_limit requires n >= 2, got {n}")
@@ -434,17 +463,9 @@ def route_limit(ctx: ComputeContext, n: int = 64, richardson_order: int = 3) -> 
         raise DomainError(f"richardson_order must be >= 0, got {richardson_order}")
     start = time.perf_counter()
     points = [n * 2 ** i for i in range(richardson_order + 2)]
-    evaluations = 0
-    values = []
     with ctx.workdps(10):
-        log_fact_sum = mpf(0)
-        k = 1
-        for m in sorted(points):
-            while k < m:
-                log_fact_sum += log_gamma_ref(mpf(k + 1), ctx)
-                evaluations += 1
-                k += 1
-            values.append(_limit_sequence_value(m, log_fact_sum, ctx))
+        values = [_limit_sequence_value(m, log_g, ctx)
+                  for m, log_g in zip(points, _log_barnes_g(points))]
 
         def richardson(seq):
             # error expansion in n^-2 (measured; see module docstring)
@@ -470,14 +491,9 @@ def route_limit(ctx: ComputeContext, n: int = 64, richardson_order: int = 3) -> 
         value=value,
         error_estimate=err,
         parameters={"n": n, "richardson_order": richardson_order},
-        evaluations=evaluations,
+        evaluations=0,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _fourier_term(n: int) -> mpf:
-    u = mpf(2 * n + 1)
-    return mpmath.log(u) / (u * u)
 
 
 def _log_over_square_derivatives():
@@ -524,9 +540,12 @@ def route_fourier_series(
 ) -> RouteEstimate:
     """log A from the appendix series over odd integers.
 
-    ``accelerate=False`` returns the raw partial sum over n < N (error
-    estimate: an upper bound on the dropped tail, which really is the
-    error -- the raw series converges like log N / N).  With acceleration
+    The partial sum over n < N is one W-bit fixed-point integer sum of
+    log u // u^2, u = 2n+1, over the log table of
+    :func:`~glaisher.smallt.fixed_logs` (each quotient truncated by under
+    one unit of 2^-W), rounded once.  ``accelerate=False`` returns it raw
+    (error estimate: an upper bound on the dropped tail, which really is
+    the error -- the raw series converges like log N / N).  With acceleration
     the tail of :func:`_em_tail` is added and the estimate is its first
     omitted term's bound; N caps the accuracy (about 275 digits at N = 100).
     """
@@ -535,9 +554,8 @@ def route_fourier_series(
     start = time.perf_counter()
     c = ctx.constants
     with ctx.workdps(10):
-        partial = mpf(0)
-        for n in range(n_terms):
-            partial += _fourier_term(n)
+        width, logs = fixed_logs(2 * n_terms + 1)
+        partial = mpf((sum(logs[u] // (u * u) for u in range(1, 2 * n_terms, 2)), -width))
         series_coeff = 2 / (3 * (+mpmath.pi) ** 2)
         if accelerate:
             tail, omitted = _em_tail(n_terms, ctx.precision_digits)
@@ -545,8 +563,9 @@ def route_fourier_series(
             err = series_coeff * omitted
         else:
             series_sum = partial
-            u = mpf(2 * n_terms + 1)
-            tail_bound = (mpmath.log(u) + 1) / (2 * u) + _fourier_term(n_terms)
+            u = 2 * n_terms + 1
+            lu = mpf((logs[u], -width))
+            tail_bound = (lu + 1) / (2 * u) + lu / (u * u)
             err = series_coeff * tail_bound
         floor = mpf(10) ** (-(ctx.precision_digits + 1))
         value = +(c.log2 / 36 + (c.euler_gamma + c.log_2pi) / 12
@@ -574,11 +593,12 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
     The inner sum sum_k (-1)^k C(n,k) f(k), f(k) = (k+1)^2 log(k+1), is
     (-1)^n Delta^n f(0), the head of row n of the forward-difference
     table of f.  f(0..n_max) is taken once as W-bit fixed-point
-    integers, W = mp.prec + 10 at P+10 digits (each log(k+1) rounded
-    once, or summed from its factors' logs); each row is then the exact
-    integer differences of the one before, so no binomial and no mpf
-    product is formed.  Row n still adds up to 2^n of those roundings,
-    which is why the 0.302 N digit rule is unchanged.
+    integers, (k+1)^2 times the integer-log table of
+    :func:`~glaisher.smallt.fixed_logs` at P+10 digits (W = mp.prec + 10;
+    each log(k+1) rounded once, or summed from its factors' logs); each
+    row is then the exact integer differences of the one before, so no
+    binomial and no mpf product is formed.  Row n still adds up to 2^n
+    of those roundings, which is why the 0.302 N digit rule is unchanged.
 
     Refuses to start when the context precision cannot absorb the
     cancellation of the inner sums (the result would be silent garbage).
@@ -593,14 +613,7 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
             f"(ceil(0.302 N) + 20)"
         )
     with ctx.workdps(10):
-        width = mp.prec + 10
-        # log m for m = 1..n_max+1: only primes call mpmath.log; a
-        # composite adds the logs of its least factor and the cofactor.
-        logs = [0, 0]
-        for m in range(2, n_max + 2):
-            p = next((d for d in range(2, isqrt(m) + 1) if m % d == 0), m)
-            logs.append(to_fixed(mpmath.log(m)._mpf_, width) if p == m
-                        else logs[p] + logs[m // p])
+        width, logs = fixed_logs(n_max + 1)
         row = [m * m * logs[m] for m in range(1, n_max + 2)]
         total = mpf(0)
     for n in range(n_max + 1):

@@ -48,11 +48,22 @@ an algebraic term of size 1/t to 1/t^2.  There e^-t is far below half an
 ulp of that term, yet mpmath spends milliseconds on it (an integer power
 once t > 2^prec).  :func:`exp_neg_tail` returns an exact 0 instead, in
 the range where the sum rounds to the same bits either way.
+
+Sums of integer logarithms -- the Hasse forward-difference table, the
+limit route's log G(n+1) and the Fourier partial sum -- read one table,
+:func:`fixed_logs`: log 0..log N as W-bit fixed-point integers, W =
+mp.prec + 10.  Only a prime calls ``mpmath.log`` (rounded at mp.prec and
+taken to W bits); a composite m is the exact integer sum of the entries
+of its least prime factor p and of m/p, from a least-factor sieve.  So
+every entry is within 2^-prec log m + Omega(m) 2^-W of log m, Omega(m)
+its prime factors counted with multiplicity, and a sum over the table is
+exact integer arithmetic rounded once.  The table is built per call and
+kept by nobody.
 """
 
 from __future__ import annotations
 
-from math import ceil, factorial, log2
+from math import ceil, factorial, isqrt, log2
 from typing import Callable
 
 import mpmath
@@ -210,6 +221,28 @@ def exp_neg_tail(t: mpf) -> mpf:
     if t > 2 * mp.prec:
         return _ZERO
     return mpmath.exp(-t)
+
+
+def fixed_logs(n: int) -> tuple[int, list[int]]:
+    """(W, [log 0, log 1, ..., log n]) with each log m as the W-bit
+    fixed-point integer of log m, W = mp.prec + 10; log 0 stands as 0.
+
+    Primes take ``mpmath.log`` at the working precision; a composite adds
+    the entries of its least prime factor and of the cofactor (see the
+    module docstring for the error).
+    """
+    width = mp.prec + 10
+    # least[m] ends as the least prime factor of m: each d overwrites its
+    # multiples from d^2 on, and the smaller d come last.
+    least = list(range(n + 1))
+    for d in range(isqrt(n), 1, -1):
+        least[d * d::d] = [d] * len(range(d * d, n + 1, d))
+    logs = [0] * (n + 1)
+    for m in range(2, n + 1):
+        p = least[m]
+        logs[m] = (to_fixed(mpmath.log(m)._mpf_, width) if p == m
+                   else logs[p] + logs[m // p])
+    return width, logs
 
 
 # (t - log(1+t)) / t^2 = sum_k (-1)^k t^k / (k+2)

@@ -406,7 +406,7 @@ class TestPairNodes:
     nodes there are not compared.)
     """
 
-    @pytest.mark.parametrize("digits", [50, 200, 400])
+    @pytest.mark.parametrize("digits", [50, 200, pytest.param(400, marks=pytest.mark.slow)])
     def test_stepped_nodes_match_direct_formulas(self, digits):
         ctx = make_context(digits)
         with ctx.workdps(20):

@@ -9,6 +9,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+import glaisher.loggamma
+import glaisher.routes
 from glaisher import (
     DomainError,
     PrecisionError,
@@ -17,6 +19,7 @@ from glaisher import (
     glaisher_identity_residual,
     hasse_first_n,
     hasse_required_digits,
+    log_gamma_ref,
     log_sin_check,
     make_context,
     res2_measure_check,
@@ -31,12 +34,33 @@ from glaisher import (
 from glaisher.quadrature import integrate_finite, integrate_zero_to_inf
 from glaisher.routes import (
     _hasse_partial_sums,
+    _log_barnes_g,
     _log_over_square_derivatives,
     pain1_integrand,
     pain2_integrand,
 )
 
 from conftest import abs_diff, rel_diff
+
+# route_hasse's value and estimate (mpf tuples, mantissa in hex) at
+# (digits, N), pinned before the integer logs moved to smallt.fixed_logs:
+# the table must give the same integers, so the same bits.
+_HASSE_PINS = {
+    (50, 80): (
+        (0, 0x1fd4689573d81b46bb66772bf507710f1d8957534b971434d5, -199, 197),
+        (0, 0x6053aee61a60954ae931b1f331a58b288e3295d6cb4beb8f673, -216, 203),
+    ),
+    (262, 800): (
+        (0, int("7f5c6478b13168b0ba4b536ea2074771ab5b8bf3fba6e891654d8b3082259a44"
+                "60d8a57957c9039088d267cbc2c42d75ad432b254728b09b001ef2f8849d018f"
+                "267b94186a93f59e4c5d4e383efb44d01404bd8318f93f65c4ddee2087b6bcd1"
+                "cf4d741e23bdf9f79a4625be0856d850211", 16), -909, 907),
+        (0, int("554927d5da98566ec4c33b633a70e88cffb648daa9fe94e8bb162faee385015a"
+                "c771f51eb9adbb725485d91d756a34dd8651a25be6b4f3ee59ba970caca1f386"
+                "109fbb33b8229ad9a2b529b4bcd95ba0818f0e7bb3289129d278f9767cecda31"
+                "0133275bc63a2c079ef174dad97fdd64259", 16), -925, 907),
+    ),
+}
 
 
 class TestIntegralRoutes:
@@ -155,6 +179,34 @@ class TestLimitRoute:
         true_error = abs_diff(est.value, consensus50)
         with mp.workdps(70):
             assert true_error <= 10 * est.error_estimate
+
+    @pytest.mark.parametrize("digits", [20, 50, 200])
+    def test_log_barnes_g_matches_oracle_sum(self, digits):
+        # The fixed-point log G(m+1) against the oracle sum it replaced,
+        # sum_{k<m} log_gamma_ref(k+1), both at P+10 digits.
+        ctx = make_context(digits)
+        points = [2, 3, 16, 64, 1024]
+        with ctx.workdps(10):
+            got = _log_barnes_g(points)
+            want, total, k = [], mpf(0), 1
+            for m in points:
+                while k < m:
+                    total += log_gamma_ref(mpf(k + 1), ctx)
+                    k += 1
+                want.append(total)
+        for m, g, w in zip(points, got, want):
+            assert rel_diff(g, w, dps=digits + 40) <= mpf(10) ** -(digits + 3), m
+
+    def test_route_calls_no_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("route_limit called log_gamma_ref")
+
+        expected = route_limit(make_context(30))
+        monkeypatch.setattr(glaisher.routes, "log_gamma_ref", refuse)
+        monkeypatch.setattr(glaisher.loggamma, "log_gamma_ref", refuse)
+        est = route_limit(make_context(30))
+        assert est.evaluations == 0
+        assert est.value._mpf_ == expected.value._mpf_
 
     def test_domain_checks(self, ctx30):
         with pytest.raises(DomainError):
@@ -334,6 +386,11 @@ class TestHasseRoute:
         ctx = make_context(hasse_required_digits(4700))
         first, best = hasse_first_n(ctx, digits=6, n_max=4700, consensus=consensus50)
         assert first == 4597
+
+    @pytest.mark.parametrize("digits, n_terms", sorted(_HASSE_PINS))
+    def test_bits_pinned(self, digits, n_terms):
+        est = route_hasse(make_context(digits), n_terms)
+        assert (est.value._mpf_, est.error_estimate._mpf_) == _HASSE_PINS[digits, n_terms]
 
     def test_determinism(self, ctx50):
         a = route_hasse(ctx50, n_terms=40)

@@ -20,6 +20,7 @@ from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
 from glaisher.smallt import (
     cancellation_guard,
     expm1_minus_x,
+    fixed_logs,
     one_plus_em1z_over_z,
     t_minus_log1p,
 )
@@ -157,6 +158,42 @@ def test_series_cache_is_per_precision():
                     f"{name} at t={mpmath.nstr(t, 6)}: raw={mpmath.nstr(raw, 25)} "
                     f"series={mpmath.nstr(series, 25)}"
                 )
+
+
+def _prime_factor_count(m: int) -> int:
+    count, d = 0, 2
+    while m > 1:
+        while m % d == 0:
+            m //= d
+            count += 1
+        d += 1
+    return count
+
+
+@pytest.mark.parametrize("digits", [20, 50, 200])
+def test_fixed_logs_against_mpmath_log(digits):
+    # Entry m is log m rounded once at the working precision per prime
+    # factor and truncated to W bits: within 2^-prec log m + Omega(m)
+    # units of 2^-W of log m, taken here at W + 30 bits.
+    n = 2048
+    with mp.workdps(digits):
+        prec = mp.prec
+        width, logs = fixed_logs(n)
+    assert width == prec + 10
+    assert len(logs) == n + 1 and logs[0] == logs[1] == 0
+    with mp.workprec(width + 30):
+        for m in range(2, n + 1):
+            exact = mpmath.log(m) * mpf(2) ** width
+            bound = exact * mpf(2) ** -prec + _prime_factor_count(m)
+            assert abs(logs[m] - exact) <= bound, m
+
+
+def test_fixed_logs_short_tables():
+    with mp.workdps(30):
+        assert fixed_logs(0)[1] == [0]
+        assert fixed_logs(1)[1] == [0, 0]
+        width, logs = fixed_logs(4)
+        assert logs[4] == 2 * logs[2] > 0
 
 
 def test_kummer_series_vanishes_at_half(ctx50):
