@@ -15,8 +15,15 @@ alternating exponential-integral series
     gamma = sum_{k>=1} (-1)^{k+1} n^k / (k * k!)  -  log n  -  E1(n),
 
 with n chosen so that the neglected tail E1(n) < e^{-n}/n is below the
-target accuracy.  The partial sums cancel to ~ e^n before settling, so the
-summation runs at an inflated precision of roughly n*log10(e) extra digits.
+target accuracy.  The partial sums grow to ~ e^n before they cancel back,
+so the sum runs in W-bit fixed-point Python integers, W = prec +
+2 bitlen(n) + 10 (prec that of the returned value), with the term
+T_k = n^k/k! stepped as T <- T n // k and log n taken at W bits.  The
+integer part holds the large partial sums exactly, so they cost no guard
+digits; each step truncates under one unit of 2^-W, and an error in T_j
+reaches the sum only through the alternating rest of the series from j
+on, which is no larger than about T_j, so every step adds about one unit
+(a few times e n steps in all, which 2 bitlen(n) bits cover).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 # Arbitrary-precision real number.  mpf values are immutable and carry
 # their own mantissa; the context precision governs every operation.
@@ -136,22 +144,18 @@ def euler_gamma_ref(ctx: ComputeContext) -> Real:
     digits = ctx.precision_digits
     # e^-n / n below 10^-(digits+8) bounds the dropped tail.
     n = math.ceil((digits + 8) * math.log(10))
-    # Partial sums grow to ~ e^n = 10^(0.4343 n) before cancelling back.
-    guard = math.ceil(n * math.log10(math.e)) + 12
-    with mp.workdps(digits + guard):
-        nn = mpf(n)
-        term = nn            # n^k / k!  at k = 1
-        acc = nn             # series term k=1 is +n/1
-        eps = mpf(10) ** (-(digits + guard - 2))
-        k = 1
-        while term > eps or k < n:
-            k += 1
-            term = term * nn / k
-            piece = term / k
-            acc = acc + piece if (k % 2 == 1) else acc - piece
-        value = acc - mpmath.log(nn)
     with ctx.workdps(10):
-        return +value
+        width = mp.prec + 2 * n.bit_length() + 10
+        with mp.workprec(width):
+            log_n = to_fixed(mpmath.log(n)._mpf_, width)
+        term = n << width    # n^k / k! at k = 1, in units of 2^-width
+        acc = term
+        k = 1
+        while term:
+            k += 1
+            term = term * n // k
+            acc += term // k if k % 2 else -(term // k)
+        return mpf((acc - log_n, -width))
 
 
 def real_to_decimal(x: Real, digits: int) -> str:

@@ -3,9 +3,11 @@
 The oracle ``log_gamma_ref`` is a Stirling asymptotic series after an
 upward recurrence shift; it is the yardstick every quadrature-based
 representation is tested against (the integrals under test must not be
-their own oracle).  The shift costs two logs whatever its length: log z
-and the log of the running product of z + j, kept in Python integers in
-fixed point.  The Stirling tail is a power series in 1/z^2 summed on the
+their own oracle).  A call takes two logs whatever the shift length n:
+log(z + n) for the series and one log of z prod_{0<j<n} (z + j).  The
+product runs in Python integers in fixed point, two factors at a time,
+(z + j)(z + n - j) = z(z + n) + j(n - j), so it takes about n/2
+multiplies.  The Stirling tail is a power series in 1/z^2 summed on the
 fixed-point Horner kernel of :mod:`glaisher.smallt`, which keeps its
 coefficients as integers per working precision; (log 2pi)/2 is cached
 per working precision too.
@@ -83,10 +85,13 @@ def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
     """log Gamma(x) for finite x > 0 via Stirling's series with recurrence shift.
 
     The argument is shifted upward by n steps to z + n >= 10 P / 7 (P =
-    context digits).  The shift log z + log prod_{j=1}^{n-1} (z + j)
-    takes two logs: the product is accumulated in Python integers in
-    (prec + 20)-bit fixed point, and log z is kept apart so an argument
-    far below the fixed-point unit keeps its full relative accuracy.
+    context digits).  The shift log(z P), P = prod_{j=1}^{n-1} (z + j),
+    takes one log: P is accumulated in Python integers in (prec + 20)-bit
+    fixed point in pairs, (z + j)(z + n - j) = w + j(n - j) with
+    w = z(z + n), times z + n/2 once when n is even; every factor is at
+    least 1, so each truncation costs under one unit of 2^-(prec+20)
+    relative.  z P is formed in floating point, so an argument far below
+    the fixed-point unit keeps its full relative accuracy.
     The Stirling tail is (1/z) sum_k c_k w^k with w = 1/z^2, summed on
     the fixed-point Horner kernel of :mod:`glaisher.smallt`; at the
     shift target it takes 29/44/75/138 terms at 50/100/200/400 digits.
@@ -104,12 +109,14 @@ def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
             n = int(mpmath.ceil(z_min - z))
             width = mp.prec + 20
             one = 1 << width
-            factor = to_fixed(z._mpf_, width)
-            product = one
-            for _ in range(n - 1):
-                factor += one
-                product = product * factor >> width
-            shift = mpmath.log(z) + mpmath.log(mpf((product, -width)))
+            z_fixed = to_fixed(z._mpf_, width)
+            # prod_{0<j<n} (z+j) in pairs (z+j)(z+n-j) = w + j(n-j), with
+            # w = z(z+n), and the middle factor z + n/2 when n is even.
+            w = z_fixed * (z_fixed + n * one) >> width
+            product = one if n % 2 else z_fixed + n // 2 * one
+            for j in range(1, (n + 1) // 2):
+                product = product * (w + j * (n - j) * one) >> width
+            shift = mpmath.log(z * mpf((product, -width)))
             z += n
         half_log_2pi = _STIRLING.get(mp.prec)
         if half_log_2pi is None:

@@ -64,9 +64,13 @@ first look cheap in a long-lived process and hide the cost of the first,
 and one private to a single integral would hold all its nodes for no
 reuse (6.6 MB at 200 digits).
 
-Abscissae near a finite endpoint are computed as offsets from that
-endpoint, 1 - tanh(s) = 2/(e^{2s} + 1), never by subtraction; otherwise
-endpoint-singular integrands would see catastrophically rounded inputs.
+Offsets from a finite endpoint are computed as 1 - tanh(s) =
+2/(e^{2s} + 1), never by subtraction; otherwise endpoint-singular
+integrands would see catastrophically rounded inputs.  The integrand
+still sees only the abscissa, endpoint plus or minus offset at working
+precision, which rounds to the endpoint itself once the offset is below
+half an ulp of it (at b, and at a unless a = 0; see
+:func:`integrate_finite`).
 
 Integrands declare an optional ``near_zero`` evaluation (an analytic
 small-t series) for t below ``DEFAULT_NEAR_ZERO_THRESHOLD``; the engine
@@ -99,14 +103,16 @@ class QuadratureError(RuntimeError):
 
 
 class IntegrandEvaluationError(QuadratureError):
-    """Integrand returned NaN or an infinity; aborts the whole integral."""
+    """Integrand returned NaN or an infinity, or divided by zero (as one
+    singular at a finite endpoint can, see :func:`integrate_finite`);
+    aborts the whole integral."""
 
     def __init__(self, label: str, abscissa: Real):
         self.label = label
         self.abscissa = abscissa
         super().__init__(
-            f"integrand {label!r} returned a non-finite value at t = "
-            f"{mpmath.nstr(abscissa, 12)}"
+            f"integrand {label!r} returned a non-finite value or divided by "
+            f"zero at t = {mpmath.nstr(abscissa, 12)}"
         )
 
 
@@ -369,7 +375,10 @@ def _run_levels(f, centre, level_nodes, ctx, cutoff):
     def term(x, weight):
         if not weight:
             return _ZERO
-        v = f(x)
+        try:
+            v = f(x)
+        except ZeroDivisionError:
+            raise IntegrandEvaluationError(f.label, x) from None
         if mpmath.isnan(v) or mpmath.isinf(v):
             raise IntegrandEvaluationError(f.label, x)
         return v * weight
@@ -522,9 +531,14 @@ def integrate_zero_to_inf(f: Integrand, ctx: ComputeContext) -> QuadratureResult
 def integrate_finite(f: Integrand, a: Real, b: Real, ctx: ComputeContext) -> QuadratureResult:
     """Integrate f over [a, b] with the tanh-sinh transform.
 
-    Integrable endpoint singularities are fine; the integrand is never
-    evaluated at the endpoints themselves, and abscissae are carried as
-    exact offsets from the nearer endpoint.
+    Integrable endpoint singularities are fine at a = 0: the offsets from
+    the nearer endpoint are formed without subtraction, and a + offset is
+    then the offset itself.  Every other abscissa is a + offset or
+    b - offset rounded at the working precision, which is the endpoint
+    itself once the offset falls below half an ulp of it; so an integrand
+    singular at b (or at a nonzero a) may be evaluated there, and a
+    division by zero raises :class:`IntegrandEvaluationError`.  For
+    1/sqrt(1 - x) on [0, 1] that happens at 20 digits.
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")

@@ -55,11 +55,12 @@ Each integral route's integrand has a raw form, used from t = 2^-8 on,
 and a near-zero power series below it.  A raw form costs at most one
 exp: pain1 takes E = e^{-x/2} and uses coth(x/2) = (1+E^2)/(1-E^2);
 kummer takes q = e^{-t/2}, with tanh(t/4) = (1-q)/(1+q) and e^-t = q^2;
-pain2 takes e^{x/2} and squares it for e^x.  A near-zero form calls no
-transcendental at all: pain1's and pain2's are each one power series
-whose coefficients are the exact-rational quotient of two known series
-(:func:`~glaisher.smallt.quotient_series`); feaux's uses e^{-log(1+t)}
-= 1/(1+t) and the log1p and expm1 tails; kummer's is one series.
+pain2 takes e^{x/2} and squares it for e^x; feaux takes e^-t, one log
+and one sqrt, and no fractional power.  A near-zero form calls no
+transcendental at all: pain1's, pain2's and feaux's are each one power
+series whose coefficients are the exact-rational quotient of two known
+series (:func:`~glaisher.smallt.quotient_series`); kummer's is one
+series.
 
 Identity residuals: the Glaisher half-integral identity, its Gamma(x)
 variant, the log-sin integral (the three together from
@@ -71,7 +72,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from math import ceil, factorial
+from math import ceil, comb, factorial
 from typing import Callable, Literal
 
 import mpmath
@@ -91,10 +92,8 @@ from .smallt import (
     PowerSeries,
     cancellation_guard,
     exp_neg_tail,
-    expm1_minus_x,
     fixed_logs,
     quotient_series,
-    t_minus_log1p,
 )
 
 ROUTE_IDS = ("limit", "pain1", "pain2", "feaux", "kummer", "fourier_series", "hasse")
@@ -144,11 +143,6 @@ class IdentityResidual:
 # Integrands of the four integral routes
 # ---------------------------------------------------------------------------
 
-def _res1_psi_coefficient(k: int) -> mpf:
-    # psi(z)/z = sum_k (-1)^k z^k / (2^(k+3) (k+3)!)
-    return mpf((-1) ** k) / (2 ** (k + 3) * factorial(k + 3))
-
-
 def _res2_coefficient(k: int) -> mpf:
     # Coefficient of t^k in [4 tanh(t/4) - t e^-t] / (4 t^2), with j = k + 2:
     # (tau_j - e_j) / 4, where e_j = (-1)^(j-1)/(j-1)! comes from t e^-t and
@@ -185,7 +179,53 @@ def _pain2_denominator(k: int) -> tuple[int, int]:
     return 4 * (2 ** (k + 1) - 1), factorial(k + 1)
 
 
-_RES1_PSI = PowerSeries(_res1_psi_coefficient)
+def _res1_coefficients():
+    """Yield (a_m, s_m), m = 0, 1, ...: the coefficients of t^m in A and in
+    l^2 as exact rationals, where l = log(1+t)/t and the res1 integrand is
+    A / (t^3 l^2),  A = e^-t t^2 l^2 / 8 - (1+t)^(-3/2) - (t l - 2) / (2 (1+t)).
+
+    a_0 = a_1 = a_2 = 0 and a_3 = 1/48.  G = e^-t t^2 l^2 = e^-t L^2, with
+    L = log(1+t), comes from four first-order recurrences (no
+    convolution): N = e^-t/(1+t) has (1+t) N = e^-t, M = e^-t L has
+    M' = N - M, K = M/(1+t), and G' = 2K - G.  The coefficients of
+    (1+t)^(-3/2) and (t l - 2) / (2 (1+t)) are (-1)^m (2m+1) C(2m, m) / 4^m
+    and (-1)^(m+1) (2 + H_m) / 2, and s_m = (-1)^m 2 H_(m+1) / (m+2), H
+    the harmonic numbers.
+    """
+    from fractions import Fraction
+
+    N, M, K, G, H = Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)
+    m = 0
+    while True:
+        sign = (-1) ** m
+        inverse_sqrt_cubed = Fraction((2 * m + 1) * comb(2 * m, m), 4 ** m)
+        a = G / 8 + sign * ((2 + H) / 2 - inverse_sqrt_cubed)
+        yield a, sign * 2 * (H + Fraction(1, m + 1)) / (m + 2)
+        m += 1
+        M, G = (N - M) / m, (2 * K - G) / m
+        N = Fraction(-sign, factorial(m)) - N
+        K = M - K
+        H += Fraction(1, m)
+
+
+def _res1_quotient() -> PowerSeries:
+    # The near-zero form (A / t^3) / l^2, from _res1_coefficients grown as
+    # far as a sum first asks.
+    pairs = _res1_coefficients()
+    known: list = []
+
+    def term(m):
+        while len(known) <= m:
+            known.append(next(pairs))
+        return known[m]
+
+    return quotient_series(
+        lambda k: term(k + 3)[0].as_integer_ratio(),
+        lambda k: term(k)[1].as_integer_ratio(),
+    )
+
+
+_RES1 = _res1_quotient()
 _RES2_BRACKET_OVER_T2 = PowerSeries(_res2_coefficient)
 _PAIN1 = quotient_series(_pain1_numerator, _pain1_denominator)
 _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
@@ -194,36 +234,30 @@ _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
 def res1_integrand(ctx: ComputeContext) -> Integrand:
     """Feaux-route integrand; three terms of size t^-2 cancelling to O(t).
 
-    With L = log(1+t) the bracket collapses to
-        e^-L [ expm1(L-t)/8 + psi(L) ],
-    psi(z) = sum_{j>=1} -(-1/2)^{j+2} z^j/(j+2)! = z/48 - z^2/384 + ...,
-    which is the near-zero form (limit of the integrand at 0 is 1/48).
-    It calls no transcendental: e^-L is exactly 1/(1+t), and with
-    lmt = t - L from the log1p tail, expm1(L-t) = -lmt +
-    expm1_minus_x(-lmt); psi, both tails and so the whole form run on the
-    shared :class:`~glaisher.smallt.PowerSeries` kernel.
+    The raw form takes one log, one sqrt and one exp: with u = 1+t,
+    L = log u and r = sqrt(u), the bracket is
+        e^-t/8 - (2 + (L-2) r) / (2 u r L^2),
+    e^-t from :func:`~glaisher.smallt.exp_neg_tail`.  Near zero the
+    integrand is A / (t^3 l^2) with l = log(1+t)/t, whose numerator's
+    coefficients of t^0..t^2 cancel exactly (see ``_res1_coefficients``): one
+    power series with exact rational coefficients
+    (:func:`~glaisher.smallt.quotient_series`), limit 1/48 at zero,
+    radius of convergence 1, and no transcendental.
     Decay at infinity is only 1/(t^2 log t); the exp-sinh transform still
     wins because the transformed tail dies double-exponentially.
     """
 
     def raw(t):
         with mp.extradps(cancellation_guard(t, 3)):
-            L = mpmath.log(1 + t)
-            bracket = (
-                exp_neg_tail(t) / 8
-                - 1 / ((1 + t) ** (mpf(3) / 2) * L * L)
-                - (L - 2) / (2 * (1 + t) * L * L)
-            )
+            u = 1 + t
+            L = mpmath.log(u)
+            r = mpmath.sqrt(u)
+            bracket = exp_neg_tail(t) / 8 - (2 + (L - 2) * r) / (2 * u * r * L * L)
             return +(bracket / t)
-
-    def series(t):
-        lmt = t_minus_log1p(t)         # t - log(1+t), O(t^2), exact series
-        L = t - lmt
-        return ((expm1_minus_x(-lmt) - lmt) / 8 + L * _RES1_PSI(L)) / ((1 + t) * t)
 
     return Integrand(
         eval=raw,
-        near_zero=series,
+        near_zero=_RES1,
         label="res1",
     )
 

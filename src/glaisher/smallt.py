@@ -14,8 +14,9 @@ integer, takes z once as a W-bit integer, and sums by Horner's rule,
 acc = c_k + (acc z >> W), from the last term down; only the final sum is
 rounded to an mpf.  A term costs one integer multiply and one shift
 instead of a few pure-Python mpf operations.  A near-zero form that is a
-quotient of two known series (pain1's, pain2's) becomes one series by
-:func:`quotient_series`, whose coefficients are exact rationals.
+quotient of two known series (pain1's, pain2's, res1's) becomes one
+series by :func:`quotient_series`, whose coefficients are exact
+rationals.
 
 The W budget.  W = prec + 16 + max(0, -mag(c_0)) bits.  Each Horner step
 truncates by under one unit of 2^-W and each stored c_k is off by under

@@ -3,6 +3,9 @@ integral routes' integrands, against the paper's literal expressions."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import islice
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
@@ -28,10 +31,17 @@ def _res2_bracket_literal(t):
     return mpmath.tanh(t / 4) / t - mpmath.exp(-t) / 4
 
 
+def _res1_literal(t):
+    L = mpmath.log(1 + t)
+    return (mpmath.exp(-t) / 8 - (1 + t) ** (-mpf(3) / 2) / L ** 2
+            - (L - 2) / (2 * (1 + t) * L ** 2)) / t
+
+
 # name -> (integrand factory, the paper's literal expression)
 LITERAL_FORMS = {
     "pain1": (pain1_integrand, _pain1_literal),
     "pain2": (pain2_integrand, _pain2_literal),
+    "res1": (res1_integrand, _res1_literal),
     "res2_dt_over_t": (lambda ctx: res2_integrand(ctx, "dt_over_t"),
                        lambda t: _res2_bracket_literal(t) / t),
     "res2_dt": (lambda ctx: res2_integrand(ctx, "dt"), _res2_bracket_literal),
@@ -66,6 +76,7 @@ def test_raw_form_matches_literal_expression(name, digits):
 QUOTIENT_SERIES = {
     "pain1": (routes._PAIN1, _pain1_literal),
     "pain2": (routes._PAIN2, _pain2_literal),
+    "res1": (routes._RES1, _res1_literal),
 }
 
 
@@ -84,7 +95,18 @@ def test_quotient_series_matches_taylor_of_closed_form(name):
             assert rel < mpf(10) ** -30, f"{name} c_{k}: relative gap {mpmath.nstr(rel, 3)}"
 
 
-TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log")
+def test_res1_numerator_cancels_exactly():
+    # A = e^-t t^2 l^2/8 - (1+t)^(-3/2) - (t l - 2)/(2 (1+t)) loses its
+    # t^0..t^2 coefficients exactly, and l^2 = (log(1+t)/t)^2 starts
+    # 1 - t + 11/12 t^2 - 5/6 t^3, so the series starts at c_0 = 1/48.
+    pairs = list(islice(routes._res1_coefficients(), 4))
+    assert [a for a, _ in pairs] == [0, 0, 0, Fraction(1, 48)]
+    assert [s for _, s in pairs] == [1, -1, Fraction(11, 12), Fraction(-5, 6)]
+    with mp.workdps(30):
+        assert routes._RES1._coefficient(0) == mpf(1) / 48
+
+
+TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log", "sqrt")
 
 
 def _near_zero_forms(ctx):
@@ -131,7 +153,7 @@ def _count_transcendentals(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", list(LITERAL_FORMS))
+@pytest.mark.parametrize("name", [name for name in LITERAL_FORMS if name != "res1"])
 def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
     ctx = make_context(50)
     integrand = LITERAL_FORMS[name][0](ctx)
@@ -143,6 +165,20 @@ def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
             integrand.eval(mpf(text))
         assert calls["exp"] <= 1, f"{name} at t = {text}: {calls}"
         assert sum(calls.values()) == calls["exp"], f"{name} at t = {text}: {calls}"
+
+
+def test_res1_raw_form_takes_one_log_one_sqrt_and_at_most_one_exp(monkeypatch):
+    ctx = make_context(50)
+    integrand = res1_integrand(ctx)
+    calls = _count_transcendentals(monkeypatch)
+    for text in RAW_GRID + ["1e6"]:
+        for fn in calls:
+            calls[fn] = 0
+        with ctx.workdps(20):
+            integrand.eval(mpf(text))
+        assert calls["log"] == calls["sqrt"] == 1, f"t = {text}: {calls}"
+        assert calls["exp"] <= 1, f"t = {text}: {calls}"
+        assert sum(calls.values()) == 2 + calls["exp"], f"t = {text}: {calls}"
 
 
 @pytest.mark.parametrize("x", ["0.25", "0.75"])

@@ -38,12 +38,14 @@ def oracle_error(x, digits):
 def oracle_arguments(digits):
     """Arguments across every path of the oracle at ``digits``: far below
     the fixed-point unit of the shift product, tiny, fractional, on either
-    side of the 10 P / 7 shift target, and far above it."""
+    side of the 10 P / 7 shift target, and far above it.  1/3 and 4/3
+    take shifts of lengths n and n - 1, one odd and one even, so the
+    paired product meets its middle factor z + n/2 at every precision."""
     target = -(-10 * digits // 7)
     with mp.workdps(digits):
         return [
             mpf("1e-4950"), mpf("3e-20000"), mpf(2) ** -200, mpf("1e-6"),
-            mpf(1) / 3, mpf(1) / 4, mpf(1), mpf(2),
+            mpf(1) / 3, mpf(4) / 3, mpf(1) / 4, mpf(1), mpf(2),
             target + mpf(1) / 3, target - mpf(1) / 3, mpf(4000), mpf(10) ** 40,
         ]
 

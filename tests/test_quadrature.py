@@ -113,6 +113,15 @@ class TestResultStructure:
         with pytest.raises(IntegrandEvaluationError, match="broken"):
             integrate_zero_to_inf(bad, ctx=ctx50)
 
+    def test_division_by_zero_at_right_endpoint_aborts_with_label(self, ctx20):
+        # b - offset rounds to b once the offset is below half an ulp, so
+        # 1/sqrt(1 - x) is evaluated at x = 1; the engine must turn the
+        # division by zero into its own error, naming integrand and abscissa.
+        f = Integrand(eval=lambda x: 1 / mpmath.sqrt(1 - x), label="right_singular")
+        with pytest.raises(IntegrandEvaluationError, match="right_singular") as caught:
+            integrate_finite(f, 0, 1, ctx=ctx20)
+        assert caught.value.abscissa == 1
+
     def test_divergent_integral_reports_no_convergence(self, ctx30):
         # 1/(1+t) is not integrable on (0, inf); the scan caps out and the
         # engine must say so rather than return a confident number

@@ -34,10 +34,10 @@ with mp.workdps(100):
 
 # Every series the project sums on the kernel, and whether its helper
 # passes arguments out to |z| = 1/2 (the log1p and expm1 tails do).
-# "pain1_S" and "pain2_numerator" keep their test ids but now name each
-# integrand's whole near-zero quotient series.
+# "res1_psi", "pain1_S" and "pain2_numerator" keep their test ids but now
+# name each integrand's whole near-zero quotient series.
 KERNEL_SERIES = {
-    "res1_psi": (routes._RES1_PSI, False),
+    "res1_psi": (routes._RES1, False),
     "res2_bracket": (routes._RES2_BRACKET_OVER_T2, False),
     "pain1_S": (routes._PAIN1, False),
     "pain2_numerator": (routes._PAIN2, False),
@@ -205,13 +205,10 @@ def test_kummer_series_vanishes_at_half(ctx50):
 
 
 def _res1_unguarded(t):
-    L = mpmath.log(1 + t)
-    bracket = (
-        mpmath.exp(-t) / 8
-        - 1 / ((1 + t) ** (mpf(3) / 2) * L * L)
-        - (L - 2) / (2 * (1 + t) * L * L)
-    )
-    return bracket / t
+    u = 1 + t
+    L = mpmath.log(u)
+    r = mpmath.sqrt(u)
+    return (mpmath.exp(-t) / 8 - (2 + (L - 2) * r) / (2 * u * r * L * L)) / t
 
 
 def _pain1_unguarded(x):
