@@ -35,7 +35,8 @@ cross-check of the context's reference gamma.
 
 Kummer's raw form reads sinh(t/2) and e^-t off one q = e^(-t/2), two
 exps in all, and no near-zero form calls a transcendental of t: each is
-a sum of series on the kernel.
+a sum of series on the kernel, each built once at module level: Kummer's
+a = 1/2 - x multiplies its series from outside, so none is built per x.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ class DomainError(ValueError):
 _STIRLING: dict[int, mpf] = {}
 
 
-def _stirling_coefficient(k: int) -> mpf:
+def _stirling_coefficient(k: int) -> tuple[int, int]:
     # B_(2k+2) / ((2k+2) (2k+1)): the coefficient of w^k in
     # sum_{m>=1} B_2m / (2m (2m-1) z^(2m-1)) = (1/z) sum_k c_k w^k, w = 1/z^2.
     p, q = mpmath.bernfrac(2 * k + 2)
-    return mpf(p) / (q * (2 * k + 2) * (2 * k + 1))
+    return p, q * (2 * k + 2) * (2 * k + 1)
 
 
 _STIRLING_SERIES = PowerSeries(_stirling_coefficient)
@@ -178,44 +179,40 @@ def feaux_log_gamma1p(
 # Kummer representation of log Gamma(x), 0 < x < 1
 # ---------------------------------------------------------------------------
 
-def _kummer_numerator_over_t2(a: mpf) -> PowerSeries:
-    """N(t)/t^2 = sum_k c_k t^k for N(t) = sinh(at) - 2a e^-t sinh(t/2)."""
-
-    def coefficient(k):
-        # c_j = s_j - a ((-1/2)^j - (-3/2)^j)/j! with j = k + 2: s_j = a^j/j!
-        # (odd j only) from sinh(at), the rest from 2a e^-t sinh(t/2) =
-        # a (e^(-t/2) - e^(-3t/2)); the j = 1 terms cancel exactly.
-        j = k + 2
-        s_j = a ** j if j % 2 else 0
-        return (s_j - a * ((-1) ** j - (-3) ** j) / 2 ** j) / factorial(j)
-
-    return PowerSeries(coefficient)
-
-
-def _t_over_sinh_half_coefficient(k: int) -> mpf:
+def _t_over_sinh_half_coefficient(k: int) -> tuple[int, int]:
     # t/sinh(t/2) = sum_k c_k t^2k, from x/sinh x = sum_k (2 - 4^k) B_2k x^2k/(2k)!
     p, q = mpmath.bernfrac(2 * k)
-    return mpf(2 * (2 - 4 ** k) * p) / (q * factorial(2 * k) * 4 ** k)
+    return 2 * (2 - 4 ** k) * p, q * factorial(2 * k) * 4 ** k
 
 
+def _kummer_g_coefficient(k: int) -> tuple[int, int]:
+    # [t - e^(-t/2) + e^(-3t/2)] / t^2: with j = k + 2, ((-3)^j - (-1)^j) / (2^j j!);
+    # the j = 1 term of the exponentials cancels the t.
+    j = k + 2
+    return (-3) ** j - (-1) ** j, 2 ** j * factorial(j)
+
+
+# (sinh(u) - u) / u^3 = S(u^2), S(y) = sum_m y^m / (2m+3)!
+_SINH_TAIL = PowerSeries(lambda m: (1, factorial(2 * m + 3)))
+_KUMMER_G = PowerSeries(_kummer_g_coefficient)
 _T_OVER_SINH_HALF = PowerSeries(_t_over_sinh_half_coefficient)
 
 
 def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     """Integrand of the Kummer formula at parameter x.
 
-    Both bracket terms approach 1-2x at t = 0.  The near-zero form expands
-    N(t) = sinh(at) - 2a e^-t sinh(t/2) (a = 1/2 - x) as one power series
-    sum_{j>=2} c_j t^j whose O(t) coefficients cancel exactly, times the
-    series of t/sinh(t/2) in t^2.  The coefficients of N depend on a, so
-    each call builds its own :class:`~glaisher.smallt.PowerSeries`; at
-    x = 1/2 they all vanish and the series is an exact 0.  Near x = 1/2
-    its leading coefficient, c_2 = a, is small; the kernel's c_0 shift
-    keeps it at full relative precision.
+    Both bracket terms approach 1-2x at t = 0.  Near zero, with a = 1/2 - x,
+    N(t) = sinh(at) - 2a e^-t sinh(t/2) has N(t)/t^2 = a (a^2 t S(a^2 t^2)
+    + G(t)), S(y) = sum_m y^m/(2m+3)! and G(t) = [t - e^(-t/2) +
+    e^(-3t/2)]/t^2 (the O(t) terms cancel exactly), and the form is that
+    times the series of t/sinh(t/2) in t^2.  S and G serve every x, and a
+    stays outside them: near x = 1/2 the form keeps full relative
+    precision, and at x = 1/2 it is an exact 0.
     """
     with ctx.workdps(20):
         x = mpf(x)
         a = +(mpf(1) / 2 - x)
+        a2 = a * a
 
     # The decades of 1/|a| that p - 1/p below loses on top of those of 1/t.
     a_guard = cancellation_guard(abs(a), 1) - 10 if a else 0
@@ -236,10 +233,9 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
             bracket = q * (p - 1 / p) / (1 - q2) - 2 * a * q2
             return +(bracket / t)
 
-    numerator_over_t2 = _kummer_numerator_over_t2(a)
-
     def series(t):
-        return numerator_over_t2(t) * _T_OVER_SINH_HALF(t * t)
+        t2 = t * t
+        return a * (a2 * t * _SINH_TAIL(a2 * t2) + _KUMMER_G(t)) * _T_OVER_SINH_HALF(t2)
 
     return Integrand(
         eval=raw,
@@ -353,10 +349,10 @@ def kummer_fourier_log_gamma(x: Real, n_terms: int, ctx: ComputeContext) -> Real
 # Dirichlet integral for Euler's constant
 # ---------------------------------------------------------------------------
 
-def _dirichlet_coefficient(k: int) -> mpf:
+def _dirichlet_coefficient(k: int) -> tuple[int, int]:
     # 1/(1+t) - e^-t = sum_j (-1)^j (1 - 1/j!) t^j; the j = 0, 1 terms
     # vanish, so (1/(1+t) - e^-t)/t = t sum_k (-1)^k (1 - 1/(k+2)!) t^k.
-    return (-1) ** k * (1 - mpf(1) / factorial(k + 2))
+    return (-1) ** k * (factorial(k + 2) - 1), factorial(k + 2)
 
 
 _DIRICHLET_SERIES = PowerSeries(_dirichlet_coefficient)

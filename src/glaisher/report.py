@@ -157,6 +157,14 @@ DEFAULT_PARAMS = {
 }
 
 
+def _merged_params(params: dict | None) -> dict:
+    """DEFAULT_PARAMS updated by ``params``; an unknown key is a ConfigError."""
+    unknown = sorted(set(params or ()) - DEFAULT_PARAMS.keys())
+    if unknown:
+        raise ConfigError(f"unknown params {unknown}; known: {', '.join(DEFAULT_PARAMS)}")
+    return {**DEFAULT_PARAMS, **(params or {})}
+
+
 def _route_runner(route_id: str, ctx: ComputeContext, params: dict):
     if route_id == "limit":
         return route_limit(ctx, n=params["limit_n"], richardson_order=params["limit_order"])
@@ -196,12 +204,12 @@ def run_all(
 ) -> ReportDocument:
     """Run the requested routes and every identity check; never abort.
 
-    Unknown route ids are a configuration error (checked before any
-    computation); runtime failures of individual routes are recorded in
-    the failures list and the rest of the report is still produced.
-    The whole call holds one table of shared work (quadrature nodes,
-    oracle values; :func:`~glaisher.quadrature.shared_work`), dropped on
-    return or raise.
+    Unknown route ids and ``params`` keys are a configuration error
+    (checked before any computation); runtime failures of individual
+    routes are recorded in the failures list and the rest of the report
+    is still produced.  The whole call holds one table of shared work
+    (quadrature nodes, oracle values;
+    :func:`~glaisher.quadrature.shared_work`), dropped on return or raise.
     """
     route_set = list(ROUTE_IDS) if route_set is None else list(route_set)
     if not route_set:
@@ -211,8 +219,7 @@ def run_all(
             raise ConfigError(
                 f"unknown route id {rid!r}; known routes: {', '.join(ROUTE_IDS)}"
             )
-    merged = dict(DEFAULT_PARAMS)
-    merged.update(params or {})
+    merged = _merged_params(params)
 
     doc = ReportDocument(
         context_info={
@@ -313,8 +320,7 @@ def convergence_study(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"grid must be strictly ascending, got {grid}")
 
-    merged = dict(DEFAULT_PARAMS)
-    merged.update(params or {})
+    merged = _merged_params(params)
     consensus = consensus_log_a(ctx)
 
     records = []

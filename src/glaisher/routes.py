@@ -143,18 +143,19 @@ class IdentityResidual:
 # Integrands of the four integral routes
 # ---------------------------------------------------------------------------
 
-def _res2_coefficient(k: int) -> mpf:
+def _res2_coefficient(k: int) -> tuple[int, int]:
     # Coefficient of t^k in [4 tanh(t/4) - t e^-t] / (4 t^2), with j = k + 2:
     # (tau_j - e_j) / 4, where e_j = (-1)^(j-1)/(j-1)! comes from t e^-t and
     # tau_j = 4^(m+1) (4^m - 1) B_2m / ((2m)! 4^j) from 4 tanh(t/4) at odd
     # j = 2m - 1.
     j = k + 2
-    c = -mpf((-1) ** (j - 1)) / factorial(j - 1)
+    p, q = -(-1) ** (j - 1), factorial(j - 1)
     if j % 2:
         m = (j + 1) // 2
-        p, q = mpmath.bernfrac(2 * m)
-        c += mpf(4 ** (m + 1) * (4 ** m - 1) * p) / (q * factorial(2 * m) * 4 ** j)
-    return c / 4
+        b, d = mpmath.bernfrac(2 * m)
+        d *= factorial(2 * m) * 4 ** j
+        p, q = p * d + 4 ** (m + 1) * (4 ** m - 1) * b * q, q * d
+    return p, 4 * q
 
 
 def _pain1_numerator(k: int) -> tuple[int, int]:

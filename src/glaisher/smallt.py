@@ -8,23 +8,22 @@ already hold the cancelled differences, so the subtraction is done
 exactly in the coefficients instead of in floating point.
 
 All of those series run on one kernel, :class:`PowerSeries`.  It takes a
-coefficient function k -> c_k and sums sum_{k>=0} c_k z^k in fixed point:
-per working precision (``mp.prec``) it keeps each c_k once as a W-bit
-integer, takes z once as a W-bit integer, and sums by Horner's rule,
+coefficient function k -> c_k, exact as an integer pair (p, q), q > 0,
+and sums sum_{k>=0} c_k z^k in fixed point: per working precision
+(``mp.prec``) it keeps each c_k once as the W-bit integer nearest to
+p 2^W / q, takes z once as a W-bit integer, and sums by Horner's rule,
 acc = c_k + (acc z >> W), from the last term down; only the final sum is
 rounded to an mpf.  A term costs one integer multiply and one shift
 instead of a few pure-Python mpf operations.  A near-zero form that is a
 quotient of two known series (pain1's, pain2's, res1's) becomes one
-series by :func:`quotient_series`, whose coefficients are exact
-rationals.
+series by :func:`quotient_series`.
 
-The W budget.  W = prec + 16 + max(0, -mag(c_0)) bits.  Each Horner step
-truncates by under one unit of 2^-W and each stored c_k is off by under
-one unit; the later steps multiply those errors by |z| <= 1/2, so the sum
-is off by a few units of 2^-W in all.  The 16 guard bits put that below
-a thousandth of an ulp of a result of the size of c_0, and the c_0 shift
-keeps a small leading coefficient (Kummer's c_0 = 1/2 - x near x = 1/2)
-at the same relative accuracy as one of size 1.  Horner and not forward
+The W budget.  W = prec + 16 bits.  Each Horner step truncates by under
+one unit of 2^-W and each stored c_k is off by at most half a unit; the
+later steps multiply those errors by |z| <= 1/2, so the sum is off by a
+few units of 2^-W in all, under a hundredth of 2^-prec relative to any
+c_0 down to 1/48 (res1's, the smallest here).  Kummer's a = 1/2 - x,
+which can be tiny, stands outside its sums.  Horner and not forward
 powers: a forward sum truncates z^k before multiplying it by c_k, so the
 error of a term grows with |c_k|, and the Stirling coefficients grow
 factorially (summed forward, the Stirling tail was off by 2e8 units of
@@ -40,8 +39,7 @@ keeps its full working precision; two terms rather than one guard
 against a single coefficient that happens to be small.  The count is
 kept per (bit length, top 8 bits) of z.  The series here converge for
 |z| <= 0.5, which covers every near-zero threshold used in the project
-(2^-8) with a large margin; a series whose coefficients all vanish
-(Kummer's at x = 1/2) sums to an exact 0.
+(2^-8) with a large margin.
 
 The far tail has the opposite trouble.  The exp-sinh map also probes
 t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
@@ -80,16 +78,16 @@ _GUARD_BITS = 16
 
 
 class PowerSeries:
-    """sum_{k>=0} c_k z^k, with ``coefficient(k)`` giving c_k.
+    """sum_{k>=0} c_k z^k, with ``coefficient(k)`` giving c_k as an exact
+    integer pair (p, q), q > 0.
 
     The sum is taken in W-bit fixed point by Horner's rule and rounded
     once (see the module docstring for W and the stop).  ``coefficient``
-    is called at W bits, at most once per k and working precision (c_0
-    once more at the working precision, to size W); its results are kept
-    as W-bit integers for later calls.  ``z`` is an mpf.
+    is called at most once per k and working precision, and c_k kept as
+    the W-bit integer nearest to p 2^W / q.  ``z`` is an mpf.
     """
 
-    def __init__(self, coefficient: Callable[[int], mpf]):
+    def __init__(self, coefficient: Callable[[int], tuple[int, int]]):
         self._coefficient = coefficient
         self._cache: dict[int, _FixedCoefficients] = {}
 
@@ -113,14 +111,14 @@ def quotient_series(
     """The power series of (sum a_k z^k) / (sum b_k z^k), b_0 != 0.
 
     ``numerator(k)`` and ``denominator(k)`` give a_k and b_k exactly, as
-    integer pairs (p, q) for p/q; c_k = (a_k - sum_{j=1..k} b_j c_(k-j)) / b_0
-    is kept as an exact rational for every precision and built only as
+    integer pairs; c_k = (a_k - sum_{j=1..k} b_j c_(k-j)) / b_0 is kept as
+    an exact rational, given to the kernel as a pair, and built only as
     far as a sum first asks, so nothing is computed at import.
     """
     b: list = []
     c: list = []
 
-    def coefficient(k: int) -> mpf:
+    def coefficient(k: int) -> tuple[int, int]:
         # fractions (with decimal) takes about 4 ms to import: load it on
         # first use, not with the package.
         from fractions import Fraction
@@ -130,7 +128,7 @@ def quotient_series(
             b.append(Fraction(*denominator(n)))
             tail = sum(b[j] * c[n - j] for j in range(1, n + 1))
             c.append((Fraction(*numerator(n)) - tail) / b[0])
-        return mpf(c[k].numerator) / c[k].denominator
+        return c[k].as_integer_ratio()
 
     return PowerSeries(coefficient)
 
@@ -141,10 +139,9 @@ class _FixedCoefficients:
 
     __slots__ = ("coefficient", "width", "fixed", "bits", "limit", "counts")
 
-    def __init__(self, coefficient: Callable[[int], mpf]):
+    def __init__(self, coefficient: Callable[[int], tuple[int, int]]):
         self.coefficient = coefficient
-        c0 = coefficient(0)
-        self.width = mp.prec + _GUARD_BITS + (max(0, -mpmath.mag(c0)) if c0 else 0)
+        self.width = mp.prec + _GUARD_BITS
         self.fixed: list[int] = []
         self.bits: list[int] = []
         self.counts: dict[tuple[int, int], int] = {}
@@ -155,8 +152,8 @@ class _FixedCoefficients:
         self.limit = scale - ceil((mp.dps + 5) * log2(10))
 
     def _extend(self) -> None:
-        with mp.workprec(self.width):
-            c = to_fixed(mpf(self.coefficient(len(self.fixed)))._mpf_, self.width)
+        p, q = self.coefficient(len(self.fixed))
+        c = ((p << (self.width + 1)) // q + 1) >> 1     # nearest to p 2^W / q
         self.fixed.append(c)
         self.bits.append(abs(c).bit_length())
 
@@ -247,10 +244,10 @@ def fixed_logs(n: int) -> tuple[int, list[int]]:
 
 
 # (t - log(1+t)) / t^2 = sum_k (-1)^k t^k / (k+2)
-_LOG1P_TAIL = PowerSeries(lambda k: mpf((-1) ** k) / (k + 2))
+_LOG1P_TAIL = PowerSeries(lambda k: ((-1) ** k, k + 2))
 
 # (expm1(z) - z) / z^2 = sum_k z^k / (k+2)!
-_EXPM1_TAIL = PowerSeries(lambda k: mpf(1) / factorial(k + 2))
+_EXPM1_TAIL = PowerSeries(lambda k: (1, factorial(k + 2)))
 
 
 def t_minus_log1p(t: mpf) -> mpf:

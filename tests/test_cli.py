@@ -392,3 +392,19 @@ class TestProcessExitCodes:
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # fractions (with decimal) costs about 4 ms to import; the exact
+    # series coefficients load it on first use, not with the package.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, glaisher, glaisher.cli; "
+         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -90,7 +90,8 @@ def test_quotient_series_matches_taylor_of_closed_form(name):
         taylor = mpmath.taylor(literal, 0, 29, singular=True)
         taylor[0] = mpmath.limit(literal, 0)
         for k in range(30):
-            c = series._coefficient(k)
+            p, q = series._coefficient(k)
+            c = mpf(p) / q
             rel = abs(taylor[k] - c) / abs(c)
             assert rel < mpf(10) ** -30, f"{name} c_{k}: relative gap {mpmath.nstr(rel, 3)}"
 
@@ -102,8 +103,7 @@ def test_res1_numerator_cancels_exactly():
     pairs = list(islice(routes._res1_coefficients(), 4))
     assert [a for a, _ in pairs] == [0, 0, 0, Fraction(1, 48)]
     assert [s for _, s in pairs] == [1, -1, Fraction(11, 12), Fraction(-5, 6)]
-    with mp.workdps(30):
-        assert routes._RES1._coefficient(0) == mpf(1) / 48
+    assert routes._RES1._coefficient(0) == (1, 48)
 
 
 TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log", "sqrt")
@@ -193,6 +193,30 @@ def test_kummer_raw_form_takes_two_exps_and_no_sinh(x, monkeypatch):
             integrand.eval(mpf(text))
         assert calls["exp"] <= 2, f"x = {x} at t = {text}: {calls}"
         assert sum(calls.values()) == calls["exp"], f"x = {x} at t = {text}: {calls}"
+
+
+@pytest.mark.parametrize("digits", [30, 70, 220])
+@pytest.mark.parametrize("sign, bits", [(1, 60), (-1, 90)], ids=["half-2^-60", "half+2^-90"])
+def test_kummer_near_zero_form_near_half(sign, bits, digits):
+    # x = 1/2 - a with a = +-2^-bits: both bracket terms are ~2a and the
+    # near-zero form keeps a outside its shared series, so a tiny a costs
+    # it no relative accuracy.  Against the literal bracket
+    # [sinh(at)/sinh(t/2) - 2a e^-t]/t at 3P + 200 digits.
+    ctx = make_context(digits)
+    with mp.workdps(400):
+        a = sign * mpf(2) ** -bits
+        integrand = kummer_integrand(mpf(1) / 2 - a, ctx)
+    misses = []
+    for e in (9, 40, 300):
+        with ctx.workdps(20):
+            t = mpf(2) ** -e
+            got = integrand.near_zero(t)
+        with mp.workdps(3 * digits + 200):
+            want = (mpmath.sinh(a * t) / mpmath.sinh(t / 2) - 2 * a * mpmath.exp(-t)) / t
+            rel = abs(got - want) / abs(want)
+        if rel > mpf(10) ** -(digits + 10):
+            misses.append(f"t = 2^-{e}: {mpmath.nstr(rel, 3)}")
+    assert not misses, f"{digits} digits: {misses}"
 
 
 def _old_guard(t, digits_per_decade):

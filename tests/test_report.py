@@ -45,6 +45,16 @@ class TestRunAll:
         with pytest.raises(ConfigError, match="nosuch"):
             run_all(ctx, ["feaux", "nosuch"])
 
+    def test_unknown_param_is_config_error(self, ctx, monkeypatch):
+        # A misspelt key must not run hasse at its default N = 80 and be
+        # echoed into context_info["params"] as if it had been used.
+        def no_route(*args, **kwargs):
+            raise AssertionError("route run before validation")
+
+        monkeypatch.setattr(glaisher.report, "_route_runner", no_route)
+        with pytest.raises(ConfigError, match="'hasse_N'.*hasse_n"):
+            run_all(ctx, ["hasse"], {"hasse_N": 60})
+
     def test_matrix_entry_below_consensus_bound(self, small_report, ctx):
         matrix = small_report.agreement_matrix["matrix"]
         bound = mpf(10) ** (-(ctx.precision_digits - 10))
@@ -188,6 +198,14 @@ class TestConvergenceStudy:
             convergence_study("limit", [32, 16], ctx)
         with pytest.raises(ConfigError, match="unknown route"):
             convergence_study("nosuch", [1], ctx)
+
+    def test_unknown_param_fails_first(self, ctx, monkeypatch):
+        def no_consensus(*args, **kwargs):
+            raise AssertionError("consensus computed before validation")
+
+        monkeypatch.setattr(glaisher.report, "consensus_log_a", no_consensus)
+        with pytest.raises(ConfigError, match="'limit_ordr'.*limit_order"):
+            convergence_study("limit", [16], ctx, params={"limit_ordr": 0})
 
     def test_route_without_grid_parameter_fails_first(self, ctx, monkeypatch):
         def no_consensus(*args, **kwargs):

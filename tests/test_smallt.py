@@ -10,12 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from glaisher import make_context, routes, smallt
-from glaisher.loggamma import (
-    _STIRLING_SERIES,
-    _kummer_numerator_over_t2,
-    kummer_integrand,
-)
+from glaisher import loggamma, make_context, routes, smallt
+from glaisher.loggamma import kummer_integrand
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
 from glaisher.smallt import (
     cancellation_guard,
@@ -27,15 +23,12 @@ from glaisher.smallt import (
 
 from test_quadrature import PROJECT_INTEGRANDS, build_integrand
 
-# Kummer's numerator series has c_0 = a = 1/2 - x.
-with mp.workdps(100):
-    _KUMMER_QUARTER = _kummer_numerator_over_t2(mpf(1) / 2 - mpf(1) / 4)
-    _KUMMER_NEAR_HALF = _kummer_numerator_over_t2(mpf(1) / 2 - (mpf(1) / 2 - mpf(2) ** -60))
-
 # Every series the project sums on the kernel, and whether its helper
 # passes arguments out to |z| = 1/2 (the log1p and expm1 tails do).
 # "res1_psi", "pain1_S" and "pain2_numerator" keep their test ids but now
-# name each integrand's whole near-zero quotient series.
+# name each integrand's whole near-zero quotient series.  Kummer's
+# near-zero form is a (a^2 t S(a^2 t^2) + G(t)) times t/sinh(t/2), from
+# three series shared by every x.
 KERNEL_SERIES = {
     "res1_psi": (routes._RES1, False),
     "res2_bracket": (routes._RES2_BRACKET_OVER_T2, False),
@@ -43,20 +36,24 @@ KERNEL_SERIES = {
     "pain2_numerator": (routes._PAIN2, False),
     "log1p_tail": (smallt._LOG1P_TAIL, True),
     "expm1_tail": (smallt._EXPM1_TAIL, True),
-    "kummer_quarter": (_KUMMER_QUARTER, False),
-    "kummer_near_half": (_KUMMER_NEAR_HALF, False),
-    "stirling": (_STIRLING_SERIES, False),
+    "kummer_sinh_tail": (loggamma._SINH_TAIL, False),
+    "kummer_g": (loggamma._KUMMER_G, False),
+    "t_over_sinh_half": (loggamma._T_OVER_SINH_HALF, False),
+    "dirichlet": (loggamma._DIRICHLET_SERIES, False),
+    "stirling": (loggamma._STIRLING_SERIES, False),
 }
 
 
 def _mpf_sum(series, z, digits):
     """sum c_k z^k in mpf at ``digits``, c_k from the series' own
-    coefficient function at that precision, to 10^-(digits+5) relative."""
+    coefficient pair rounded at that precision, to 10^-(digits+5)
+    relative."""
     with mp.workdps(digits):
         eps = mpf(10) ** -(digits + 5)
         acc, power, k, small = mpf(0), mpf(1), 0, 0
         while small < 2:
-            term = series._coefficient(k) * power
+            p, q = series._coefficient(k)
+            term = mpf(p) / q * power
             acc += term
             small = small + 1 if abs(term) <= eps * abs(acc) else 0
             power *= z
@@ -70,12 +67,11 @@ def test_kernel_matches_mpf_sum_within_rounding(name, digits):
     # The fixed-point Horner sum at P digits against the same sum in mpf
     # at P+40.  The bound is 1.25 units of 2^-prec relative: correct
     # rounding alone may take one, so the fixed-point part must stay
-    # below a quarter (it is a few units of 2^-W, with W = prec + 16 +
-    # the c_0 shift).  Measured worst 0.80.  Without the guard bits 33 of
-    # the 36 cases exceed the bound (worst 3.8); without the c_0 shift
-    # Kummer near x = 1/2 (c_0 = 2^-60) reads ~1e13 at every P; with
-    # forward powers in place of Horner the factorially growing Stirling
-    # coefficients read 2e8 at 70 digits and 5e141 at 420.
+    # below a quarter (it is a few units of 2^-W, with W = prec + 16).
+    # Measured worst 0.80.  Without the guard bits 33 of 36 cases
+    # exceeded the bound (worst 3.8); with forward powers in place of
+    # Horner the factorially growing Stirling coefficients read 2e8 at
+    # 70 digits and 5e141 at 420.
     series, out_to_half = KERNEL_SERIES[name]
     with mp.workdps(digits + 40):
         if name == "stirling":
@@ -97,6 +93,24 @@ def test_kernel_matches_mpf_sum_within_rounding(name, digits):
             if rel > 1.25 * unit:
                 misses.append(f"z = {mpmath.nstr(z, 5)}: {mpmath.nstr(rel / unit, 3)} units")
     assert not misses, f"{name} at {digits} digits, relative error in units of 2^-prec: {misses}"
+
+
+@pytest.mark.parametrize("name", list(KERNEL_SERIES))
+@pytest.mark.parametrize("digits", [30, 220])
+def test_coefficients_are_exact_pairs_rounded_once(name, digits):
+    # The one coefficient contract: c_k is an integer pair (p, q), q > 0,
+    # and the kernel keeps the integer nearest to p 2^W / q, W = prec + 16.
+    series, _ = KERNEL_SERIES[name]
+    with mp.workdps(digits):
+        series(mpf(2) ** -300)      # small enough for Stirling's divergent series
+        table = series._cache[mp.prec]
+        assert table.width == mp.prec + 16
+    while len(table.fixed) <= 40:
+        table._extend()
+    for k in range(41):
+        p, q = pair = series._coefficient(k)
+        assert (type(p), type(q)) == (int, int) and q > 0, f"c_{k} = {pair!r}"
+        assert 2 * abs(table.fixed[k] * q - (p << table.width)) <= q, f"c_{k}"
 
 
 CLOSED_FORMS = {
