@@ -56,7 +56,8 @@ table keyed by (transform and interval, ``mp.prec``, level), and the
 transforms.  The table is extended lazily by the same stepping, so a
 node has the same value whichever integral reached it first, and every
 value, estimate and count is bit-identical to an integral run alone; in
-``run_all`` at 50 digits the engine's exp calls fall from 2132 to 759.
+``run_all`` at 50 digits the engine makes 548 exp calls, against 1893
+with a node scan per integral.
 The block drops the table on exit.  An integral outside any block
 streams its nodes and keeps none (only the current pair is alive): a
 table that outlived one computation would make every call after the
@@ -94,6 +95,10 @@ from mpmath.libmp import to_fixed
 from .context import ComputeContext, Real
 
 DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** -8
+
+# The same threshold as an mpf, exact (a power of two), so the engine's
+# per-evaluation compare is mpf to mpf and converts no float.
+_NEAR_ZERO_THRESHOLD = mpf(DEFAULT_NEAR_ZERO_THRESHOLD)
 
 _ZERO = mpf(0)
 
@@ -146,7 +151,7 @@ class Integrand:
     near_zero: Callable[[Real], Real] | None = None
 
     def __call__(self, t: Real) -> Real:
-        if self.near_zero is not None and t < DEFAULT_NEAR_ZERO_THRESHOLD:
+        if self.near_zero is not None and t < _NEAR_ZERO_THRESHOLD:
             return self.near_zero(t)
         return self.eval(t)
 

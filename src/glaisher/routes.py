@@ -64,7 +64,8 @@ series.
 
 Identity residuals: the Glaisher half-integral identity, its Gamma(x)
 variant, the log-sin integral (the three together from
-``identity_residuals``), and the dt-measure control.
+``identity_residuals``), and the dt-measure control, whose two-digit
+verdict runs at 20 digits whatever P is.
 """
 
 from __future__ import annotations
@@ -79,7 +80,14 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from .context import ComputeContext, ConstantsSet, PrecisionError, Real
+from .context import (
+    MIN_PRECISION_DIGITS,
+    ComputeContext,
+    ConstantsSet,
+    PrecisionError,
+    Real,
+    make_context,
+)
 from .loggamma import DomainError, log_gamma_ref
 from .quadrature import (
     Integrand,
@@ -104,8 +112,8 @@ Res2Measure = Literal["dt_over_t", "dt"]
 # Fixed truncation for the (divergent) dt-measure control integral.
 DT_CONTROL_UPPER = 100
 
-# Disagreement floor the dt control must exceed.
-DT_CONTROL_TOLERANCE = 0.01
+# Disagreement floor the dt control must exceed, as an exact decimal.
+DT_CONTROL_TOLERANCE = "0.01"
 
 
 class ConsensusError(RuntimeError):
@@ -859,14 +867,23 @@ def res2_measure_check(ctx: ComputeContext, consensus: Real) -> IdentityResidual
     control truncation) and consensus; the control PASSES when the gap
     exceeds the 0.01 tolerance, demonstrating that the dt reading of the
     identity is wrong.
+
+    The verdict needs two digits, not P: the dt variant is integrated in
+    a context of its own at the package's floor of
+    ``MIN_PRECISION_DIGITS`` (20) digits, whatever P is: the quadrature
+    promises 1e-10 there and the value meets the full-precision variant's
+    to about 1e-17, against a gap of about 1.033.  The gap is formed, and
+    the tolerance 1/100 rounded, at P+10 digits.  The full-precision dt
+    variant is ``route_kummer(ctx, measure="dt")``.
     """
     start = time.perf_counter()
-    dt_route = route_kummer(ctx, measure="dt")
+    dt_route = route_kummer(make_context(MIN_PRECISION_DIGITS), measure="dt")
     with ctx.workdps(10):
         residual = +abs(dt_route.value - consensus)
+        tolerance = mpf(DT_CONTROL_TOLERANCE)
     return IdentityResidual(
         identity_id="res2_measure_check",
         residual=residual,
-        tolerance_used=mpf(DT_CONTROL_TOLERANCE),
+        tolerance_used=tolerance,
         elapsed=time.perf_counter() - start,
     )

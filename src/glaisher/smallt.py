@@ -39,7 +39,10 @@ keeps its full working precision; two terms rather than one guard
 against a single coefficient that happens to be small.  The count is
 kept per (bit length, top 8 bits) of z.  The series here converge for
 |z| <= 0.5, which covers every near-zero threshold used in the project
-(2^-8) with a large margin.
+(2^-8) with a large margin.  A sum that never meets the stop (an
+asymptotic series such as Stirling's, asked at too large a z) raises
+ArithmeticError once the term bound has risen over 8 consecutive nonzero
+coefficients, rather than running on.
 
 The far tail has the opposite trouble.  The exp-sinh map also probes
 t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
@@ -62,7 +65,7 @@ kept by nobody.
 
 from __future__ import annotations
 
-from math import ceil, factorial, isqrt, log2
+from math import ceil, factorial, inf, isqrt, log2
 from typing import Callable
 
 import mpmath
@@ -75,6 +78,10 @@ _ZERO = mpf(0)
 
 # Guard bits of the fixed-point sum beyond the working precision.
 _GUARD_BITS = 16
+
+# Consecutive rises of the term bound, over nonzero coefficients, that
+# mark a series as diverging at the z summed.
+_DIVERGING_RISES = 8
 
 
 class PowerSeries:
@@ -161,7 +168,11 @@ class _FixedCoefficients:
         """How many terms a z with |z| 2^W <= ``z_bound`` needs.
 
         The count is kept per bit length and top 8 bits of ``z_bound``,
-        which bound log2 |z| from above to within 0.012.
+        which bound log2 |z| from above to within 0.012.  Raises
+        ArithmeticError once the term bound has risen over
+        ``_DIVERGING_RISES`` consecutive nonzero coefficients: the series
+        is diverging at this z (an asymptotic series past its smallest
+        term), and the stop would never come.
         """
         bits = z_bound.bit_length()
         top = z_bound >> (bits - 8) if bits > 8 else z_bound << (8 - bits)
@@ -169,14 +180,24 @@ class _FixedCoefficients:
         n = self.counts.get(key)
         if n is None:
             log2_z = log2(top + 1) + bits - 8 - self.width
-            k = small = 0
+            k = small = rises = 0
+            last = inf
             while small < 2:
                 if k == len(self.fixed):
                     self._extend()
-                if self.fixed[k] == 0 or self.bits[k] + k * log2_z <= self.limit:
+                if self.fixed[k] == 0:
                     small += 1
                 else:
-                    small = 0
+                    bound = self.bits[k] + k * log2_z
+                    small = small + 1 if bound <= self.limit else 0
+                    rises = rises + 1 if bound > last else 0
+                    if rises == _DIVERGING_RISES:
+                        raise ArithmeticError(
+                            f"power series diverges at |z| <= 2^{log2_z:.2f}: its "
+                            f"term bound rose over {rises} consecutive nonzero "
+                            f"coefficients up to k = {k}"
+                        )
+                    last = bound
                 k += 1
             n = self.counts[key] = k
         return n

@@ -242,6 +242,16 @@ class TestSerialization:
         assert isinstance(value, str)
         assert value.startswith("0.2487544770337842")
 
+    def test_control_tolerance_is_the_exact_decimal(self, small_report, ctx):
+        def tolerance(raw):
+            (control,) = [r for r in json.loads(raw)["residuals"]
+                          if r["identity_id"] == "res2_measure_check"]
+            return control["tolerance_used"]
+
+        raw = serialize(small_report, "json")
+        assert tolerance(raw) == "0.01"
+        assert tolerance(serialize(deserialize_report(raw, ctx), "json")) == "0.01"
+
     def test_json_values_reparse_within_tolerance(self, small_report, ctx):
         payload = json.loads(serialize(small_report, "json"))
         digits = ctx.precision_digits

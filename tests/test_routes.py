@@ -142,7 +142,7 @@ class TestIntegralRoutes:
         gla2_residual(ctx50, consensus50)
         log_sin_check(ctx50)
         res2_measure_check(ctx50, consensus50)
-        assert counts == [152, 165, 147, 564]
+        assert counts == [152, 165, 147, 133]
 
     def test_determinism_bit_identical(self, ctx30):
         a = route_feaux(ctx30)
@@ -227,6 +227,26 @@ class TestKummerMeasureControl:
         control = res2_measure_check(ctx50, consensus=consensus50)
         assert control.identity_id == "res2_measure_check"
         assert control.residual > control.tolerance_used
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_control_integrates_at_twenty_digits(self, digits, consensus50, monkeypatch):
+        # The verdict needs two digits, so the dt variant runs at the
+        # 20-digit floor and its count does not grow with P.
+        counts = []
+
+        def counting(*args, **kwargs):
+            result = integrate_finite(*args, **kwargs)
+            counts.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(glaisher.routes, "integrate_finite", counting)
+        res2_measure_check(make_context(digits), consensus50)
+        assert counts == [133]
+
+    def test_control_residual_matches_full_precision_gap(self, ctx50, consensus50):
+        control = res2_measure_check(ctx50, consensus=consensus50)
+        full_gap = abs_diff(route_kummer(ctx50, measure="dt").value, consensus50)
+        assert abs_diff(control.residual, full_gap) < mpf("1e-10")
 
     def test_unknown_measure_rejected(self, ctx30):
         with pytest.raises(ValueError):

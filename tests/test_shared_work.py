@@ -175,8 +175,8 @@ class TestSharingIsScoped:
     def test_run_all_engine_exp_calls(self, engine_exp_calls):
         run_all(make_context(50))
         first = engine_exp_calls[0]
-        # 2132 with a node scan per integral
-        assert first == 759
+        # 1893 with a node scan per integral
+        assert first == 548
         run_all(make_context(50))
         assert engine_exp_calls[0] == 2 * first
 

@@ -4,6 +4,8 @@ coefficient cache of the shared power-series kernel."""
 
 from __future__ import annotations
 
+import time
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,16 @@ def test_series_cache_is_per_precision():
                     f"{name} at t={mpmath.nstr(t, 6)}: raw={mpmath.nstr(raw, 25)} "
                     f"series={mpmath.nstr(series, 25)}"
                 )
+
+
+def test_diverging_series_raises_instead_of_running_on():
+    # Stirling's asymptotic series at w = 2^-8: its terms stop shrinking
+    # near k = 50, far above the 220-digit stop, which never comes.
+    start = time.perf_counter()
+    with mp.workdps(220):
+        with pytest.raises(ArithmeticError, match="diverges"):
+            loggamma._STIRLING_SERIES(mpf(2) ** -8)
+    assert time.perf_counter() - start < 1
 
 
 def _prime_factor_count(m: int) -> int:
