@@ -5,7 +5,8 @@ The series log A = (log 2)/36 + (gamma + log 2pi)/12
 thousand raw terms buy five digits.  The Euler-Maclaurin tail correction
 (integral + as many Bernoulli terms as the precision needs, with the
 derivatives from a two-term integer recurrence) turns one hundred terms
-into full working precision, up to about 275 digits.
+into full working precision, up to about 275 digits; the route's default
+N, max(100, floor(0.37 P) + 10), follows the precision past that.
 
     python demos/05_series_acceleration.py
 """

@@ -19,10 +19,10 @@ parses its arguments, makes one call and prints.  ``compute`` prints
 ``run_all``'s report as text or JSON (``--output``) and exits with
 ``ReportDocument.exit_code``; its parameter defaults come from
 ``report.DEFAULT_PARAMS``.  ``verify`` prints ``report.identity_report``,
-the same identity pass ``run_all`` makes, without the other routes, the
-consensus or the dt control, each residual with its
-``IdentityResidual.passed`` verdict, and exits with the same
-``ReportDocument.exit_code``, so a raising pass exits 2 as in
+the same identity pass ``run_all`` makes, on the same default-N Fourier
+log A, without the other routes, the consensus or the dt control, each
+residual with its ``IdentityResidual.passed`` verdict, and exits with the
+same ``ReportDocument.exit_code``, so a raising pass exits 2 as in
 ``compute``.  ``convergence`` always writes the report's CSV table of its
 ``convergence_study`` records.
 
@@ -96,7 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument("--limit-n", type=int, help="base index n for the limit route")
     compute.add_argument("--limit-order", type=int, help="Richardson order for the limit route")
-    compute.add_argument("--fourier-n", type=int, help="partial-sum length for the series route")
+    compute.add_argument(
+        "--fourier-n",
+        type=int,
+        help="partial-sum length for the series route (default max(100, "
+        "floor(0.37 P) + 10) at P digits, which keeps it at full precision; "
+        "the identity residuals always take that default)",
+    )
     compute.add_argument(
         "--accelerate",
         dest="fourier_accelerate",

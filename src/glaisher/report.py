@@ -55,6 +55,7 @@ from .routes import (
     IdentityResidual,
     RouteEstimate,
     consensus_log_a,
+    fourier_default_terms,
     identity_residuals,
     res2_measure_check,
     route_feaux,
@@ -150,19 +151,24 @@ class ReportDocument:
 DEFAULT_PARAMS = {
     "limit_n": 64,
     "limit_order": 3,
-    "fourier_n": 100,
+    "fourier_n": None,          # from the precision: routes.fourier_default_terms
     "fourier_accelerate": True,
     "hasse_n": 80,
     "res2_measure": "dt_over_t",
 }
 
 
-def _merged_params(params: dict | None) -> dict:
-    """DEFAULT_PARAMS updated by ``params``; an unknown key is a ConfigError."""
+def _merged_params(params: dict | None, ctx: ComputeContext) -> dict:
+    """DEFAULT_PARAMS updated by ``params``, with a ``fourier_n`` of None
+    resolved to the N the route takes at this precision; an unknown key is
+    a ConfigError."""
     unknown = sorted(set(params or ()) - DEFAULT_PARAMS.keys())
     if unknown:
         raise ConfigError(f"unknown params {unknown}; known: {', '.join(DEFAULT_PARAMS)}")
-    return {**DEFAULT_PARAMS, **(params or {})}
+    merged = {**DEFAULT_PARAMS, **(params or {})}
+    if merged["fourier_n"] is None:
+        merged["fourier_n"] = fourier_default_terms(ctx.precision_digits)
+    return merged
 
 
 def _route_runner(route_id: str, ctx: ComputeContext, params: dict):
@@ -219,7 +225,7 @@ def run_all(
             raise ConfigError(
                 f"unknown route id {rid!r}; known routes: {', '.join(ROUTE_IDS)}"
             )
-    merged = _merged_params(params)
+    merged = _merged_params(params, ctx)
 
     doc = ReportDocument(
         context_info={
@@ -245,17 +251,17 @@ def run_all(
     doc.agreement_matrix = _agreement_matrix(doc.estimates, ctx)
 
     # Identity checks: the three paper identities plus the measure control.
-    # The residuals need a best log A, which is the feaux value by contract;
-    # one feaux estimate serves them and the consensus.
+    # The residuals take log A from the default-N Fourier series, as
+    # ``verify`` does; the consensus reuses a requested feaux or kummer.
     try:
-        feaux = by_id.get("feaux") or route_feaux(ctx)
-        doc.residuals.extend(identity_residuals(ctx, feaux.value))
+        log_a = _identity_log_a(ctx, by_id.get("fourier_series"))
+        doc.residuals.extend(identity_residuals(ctx, log_a))
         kummer = by_id.get("kummer")
         if kummer is not None and kummer.parameters.get("measure") == "dt":
             # The requested run IS the control variant; the consensus
             # integrates an honest kummer on the side.
             kummer = None
-        consensus = consensus_log_a(ctx, feaux=feaux, kummer=kummer)
+        consensus = consensus_log_a(ctx, feaux=by_id.get("feaux"), kummer=kummer)
         doc.residuals.append(res2_measure_check(ctx, consensus=consensus))
     except Exception as exc:
         doc.failures.append(RouteFailure(route_id="identity_checks", error=str(exc)))
@@ -263,15 +269,30 @@ def run_all(
     return doc
 
 
+def _identity_log_a(ctx: ComputeContext, fourier: RouteEstimate | None = None) -> Real:
+    """log A for the identity residuals: the Fourier series at its default
+    N, which shares no code with the quadrature engine the identity
+    integrals run on.  A requested ``fourier`` estimate made at those
+    defaults is reused; any other is not, so the residuals never depend
+    on the requested routes or params."""
+    defaults = {"n_terms": fourier_default_terms(ctx.precision_digits), "accelerate": True}
+    if fourier is None or fourier.parameters != defaults:
+        fourier = route_fourier_series(ctx)
+    return fourier.value
+
+
 @shared_work()
 def identity_report(ctx: ComputeContext, log2_coefficient: Real | None = None) -> ReportDocument:
-    """The identity residuals alone, from one feaux estimate, as a report.
+    """The identity residuals alone, as a report, with log A from the
+    default-N Fourier series as in :func:`run_all`.
 
     ``glaisher verify`` runs this pass without the other routes, the
-    consensus or the dt control.  A raising feaux route or identity pass
-    lands in ``failures`` as ``identity_checks``, as in :func:`run_all`,
-    so ``ReportDocument.exit_code`` gives the verdict.  Like
-    :func:`run_all`, the call holds one table of shared work.
+    consensus or the dt control, so it integrates no route at all: the
+    three identity integrals are its only quadrature.  A raising Fourier
+    route or identity pass lands in ``failures`` as ``identity_checks``,
+    as in :func:`run_all`, so ``ReportDocument.exit_code`` gives the
+    verdict.  Like :func:`run_all`, the call holds one table of shared
+    work.
     """
     doc = ReportDocument(
         context_info={
@@ -280,7 +301,7 @@ def identity_report(ctx: ComputeContext, log2_coefficient: Real | None = None) -
         }
     )
     try:
-        doc.residuals.extend(identity_residuals(ctx, route_feaux(ctx).value, log2_coefficient))
+        doc.residuals.extend(identity_residuals(ctx, _identity_log_a(ctx), log2_coefficient))
     except Exception as exc:
         doc.failures.append(RouteFailure(route_id="identity_checks", error=str(exc)))
     return doc
@@ -320,7 +341,7 @@ def convergence_study(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"grid must be strictly ascending, got {grid}")
 
-    merged = _merged_params(params)
+    merged = _merged_params(params, ctx)
     consensus = consensus_log_a(ctx)
 
     records = []

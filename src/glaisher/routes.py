@@ -35,7 +35,9 @@ fourier_series  log A = (log 2)/36 + (gamma + log 2pi)/12
                 + (2/(3 pi^2)) sum_{n>=0} log(2n+1)/(2n+1)^2; raw partial
                 sums converge like log N / N, so an Euler-Maclaurin tail
                 correction is added, with as many Bernoulli terms as the
-                precision needs (up to about 275 digits at N = 100).
+                precision needs.  N caps the accuracy (about 275 digits
+                at N = 100), so the default N follows the precision:
+                max(100, floor(0.37 P) + 10).
 hasse           log A = 1/8 - (1/2) sum_n 1/(n+1)
                 sum_k (-1)^k C(n,k) (k+1)^2 log(k+1).  The inner sum is
                 (-1)^n Delta^n f(0) for f(k) = (k+1)^2 log(k+1), read off
@@ -65,7 +67,10 @@ series.
 Identity residuals: the Glaisher half-integral identity, its Gamma(x)
 variant, the log-sin integral (the three together from
 ``identity_residuals``), and the dt-measure control, whose two-digit
-verdict runs at 20 digits whatever P is.
+verdict runs at 20 digits whatever P is.  The report gives the three
+identities the Fourier series' log A at its default N: that route
+shares no code with the quadrature engine the identity integrals run
+on, so a fault common to the engine cannot cancel out of a residual.
 """
 
 from __future__ import annotations
@@ -578,8 +583,19 @@ def _em_tail(n_from: int, digits: int) -> tuple[mpf, mpf]:
         power *= 4 / (u * u)
 
 
+def fourier_default_terms(digits: int) -> int:
+    """The Fourier route's default N at P digits: max(100, floor(0.37 P) + 10).
+
+    The Euler-Maclaurin tail after N terms is asymptotic, and its term
+    bound turns near 10^-(2.73 N) (2e-274 at N = 100, 1e-331 at N = 121,
+    1e-432 at N = 158), so this N puts the turn about 27 digits below
+    10^-P.  It is 100 up to 245 digits, 121 at 300 and 158 at 400.
+    """
+    return max(100, 37 * digits // 100 + 10)
+
+
 def route_fourier_series(
-    ctx: ComputeContext, n_terms: int = 100, accelerate: bool = True
+    ctx: ComputeContext, n_terms: int | None = None, accelerate: bool = True
 ) -> RouteEstimate:
     """log A from the appendix series over odd integers.
 
@@ -590,8 +606,12 @@ def route_fourier_series(
     (error estimate: an upper bound on the dropped tail, which really is
     the error -- the raw series converges like log N / N).  With acceleration
     the tail of :func:`_em_tail` is added and the estimate is its first
-    omitted term's bound; N caps the accuracy (about 275 digits at N = 100).
+    omitted term's bound.  N caps the accuracy (about 275 digits at
+    N = 100); ``n_terms=None`` takes :func:`fourier_default_terms`, which
+    keeps the accelerated estimate within 10^-(P-10) at every precision.
     """
+    if n_terms is None:
+        n_terms = fourier_default_terms(ctx.precision_digits)
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     start = time.perf_counter()
@@ -812,8 +832,8 @@ def glaisher_identity_residual(
 
 def gla2_residual(ctx: ComputeContext, log_a: Real) -> IdentityResidual:
     """Residual of log A = (2/3) int_0^1/2 log Gamma(x) dx
-    - (5/36) log 2 - (log pi)/6 against ``log_a`` (the feaux value by
-    contract).
+    - (5/36) log 2 - (log pi)/6 against ``log_a`` (the report passes the
+    Fourier series' value at its default N).
 
     The integrand is log Gamma(x) = log Gamma(1+x) - log x, the shift the
     oracle itself applies below its Stirling range, so inside one
@@ -844,7 +864,10 @@ def identity_residuals(
     ctx: ComputeContext, log_a: Real, log2_coefficient: Real | None = None
 ) -> list[IdentityResidual]:
     """The three paper identities, glaisher_half, gla2 and log_sin, with
-    ``log_a`` as the best log A (the feaux value by contract).
+    ``log_a`` as the best log A.  The report passes the Fourier series'
+    value at its default N (:func:`fourier_default_terms`): full precision
+    at every P, and no code shared with the quadrature engine these
+    integrals run on.
 
     ``log2_coefficient`` goes to :func:`glaisher_identity_residual` (the
     verify negative control).  The dt-measure control is not among them:

@@ -124,7 +124,8 @@ class TestDisagreements:
         assert back.disagreements == []
 
     def test_feaux_is_integrated_once_when_not_requested(self, ctx, monkeypatch):
-        # The identity residuals and the consensus share one feaux estimate.
+        # The consensus integrates feaux once; the identity residuals take
+        # the Fourier series' log A and integrate none.
         calls = []
         original = glaisher.routes.res1_integrand
 
@@ -223,6 +224,8 @@ class TestSerialization:
         digits = ctx.precision_digits
         tol = mpf(10) ** (-(digits - 2))
         assert doc.context_info["requested_routes"] == small_report.context_info["requested_routes"]
+        assert doc.context_info["params"] == small_report.context_info["params"]
+        assert doc.context_info["params"]["fourier_n"] == 100
         assert doc.timestamp == small_report.timestamp
         assert doc.toolkit_version == small_report.toolkit_version
         assert len(doc.estimates) == len(small_report.estimates)
@@ -235,6 +238,20 @@ class TestSerialization:
             assert a.identity_id == b.identity_id
             assert a.elapsed == b.elapsed
         assert doc.agreement_matrix["routes"] == small_report.agreement_matrix["routes"]
+
+    def test_params_echo_the_fourier_n_used(self, monkeypatch):
+        # Past 245 digits the default N follows P; the echo is the N the
+        # route took, never null, and it survives the round trip.
+        def no_identity_pass(*args, **kwargs):
+            raise RuntimeError("identity pass not under test")
+
+        monkeypatch.setattr(glaisher.report, "identity_residuals", no_identity_pass)
+        ctx = make_context(300)
+        doc = run_all(ctx, ["fourier_series"])
+        (estimate,) = doc.estimates
+        assert doc.context_info["params"]["fourier_n"] == estimate.parameters["n_terms"] == 121
+        back = deserialize_report(serialize(doc, "json"), ctx)
+        assert back.context_info["params"] == doc.context_info["params"]
 
     def test_json_numbers_are_decimal_strings(self, small_report):
         payload = json.loads(serialize(small_report, "json"))

@@ -36,6 +36,7 @@ from glaisher.routes import (
     _hasse_partial_sums,
     _log_barnes_g,
     _log_over_square_derivatives,
+    fourier_default_terms,
     pain1_integrand,
     pain2_integrand,
 )
@@ -315,6 +316,22 @@ class TestEulerMaclaurinTail:
         with mp.workdps(digits + 20):
             assert true_error <= 10 * est.error_estimate
             assert est.error_estimate <= mpf(10) ** -(digits - 10)
+
+    @pytest.mark.parametrize("digits, n_terms", [(200, 100), (300, 121), (400, 158)])
+    def test_full_precision_at_the_default_n(self, digits, n_terms):
+        # N = 100 turns near 2e-274, short of 300 and 400 digits; the
+        # default N follows P and keeps the turn below 10^-P
+        assert fourier_default_terms(digits) == n_terms
+        est = route_fourier_series(make_context(digits))
+        assert est.parameters["n_terms"] == est.evaluations == n_terms
+        true_error = _fourier_true_error(est, digits)
+        with mp.workdps(digits + 20):
+            assert est.error_estimate <= mpf(10) ** -(digits - 10)
+            assert true_error <= 10 * est.error_estimate
+
+    def test_default_n_is_100_up_to_245_digits(self):
+        assert {fourier_default_terms(p) for p in range(20, 246)} == {100}
+        assert fourier_default_terms(246) == 101
 
     def test_stops_at_the_turn(self, monkeypatch):
         # N = 10 cannot reach 50 digits: the term bound turns at k = 34,

@@ -5,27 +5,32 @@ for their whole body: the integrals share quadrature nodes, and gla2
 reuses glaisher_half's log Gamma(1+x) values.  Each route still makes its
 own engine call on its own integrand, so the counts the benchmark's traced
 run reconciles still hold, and every value is the one the route gives
-alone.
+alone.  Both take the identity residuals' log A from one default-N
+Fourier estimate, so ``verify`` integrates no route at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import mpmath
 import pytest
 
+import glaisher.cli
 import glaisher.quadrature
 import glaisher.report
 import glaisher.routes
 from glaisher import make_context, run_all
+from glaisher.cli import EXIT_OK, main
+from glaisher.context import real_to_decimal
 from glaisher.report import identity_report
 from glaisher.routes import (
     ROUTE_IDS,
     gla2_residual,
     glaisher_identity_residual,
     log_sin_check,
-    route_feaux,
+    route_fourier_series,
     route_pain1,
 )
 
@@ -158,7 +163,7 @@ class TestBitIdentity:
             assert shared.evaluations == alone.evaluations, shared.route_id
 
         ctx = make_context(50)
-        log_a = route_feaux(ctx).value
+        log_a = route_fourier_series(ctx).value
         alone = {
             "glaisher_half": glaisher_identity_residual(ctx, log_a),
             "gla2": gla2_residual(ctx, log_a),
@@ -167,6 +172,79 @@ class TestBitIdentity:
         residuals = {r.identity_id: r for r in doc.residuals}
         for iid, r in alone.items():
             assert _bits(residuals[iid].residual) == _bits(r.residual), iid
+
+
+class TestIdentityLogA:
+    """The identity pass takes log A from the default-N Fourier series,
+    which shares no code with the quadrature engine."""
+
+    def test_verify_integrates_no_route(self, monkeypatch, capsys):
+        half_line_calls = [0]
+        original = glaisher.routes.integrate_zero_to_inf
+
+        def counted(*args, **kwargs):
+            half_line_calls[0] += 1
+            return original(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an integral route ran for the identity pass")
+
+        monkeypatch.setattr(glaisher.routes, "integrate_zero_to_inf", counted)
+        for module in (glaisher.report, glaisher.routes):
+            for name in ("route_feaux", "route_kummer"):
+                monkeypatch.setattr(module, name, refuse)
+        assert main(["verify", "--digits", "25"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert [line.split()[-1] for line in out.splitlines() if "residual =" in line] == [
+            "ok", "ok", "ok"], out
+        assert half_line_calls[0] == 0
+
+    def test_compute_and_verify_give_bit_identical_residuals(self, monkeypatch, tmp_path):
+        docs = {}
+
+        def keep(name):
+            original = getattr(glaisher.cli, name)
+
+            def call(*args, **kwargs):
+                docs[name] = original(*args, **kwargs)
+                return docs[name]
+            return call
+
+        for name in ("run_all", "identity_report"):
+            monkeypatch.setattr(glaisher.cli, name, keep(name))
+        out = tmp_path / "report.json"
+        assert main(["compute", "--digits", "50", "--output", "json", "--out", str(out)]) == EXIT_OK
+        assert main(["verify", "--digits", "50", "--out", str(tmp_path / "verify.txt")]) == EXIT_OK
+
+        verified = {r.identity_id: r.residual for r in docs["identity_report"].residuals}
+        computed = {r.identity_id: r.residual for r in docs["run_all"].residuals}
+        written = {r["identity_id"]: r["residual"] for r in json.loads(out.read_bytes())["residuals"]}
+        assert sorted(verified) == ["gla2", "glaisher_half", "log_sin"]
+        for iid, residual in verified.items():
+            assert _bits(computed[iid]) == _bits(residual), iid
+            assert written[iid] == real_to_decimal(residual, 50), iid
+
+    def test_run_all_reuses_a_default_fourier_estimate(self, monkeypatch):
+        # one Fourier estimate serves the route row and the identity pass
+        # when it ran at the defaults; otherwise the pass runs its own
+        calls = [0]
+        original = glaisher.report.route_fourier_series
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(glaisher.report, "route_fourier_series", counted)
+        ctx = make_context(30)
+        residuals = []
+        for params, runs in (({}, 1), ({"fourier_n": 100}, 1), ({"fourier_n": 60}, 2),
+                             ({"fourier_accelerate": False}, 2)):
+            calls[0] = 0
+            doc = run_all(ctx, ["fourier_series"], params)
+            assert not doc.failures, params
+            assert calls[0] == runs, params
+            residuals.append([_bits(r.residual) for r in doc.residuals])
+        assert all(r == residuals[0] for r in residuals)
 
 
 class TestSharingIsScoped:
