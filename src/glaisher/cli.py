@@ -20,13 +20,13 @@ parses its arguments, makes one call and prints.  ``compute`` prints
 ``ReportDocument.exit_code``; its parameter defaults come from
 ``report.DEFAULT_PARAMS``.  ``verify`` prints ``report.identity_report``,
 the same identity pass ``run_all`` makes, on the same default-N Fourier
-log A, without the other routes, the consensus or the dt control, each
-residual with its ``IdentityResidual.passed`` verdict, and exits with the
-same ``ReportDocument.exit_code``, so a raising pass exits 2 as in
+log A, without the routes or the dt control, each residual with its
+``IdentityResidual.passed`` verdict, and exits with the same
+``ReportDocument.exit_code``, so a raising pass exits 2 as in
 ``compute``.  ``convergence`` always writes the report's CSV table of its
 ``convergence_study`` records.
 
-Values in text mode are truncated to (digits - 10) displayed digits so
+Values in text mode are rounded to (digits - 10) significant digits so
 the output never implies precision the error estimates do not back.
 """
 

@@ -52,6 +52,7 @@ from .context import ComputeContext, Real
 from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf
 from .smallt import (
     PowerSeries,
+    bernoulli,
     cancellation_guard,
     exp_neg_tail,
     expm1_minus_x,
@@ -75,7 +76,7 @@ _STIRLING: dict[int, mpf] = {}
 def _stirling_coefficient(k: int) -> tuple[int, int]:
     # B_(2k+2) / ((2k+2) (2k+1)): the coefficient of w^k in
     # sum_{m>=1} B_2m / (2m (2m-1) z^(2m-1)) = (1/z) sum_k c_k w^k, w = 1/z^2.
-    p, q = mpmath.bernfrac(2 * k + 2)
+    p, q = bernoulli(2 * k + 2)
     return p, q * (2 * k + 2) * (2 * k + 1)
 
 
@@ -181,7 +182,7 @@ def feaux_log_gamma1p(
 
 def _t_over_sinh_half_coefficient(k: int) -> tuple[int, int]:
     # t/sinh(t/2) = sum_k c_k t^2k, from x/sinh x = sum_k (2 - 4^k) B_2k x^2k/(2k)!
-    p, q = mpmath.bernfrac(2 * k)
+    p, q = bernoulli(2 * k)
     return 2 * (2 - 4 ** k) * p, q * factorial(2 * k) * 4 ** k
 
 

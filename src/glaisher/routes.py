@@ -67,10 +67,10 @@ series.
 Identity residuals: the Glaisher half-integral identity, its Gamma(x)
 variant, the log-sin integral (the three together from
 ``identity_residuals``), and the dt-measure control, whose two-digit
-verdict runs at 20 digits whatever P is.  The report gives the three
-identities the Fourier series' log A at its default N: that route
-shares no code with the quadrature engine the identity integrals run
-on, so a fault common to the engine cannot cancel out of a residual.
+verdict runs at 20 digits whatever P is.  The report gives all four one
+log A, the Fourier series' at its default N: that route shares no code
+with the quadrature engine the identity integrals run on, so a fault
+common to the engine cannot cancel out of a residual.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ from .quadrature import (
 )
 from .smallt import (
     PowerSeries,
+    bernoulli,
     cancellation_guard,
     exp_neg_tail,
     fixed_logs,
@@ -145,8 +146,8 @@ class IdentityResidual:
     @property
     def passed(self) -> bool:
         """The verdict: |residual| < tolerance.  The dt-measure control is
-        inverted; its residual is the dt variant's gap to the consensus,
-        and it passes when that gap exceeds the tolerance."""
+        inverted; its residual is the dt variant's gap to log A, and it
+        passes when that gap exceeds the tolerance."""
         if self.identity_id == "res2_measure_check":
             return self.residual > self.tolerance_used
         return abs(self.residual) < self.tolerance_used
@@ -165,7 +166,7 @@ def _res2_coefficient(k: int) -> tuple[int, int]:
     p, q = -(-1) ** (j - 1), factorial(j - 1)
     if j % 2:
         m = (j + 1) // 2
-        b, d = mpmath.bernfrac(2 * m)
+        b, d = bernoulli(2 * m)
         d *= factorial(2 * m) * 4 ** j
         p, q = p * d + 4 ** (m + 1) * (4 ** m - 1) * b * q, q * d
     return p, 4 * q
@@ -573,7 +574,7 @@ def _em_tail(n_from: int, digits: int) -> tuple[mpf, mpf]:
     last = mpmath.inf
     odd = islice(_log_over_square_derivatives(), 1, None, 2)
     for k, (a, b) in enumerate(odd, 1):
-        p, q = mpmath.bernfrac(2 * k)
+        p, q = bernoulli(2 * k)
         scale = power * p / (q * factorial(2 * k))
         bound = abs(scale) * (abs(a) + abs(b) * lu)
         if not small < bound < last:
@@ -752,18 +753,14 @@ def hasse_first_n(
 # Consensus and identity residuals
 # ---------------------------------------------------------------------------
 
-def consensus_log_a(
-    ctx: ComputeContext,
-    feaux: RouteEstimate | None = None,
-    kummer: RouteEstimate | None = None,
-) -> Real:
-    """The project's only oracle for log A: feaux and kummer in agreement.
+def consensus_log_a(ctx: ComputeContext) -> Real:
+    """log A as feaux and kummer in agreement, the reference of the
+    convergence studies (the report's checks use the Fourier series).
 
     Raises :class:`ConsensusError` when the two disagree beyond
     10^-(P-10); no literature decimal ever substitutes for this check.
     """
-    feaux = feaux if feaux is not None else route_feaux(ctx)
-    kummer = kummer if kummer is not None else route_kummer(ctx)
+    feaux, kummer = route_feaux(ctx), route_kummer(ctx)
     with ctx.workdps(10):
         gap = abs(feaux.value - kummer.value)
         bound = mpf(10) ** (-(ctx.precision_digits - 10))
@@ -870,9 +867,9 @@ def identity_residuals(
     integrals run on.
 
     ``log2_coefficient`` goes to :func:`glaisher_identity_residual` (the
-    verify negative control).  The dt-measure control is not among them:
-    it needs the feaux/kummer consensus, which only the report forms.
-    The call holds one table of shared work (:func:`shared_work`): the
+    verify negative control).  The dt-measure control,
+    :func:`res2_measure_check`, is not among them: only ``run_all`` runs
+    it.  The call holds one table of shared work (:func:`shared_work`): the
     three integrals share the nodes of [0, 1/2], and gla2 reuses
     glaisher_half's oracle values.
     """
@@ -883,13 +880,13 @@ def identity_residuals(
     ]
 
 
-def res2_measure_check(ctx: ComputeContext, consensus: Real) -> IdentityResidual:
+def res2_measure_check(ctx: ComputeContext, log_a: Real) -> IdentityResidual:
     """Negative control for the dt-vs-dt/t measure question.
 
     The residual is the gap between the dt-variant value (over the fixed
-    control truncation) and consensus; the control PASSES when the gap
-    exceeds the 0.01 tolerance, demonstrating that the dt reading of the
-    identity is wrong.
+    control truncation) and ``log_a``, the report's Fourier value; the
+    control PASSES when the gap exceeds the 0.01 tolerance, showing that
+    the dt reading of the identity is wrong.
 
     The verdict needs two digits, not P: the dt variant is integrated in
     a context of its own at the package's floor of
@@ -902,7 +899,7 @@ def res2_measure_check(ctx: ComputeContext, consensus: Real) -> IdentityResidual
     start = time.perf_counter()
     dt_route = route_kummer(make_context(MIN_PRECISION_DIGITS), measure="dt")
     with ctx.workdps(10):
-        residual = +abs(dt_route.value - consensus)
+        residual = +abs(dt_route.value - log_a)
         tolerance = mpf(DT_CONTROL_TOLERANCE)
     return IdentityResidual(
         identity_id="res2_measure_check",

@@ -65,6 +65,7 @@ kept by nobody.
 
 from __future__ import annotations
 
+from functools import cache
 from math import ceil, factorial, inf, isqrt, log2
 from typing import Callable
 
@@ -240,6 +241,12 @@ def exp_neg_tail(t: mpf) -> mpf:
     if t > 2 * mp.prec:
         return _ZERO
     return mpmath.exp(-t)
+
+
+@cache
+def bernoulli(n: int) -> tuple[int, int]:
+    """B_n as the reduced pair (p, q) of ``mpmath.bernfrac``, kept for the process."""
+    return mpmath.bernfrac(n)
 
 
 def fixed_logs(n: int) -> tuple[int, list[int]]:

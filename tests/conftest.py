@@ -55,10 +55,10 @@ def routes50(ctx50):
 
 
 @pytest.fixture(scope="session")
-def consensus50(ctx50, routes50):
+def consensus50(ctx50):
     from glaisher import consensus_log_a
 
-    return consensus_log_a(ctx50, feaux=routes50["feaux"], kummer=routes50["kummer"])
+    return consensus_log_a(ctx50)
 
 
 def rel_diff(a, b, dps=80):

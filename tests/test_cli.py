@@ -41,6 +41,20 @@ class TestComputeCommand:
         assert code == EXIT_CONFIG
         assert "nosuch" in err
 
+    def test_repeated_route_exits_one_naming_it(self, capsys, monkeypatch):
+        # A repeated id would run the route twice and print duplicate
+        # matrix rows; it is refused before any route runs.
+        def no_route(*args, **kwargs):
+            raise AssertionError("route run before validation")
+
+        monkeypatch.setattr(glaisher.report, "_route_runner", no_route)
+        code, out, err = run_cli(
+            capsys, "compute", "--routes", "fourier_series,fourier_series,limit"
+        )
+        assert code == EXIT_CONFIG
+        assert "'fourier_series' requested twice" in err
+        assert out == ""
+
     def test_dt_measure_control_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -96,12 +110,12 @@ class TestComputeCommand:
 
     @pytest.mark.parametrize("output", ["json", "text"])
     def test_raising_identity_pass_exits_two(self, capsys, monkeypatch, output):
-        # With no consensus the dt control cannot run: the identity pass
-        # fails as a whole, which is a numerical failure, not a refusal.
-        def no_consensus(*args, **kwargs):
-            raise glaisher.routes.ConsensusError("feaux and kummer disagree")
+        # A raising dt control fails the identity pass as a whole, which
+        # is a numerical failure, not a refusal.
+        def raising_control(*args, **kwargs):
+            raise ArithmeticError("dt control failed")
 
-        monkeypatch.setattr(glaisher.report, "consensus_log_a", no_consensus)
+        monkeypatch.setattr(glaisher.report, "res2_measure_check", raising_control)
         code, out, _ = run_cli(
             capsys,
             "compute", "--digits", "25", "--routes", "feaux,kummer",
@@ -113,7 +127,7 @@ class TestComputeCommand:
             assert [f.route_id for f in doc.failures] == ["identity_checks"]
             assert doc.exit_code == EXIT_DISAGREE
         else:
-            assert "identity_checks  FAILED: feaux and kummer disagree" in out
+            assert "identity_checks  FAILED: dt control failed" in out
 
     def test_raising_identity_pass_in_verify_exits_two(self, capsys, monkeypatch):
         # verify takes its verdict from the same report: a non-finite

@@ -123,9 +123,9 @@ class TestDisagreements:
         back = deserialize_report(serialize(small_report, "json"), ctx)
         assert back.disagreements == []
 
-    def test_feaux_is_integrated_once_when_not_requested(self, ctx, monkeypatch):
-        # The consensus integrates feaux once; the identity residuals take
-        # the Fourier series' log A and integrate none.
+    def test_unrequested_feaux_is_not_integrated(self, ctx, monkeypatch):
+        # Every identity check, the dt control included, takes the Fourier
+        # series' log A, so no route runs unless it is requested.
         calls = []
         original = glaisher.routes.res1_integrand
 
@@ -135,7 +135,7 @@ class TestDisagreements:
 
         monkeypatch.setattr(glaisher.routes, "res1_integrand", counting)
         run_all(ctx, ["kummer"])
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestFailedResiduals:
@@ -295,10 +295,10 @@ class TestSerialization:
         # record type and every optional field the document can carry.
         records = convergence_study("hasse", [10, 60], ctx)
 
-        def no_consensus(*args, **kwargs):
-            raise glaisher.routes.ConsensusError("feaux and kummer disagree")
+        def raising_control(*args, **kwargs):
+            raise ArithmeticError("dt control failed")
 
-        monkeypatch.setattr(glaisher.report, "consensus_log_a", no_consensus)
+        monkeypatch.setattr(glaisher.report, "res2_measure_check", raising_control)
         doc = run_all(ctx, ["feaux", "hasse"], params={"hasse_n": 60})
         doc.convergence_records = records
         assert [(f.route_id, f.refused) for f in doc.failures] == [

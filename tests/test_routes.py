@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 
 import glaisher.loggamma
 import glaisher.routes
+import glaisher.smallt
 from glaisher import (
     DomainError,
     PrecisionError,
@@ -225,7 +226,7 @@ class TestKummerMeasureControl:
         assert rel_diff(routes50["kummer"].value, consensus50) < mpf(10) ** -25
 
     def test_residual_check_passes_control(self, ctx50, consensus50):
-        control = res2_measure_check(ctx50, consensus=consensus50)
+        control = res2_measure_check(ctx50, log_a=consensus50)
         assert control.identity_id == "res2_measure_check"
         assert control.residual > control.tolerance_used
 
@@ -245,7 +246,7 @@ class TestKummerMeasureControl:
         assert counts == [133]
 
     def test_control_residual_matches_full_precision_gap(self, ctx50, consensus50):
-        control = res2_measure_check(ctx50, consensus=consensus50)
+        control = res2_measure_check(ctx50, log_a=consensus50)
         full_gap = abs_diff(route_kummer(ctx50, measure="dt").value, consensus50)
         assert abs_diff(control.residual, full_gap) < mpf("1e-10")
 
@@ -336,6 +337,8 @@ class TestEulerMaclaurinTail:
     def test_stops_at_the_turn(self, monkeypatch):
         # N = 10 cannot reach 50 digits: the term bound turns at k = 34,
         # where the error is near 5e-31; the tail stops there and says so.
+        # Emptied first, the Bernoulli cache asks bernfrac once per B_2k read.
+        glaisher.smallt.bernoulli.cache_clear()
         calls = []
         bernfrac = mpmath.bernfrac
         monkeypatch.setattr(mpmath, "bernfrac", lambda n: calls.append(n) or bernfrac(n))
@@ -346,6 +349,19 @@ class TestEulerMaclaurinTail:
             assert true_error <= 10 * est.error_estimate
             assert mpf(10) ** -40 < est.error_estimate < mpf(10) ** -28
 
+
+    def test_second_call_reads_the_bernoulli_cache(self, monkeypatch):
+        # The first call fills smallt.bernoulli; a second call at the same
+        # precision asks bernfrac for nothing and returns the same bits.
+        ctx = make_context(100)
+        first = route_fourier_series(ctx)
+        calls = []
+        bernfrac = mpmath.bernfrac
+        monkeypatch.setattr(mpmath, "bernfrac", lambda n: calls.append(n) or bernfrac(n))
+        second = route_fourier_series(ctx)
+        assert calls == []
+        assert second.value._mpf_ == first.value._mpf_
+        assert second.error_estimate._mpf_ == first.error_estimate._mpf_
 
 class TestHasseRoute:
     def test_n1_value_is_eighth_plus_log2(self, ctx50):

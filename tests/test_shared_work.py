@@ -26,6 +26,7 @@ from glaisher.cli import EXIT_OK, main
 from glaisher.context import real_to_decimal
 from glaisher.report import identity_report
 from glaisher.routes import (
+    IDENTITY_IDS,
     ROUTE_IDS,
     gla2_residual,
     glaisher_identity_residual,
@@ -246,6 +247,18 @@ class TestIdentityLogA:
             residuals.append([_bits(r.residual) for r in doc.residuals])
         assert all(r == residuals[0] for r in residuals)
 
+
+    def test_run_all_integrates_only_the_requested_routes(self, monkeypatch):
+        # The dt control reads the same Fourier log A as the identity pass,
+        # so a report with no integral route makes no exp-sinh integral.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exp-sinh integral ran")
+
+        monkeypatch.setattr(glaisher.routes, "integrate_zero_to_inf", refuse)
+        doc = run_all(make_context(50), ["limit", "fourier_series", "hasse"])
+        assert not doc.failures
+        assert [r.identity_id for r in doc.residuals] == list(IDENTITY_IDS)
+        assert doc.exit_code == EXIT_OK
 
 class TestSharingIsScoped:
     """The sharing is real within one computation and ends with it."""
