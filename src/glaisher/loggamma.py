@@ -88,12 +88,13 @@ def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
 
     The argument is shifted upward by n steps to z + n >= 10 P / 7 (P =
     context digits).  The shift log(z P), P = prod_{j=1}^{n-1} (z + j),
-    takes one log: P is accumulated in Python integers in (prec + 20)-bit
-    fixed point in pairs, (z + j)(z + n - j) = w + j(n - j) with
-    w = z(z + n), times z + n/2 once when n is even; every factor is at
-    least 1, so each truncation costs under one unit of 2^-(prec+20)
-    relative.  z P is formed in floating point, so an argument far below
-    the fixed-point unit keeps its full relative accuracy.
+    takes one log: P is accumulated in pairs, (z + j)(z + n - j) =
+    w + j(n - j) with w = z(z + n), times z + n/2 once when n is even,
+    each factor W-bit fixed point (W = prec + 20), the product W + 2 bits
+    times a binary exponent; each of the n/2 cuts truncates by under
+    2^-(W+1) relative, under 2^-(prec+11) in all for n < 2^11.  z P is
+    formed in floating point, so an argument far below the fixed-point
+    unit keeps its full relative accuracy.
     The Stirling tail is (1/z) sum_k c_k w^k with w = 1/z^2, summed on
     the fixed-point Horner kernel of :mod:`glaisher.smallt`; at the
     shift target it takes 29/44/75/138 terms at 50/100/200/400 digits.
@@ -112,13 +113,17 @@ def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
             width = mp.prec + 20
             one = 1 << width
             z_fixed = to_fixed(z._mpf_, width)
-            # prod_{0<j<n} (z+j) in pairs (z+j)(z+n-j) = w + j(n-j), with
-            # w = z(z+n), and the middle factor z + n/2 when n is even.
+            # prod_{0<j<n} (z+j) = product 2^exponent in pairs
+            # (z+j)(z+n-j) = w + j(n-j), w = z(z+n), and z + n/2 if n is even.
             w = z_fixed * (z_fixed + n * one) >> width
             product = one if n % 2 else z_fixed + n // 2 * one
+            exponent = -width
             for j in range(1, (n + 1) // 2):
-                product = product * (w + j * (n - j) * one) >> width
-            shift = mpmath.log(z * mpf((product, -width)))
+                product *= w + j * (n - j) * one
+                drop = product.bit_length() - width - 2
+                product >>= drop
+                exponent += drop - width
+            shift = mpmath.log(z * mpf((product, exponent)))
             z += n
         half_log_2pi = _STIRLING.get(mp.prec)
         if half_log_2pi is None:

@@ -54,11 +54,12 @@ one fixed-point table, :func:`~glaisher.smallt.fixed_logs`, built per call.
 Integrand evaluation
 --------------------
 Each integral route's integrand has a raw form, used from t = 2^-8 on,
-and a near-zero power series below it.  A raw form costs at most one
-exp: pain1 takes E = e^{-x/2} and uses coth(x/2) = (1+E^2)/(1-E^2);
-kummer takes q = e^{-t/2}, with tanh(t/4) = (1-q)/(1+q) and e^-t = q^2;
-pain2 takes e^{x/2} and squares it for e^x; feaux takes e^-t, one log
-and one sqrt, and no fractional power.  A near-zero form calls no
+and a near-zero power series below it.  A raw form runs in fixed point
+(:func:`~glaisher.smallt.raw_frame`) and costs at most one exp: pain1
+takes E = e^{-x/2} and uses coth(x/2) = (1+E^2)/(1-E^2); kummer takes
+q = e^{-t/2}, with tanh(t/4) = (1-q)/(1+q) and e^-t = q^2; pain2 takes
+E too, with e^-x = E^2; feaux takes e^-t, one log and one integer sqrt.
+A near-zero form calls no
 transcendental at all: pain1's, pain2's and feaux's are each one power
 series whose coefficients are the exact-rational quotient of two known
 series (:func:`~glaisher.smallt.quotient_series`); kummer's is one
@@ -78,12 +79,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, isqrt
+from operator import sub
 from typing import Callable, Literal
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .context import (
     MIN_PRECISION_DIGITS,
@@ -104,10 +106,11 @@ from .quadrature import (
 from .smallt import (
     PowerSeries,
     bernoulli,
-    cancellation_guard,
-    exp_neg_tail,
+    exp_neg,
     fixed_logs,
+    fixed_quotient,
     quotient_series,
+    raw_frame,
 )
 
 ROUTE_IDS = ("limit", "pain1", "pain2", "feaux", "kummer", "fourier_series", "hasse")
@@ -246,14 +249,18 @@ _PAIN1 = quotient_series(_pain1_numerator, _pain1_denominator)
 _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
 
 
+def _far(t) -> bool:
+    # Past 2 prec, e^(-t/2) < 2^(-1.44 prec) moves no bit of pain1, res1, res2.
+    return t > 2 * mp.prec
+
+
 def res1_integrand(ctx: ComputeContext) -> Integrand:
     """Feaux-route integrand; three terms of size t^-2 cancelling to O(t).
 
-    The raw form takes one log, one sqrt and one exp: with u = 1+t,
-    L = log u and r = sqrt(u), the bracket is
-        e^-t/8 - (2 + (L-2) r) / (2 u r L^2),
-    e^-t from :func:`~glaisher.smallt.exp_neg_tail`.  Near zero the
-    integrand is A / (t^3 l^2) with l = log(1+t)/t, whose numerator's
+    The raw form takes one log, one integer sqrt and one exp in fixed
+    point: with u = 1+t, L = log u, r = sqrt(u) and G = e^-t (0 past
+    2 prec), it is [G u r L^2 - 4 (2 + (L-2) r)] / (8 u r L^2 t).  Near
+    zero the integrand is A / (t^3 l^2) with l = log(1+t)/t, whose numerator's
     coefficients of t^0..t^2 cancel exactly (see ``_res1_coefficients``): one
     power series with exact rational coefficients
     (:func:`~glaisher.smallt.quotient_series`), limit 1/48 at zero,
@@ -263,12 +270,15 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
     """
 
     def raw(t):
-        with mp.extradps(cancellation_guard(t, 3)):
-            u = 1 + t
-            L = mpmath.log(u)
-            r = mpmath.sqrt(u)
-            bracket = exp_neg_tail(t) / 8 - (2 + (L - 2) * r) / (2 * u * r * L * L)
-            return +(bracket / t)
+        width, T = raw_frame(t, 3)
+        two = 2 << width
+        U = (1 << width) + T
+        L = to_fixed(mpmath.ln(mp.make_mpf(from_man_exp(U, -width)), prec=width)._mpf_, width)
+        R = isqrt(U << width)
+        G = 0 if _far(t) else to_fixed(exp_neg(t, 0, width)._mpf_, width)
+        urL2 = (U * R >> width) * (L * L >> width) >> width
+        num = (G * urL2 >> width) - ((two + ((L - two) * R >> width)) << 2)
+        return fixed_quotient(num, (urL2 * T >> width) << 3)
 
     return Integrand(
         eval=raw,
@@ -280,34 +290,31 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
 def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Integrand:
     """Kummer-route integrand [tanh(t/4)/t - e^-t/4] / t (or without /t).
 
-    The raw form takes one exp: with q = e^{-t/2}, tanh(t/4) =
-    (1-q)/(1+q) and e^-t = q^2, so the bracket is
-    (1-q)/((1+q) t) - q^2/4; q comes from
-    :func:`~glaisher.smallt.exp_neg_tail`, an exact 0 in the far tail.
+    The raw form takes one exp in fixed point: with q = e^{-t/2},
+    tanh(t/4) = (1-q)/(1+q) and e^-t = q^2, so the bracket is
+    [4 (1-q) - q^2 t (1+q)] / (4 t (1+q)), and 1/t past 2 prec.
     Near zero the bracket is t/4 - (25/192) t^2 + ...; the series form is
     [4 tanh(t/4) - t e^-t] / (4 t^2) as one power series in t, whose
     coefficients subtract the Taylor coefficients of 4 tanh(t/4) and
     t e^-t exactly (the O(t) parts are equal), summed on the shared
     :class:`~glaisher.smallt.PowerSeries` kernel.
     """
+    over_t = measure == "dt_over_t"
 
-    def raw_bracket(t):
-        q = exp_neg_tail(t / 2)
-        return (1 - q) / ((1 + q) * t) - q * q / 4
+    def raw(t):
+        if _far(t):
+            return mpmath.fdiv(1, mpmath.fmul(t, t, exact=True)) if over_t else 1 / t
+        width, T = raw_frame(t, 2)
+        one = 1 << width
+        q = to_fixed(exp_neg(t, 1, width)._mpf_, width)
+        num = ((one - q) << 2) - (((q * q >> width) * T >> width) * (one + q) >> width)
+        den = T * (one + q) >> (width - 2)
+        return fixed_quotient(num, den * T >> width if over_t else den)
 
-    if measure == "dt_over_t":
-
-        def raw(t):
-            with mp.extradps(cancellation_guard(t, 2)):
-                return +(raw_bracket(t) / t)
-
+    if over_t:
         series = _RES2_BRACKET_OVER_T2
         label = "res2[dt/t]"
     else:
-
-        def raw(t):
-            with mp.extradps(cancellation_guard(t, 2)):
-                return +raw_bracket(t)
 
         def series(t):
             return t * _RES2_BRACKET_OVER_T2(t)
@@ -326,8 +333,8 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
 
     One exp: with E = e^{-x/2}, coth(x/2) = (1+E^2)/(1-E^2), and the
     factor 1 - E cancels against 1 - E^2 = (1-E)(1+E), so the raw form is
-        (x (1+E^2) - 2 (1-E^2)) / (x^3 (1+E)),
-    E from :func:`~glaisher.smallt.exp_neg_tail`.  Near zero the same
+        (x (1+E^2) - 2 (1-E^2)) / (x^3 (1+E))
+    in fixed point, and (x - 2)/x^3 past 2 prec.  Near zero the same
     quotient is one power series: the numerator over x^3 is
     sum_k (-1)^k (k+1)/(k+3)! x^k, the denominator 1 + e^{-x/2}, and their
     quotient's coefficients are exact rationals
@@ -336,10 +343,15 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
     """
 
     def raw(x):
-        with mp.extradps(cancellation_guard(x, 2)):
-            E = exp_neg_tail(x / 2)
-            E2 = E * E
-            return +((x * (1 + E2) - 2 * (1 - E2)) / (x ** 3 * (1 + E)))
+        if _far(x):
+            cube = mpmath.fmul(mpmath.fmul(x, x, exact=True), x, exact=True)
+            return mpmath.fdiv(mpmath.fsub(x, 2, exact=True), cube)
+        width, X = raw_frame(x, 2)
+        one = 1 << width
+        E = to_fixed(exp_neg(x, 1, width)._mpf_, width)
+        E2 = E * E >> width
+        num = (X * (one + E2) >> width) - ((one - E2) << 1)
+        return fixed_quotient(num, ((X * X >> width) * X >> width) * (one + E) >> width)
 
     return Integrand(
         eval=raw,
@@ -351,7 +363,9 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
 def pain2_integrand(ctx: ComputeContext) -> Integrand:
     """((8-3x) e^x - 8 e^{x/2} - x) / (4 x^2 e^x (e^x - 1)); limit -1/12.
 
-    The raw form takes one exp, h = e^{x/2}, and squares it for e^x.
+    The raw form takes one exp, E = e^{-x/2}: it is e^-x ((8-3x) - 8E -
+    xE^2) / (4 x^2 (1-E^2)), the fraction in fixed point and e^-x = E^2
+    from E's mantissa, so it is relative-accurate at any x.
     Numerator Taylor coefficients n_k = 8/k! - 3/(k-1)! - 8/(2^k k!)
     (minus 1 at k = 1) vanish identically for k <= 2; the series starts at
     -x^3/3.  The denominator is x^3 times 4 (e^{2x} - e^x)/x =
@@ -362,10 +376,15 @@ def pain2_integrand(ctx: ComputeContext) -> Integrand:
     """
 
     def raw(x):
-        with mp.extradps(cancellation_guard(x, 3)):
-            h = mpmath.exp(x / 2)
-            ex = h * h
-            return +(((8 - 3 * x) * ex - 8 * h - x) / (4 * x * x * ex * (ex - 1)))
+        width, X = raw_frame(x, 3)
+        one = 1 << width
+        half = exp_neg(x, 1, width)
+        E = to_fixed(half._mpf_, width)
+        E2 = E * E >> width
+        num = (8 << width) - 3 * X - 8 * E - (X * E2 >> width)
+        den = (X * X >> width) * (one - E2) >> (width - 2)
+        _, man, e, _ = half._mpf_      # e^-x = (man 2^e)^2
+        return fixed_quotient(num * man * man, den, 2 * e)
 
     return Integrand(
         eval=raw,
@@ -686,7 +705,7 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
             outer = mpf(from_man_exp(head, -width)) / (n + 1)
             total += outer
         yield n, outer, total
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(sub, row[1:], row))
 
 
 def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:

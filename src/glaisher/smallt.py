@@ -44,12 +44,16 @@ asymptotic series such as Stirling's, asked at too large a z) raises
 ArithmeticError once the term bound has risen over 8 consecutive nonzero
 coefficients, rather than running on.
 
+The route integrands' raw forms run in the fixed-point frame of
+:func:`raw_frame` and round once in :func:`fixed_quotient`.
+
 The far tail has the opposite trouble.  The exp-sinh map also probes
 t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
 an algebraic term of size 1/t to 1/t^2.  There e^-t is far below half an
 ulp of that term, yet mpmath spends milliseconds on it (an integer power
-once t > 2^prec).  :func:`exp_neg_tail` returns an exact 0 instead, in
-the range where the sum rounds to the same bits either way.
+once t > 2^prec).  Past t = 2 prec the route forms skip it and the
+others take :func:`exp_neg_tail`, an exact 0, in the range where the
+sum rounds to the same bits either way.
 
 Sums of integer logarithms -- the Hasse forward-difference table, the
 limit route's log G(n+1) and the Fourier partial sum -- read one table,
@@ -71,7 +75,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import mpf_neg, mpf_shift, to_fixed
 
 # An mpf 0 is exact, so it serves every working precision.
 _ZERO = mpf(0)
@@ -214,12 +218,47 @@ def cancellation_guard(t, digits_per_decade: int) -> int:
     The decade count is ceil(-log10 t) bounded from above in integers:
     with m = mag(t), t >= 2^(m-1), so -log10 t <= (1 - m) log10 2 <
     (1 - m) 0.30103.  It is never below the exact count and at most one
-    decade above it, and it costs no logarithm.
+    decade above it, and it costs no logarithm; t >= 1 exactly when
+    m >= 1, so it costs no mpf comparison either.
     """
-    if t >= 1:
-        return 10
     bits = 1 - mpmath.mag(t)
+    if bits <= 0:
+        return 10
     return 10 + digits_per_decade * -(-bits * 30103 // 100000)
+
+
+def raw_frame(t: mpf, digits_per_decade: int) -> tuple[int, int]:
+    """(W, t 2^W), W = mp.prec plus the bits of ``cancellation_guard(t,
+    digits_per_decade)``: the fixed-point frame of a raw integrand form.
+
+    A form that loses d digits per decade of t below 1 keeps the margin
+    it had as extra digits: t 2^W is exact (the guard's bits exceed
+    -log2 t), and each transcendental or product cut to the frame is off
+    by under 2^-W, which the cancellation magnifies as it did a rounding
+    at W bits.
+    """
+    width = mp.prec - (-cancellation_guard(t, digits_per_decade) * 3322 // 1000)
+    return width, to_fixed(t._mpf_, width)
+
+
+def exp_neg(t: mpf, halvings: int, width: int) -> mpf:
+    """e^(-t / 2^halvings) as an mpf rounded to ``width`` bits, t > 0."""
+    return mpmath.exp(mp.make_mpf(mpf_neg(mpf_shift(t._mpf_, -halvings))), prec=width)
+
+
+def fixed_quotient(num: int, den: int, exponent: int = 0) -> mpf:
+    """(num / den) 2^exponent, den > 0, rounded once at the working
+    precision: the integer quotient carries prec + 16 bits (den cut to
+    as many), off by under 3 units of 2^-(prec+15) relative before the
+    rounding."""
+    bits = mp.prec + _GUARD_BITS
+    drop = den.bit_length() - bits
+    if drop > 0:
+        den >>= drop
+        exponent -= drop
+    shift = bits + den.bit_length() - num.bit_length()
+    q = (num << shift if shift >= 0 else num >> -shift) // den
+    return mpf((q, exponent - shift))
 
 
 def exp_neg_tail(t: mpf) -> mpf:
@@ -227,14 +266,14 @@ def exp_neg_tail(t: mpf) -> mpf:
 
     Only for a caller that adds the result (times a factor it shares
     with the other term) to a term of magnitude >~ 1/t^2 at the current
-    working precision; the project's callers (the raw forms of pain1,
-    res1, res2, the Feaux bracket, Dirichlet and Fourier a_n) add it to
-    terms of size 1/t to 1/t^2.  Then the 0 is exact after rounding: for
+    working precision; the project's callers (the raw forms of the
+    Feaux bracket, Dirichlet and Fourier a_n) add it to terms of size
+    1/t to 1/t^2.  Then the 0 is exact after rounding: for
     t > 2 prec, e^-t < 2^(-2.88 prec), so t^2 e^-t < 2^(-prec-2) for
     every prec >= 10.  e^-t is under a quarter ulp of any term >= 1/t^2,
     with most of 0.88 prec more bits to spare for a smaller constant
     factor, and adding it leaves that term's bits as they are.  The
-    exponentially small values of other integrands (pain2's e^x,
+    exponentially small values of other integrands (pain2's e^-x,
     Kummer's sinh ratio) are the whole value there and must not pass
     through this helper.
     """

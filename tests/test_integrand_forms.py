@@ -1,5 +1,6 @@
-"""The one-exp raw forms and the transcendental-free near-zero forms of the
-integral routes' integrands, against the paper's literal expressions."""
+"""The one-exp fixed-point raw forms and the transcendental-free near-zero
+forms of the integral routes' integrands, against the paper's literal
+expressions."""
 
 from __future__ import annotations
 
@@ -51,25 +52,37 @@ LITERAL_FORMS = {
 RAW_GRID = ["0.00390625", "0.01", "0.1", "0.5", "1", "2.75", "10", "63.5", "400", "1000"]
 
 
+def _literal_grid(prec):
+    """RAW_GRID from 2^-8 10^-6 (where the consistency tests call the raw
+    forms), the far-tail edge 2 prec from both sides, then 10^6 and 10^40."""
+    grid = [mpf(2) ** -8 * mpf(10) ** -6, mpf(2) ** -8 * mpf(10) ** -3]
+    grid += [mpf(text) for text in RAW_GRID]
+    grid += [mpf(2 * prec - 1), mpf(2 * prec + 1), mpf(10) ** 6, mpf(10) ** 40]
+    return grid
+
+
 @pytest.mark.parametrize("name", list(LITERAL_FORMS))
-@pytest.mark.parametrize("digits", [50, 200])
+@pytest.mark.parametrize("digits", [20, 50, 200, pytest.param(400, marks=pytest.mark.slow)])
 def test_raw_form_matches_literal_expression(name, digits):
-    # The rewritten raw form at the engine's P+20 digits against the
-    # literal expression (coth, tanh, two exps) at P+40.
+    # The fixed-point raw form at the engine's P+20 digits against the
+    # literal expression (coth, tanh, two exps) at P+40, to 10^-(P+10)
+    # relative: the guard covers the cancellation down to 2^-8 10^-6, and
+    # the far tail's algebraic limit drops nothing above an ulp.
     ctx = make_context(digits)
     factory, literal = LITERAL_FORMS[name]
     integrand = factory(ctx)
-    bound = mpf(10) ** (-(digits - 8))
+    bound = mpf(10) ** (-(digits + 10))
     misses = []
-    for text in RAW_GRID:
+    with ctx.workdps(20):
+        grid = _literal_grid(mp.prec)
+    for t in grid:
         with ctx.workdps(20):
-            t = mpf(text)
             got = integrand.eval(t)
         with ctx.workdps(40):
             want = literal(t)
             rel = abs(got - want) / abs(want)
         if rel > bound:
-            misses.append(f"t = {text}: {mpmath.nstr(rel, 3)}")
+            misses.append(f"t = {mpmath.nstr(t, 8)}: {mpmath.nstr(rel, 3)}")
     assert not misses, f"{name} at {digits} digits: {misses}"
 
 
@@ -106,7 +119,7 @@ def test_res1_numerator_cancels_exactly():
     assert routes._RES1._coefficient(0) == (1, 48)
 
 
-TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log", "sqrt")
+TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log", "ln", "sqrt")
 
 
 def _near_zero_forms(ctx):
@@ -131,6 +144,7 @@ def test_near_zero_forms_call_no_transcendental(monkeypatch):
 
     for fn in TRANSCENDENTALS:
         monkeypatch.setattr(mpmath, fn, forbidden)
+    monkeypatch.setattr(routes, "isqrt", forbidden)
     with ctx.workdps(20):
         ts = [mpf(DEFAULT_NEAR_ZERO_THRESHOLD) * mpf(s) for s in ("0.99", "1e-3")]
         ts.append(mpf(2) ** -200)
@@ -140,7 +154,9 @@ def test_near_zero_forms_call_no_transcendental(monkeypatch):
 
 
 def _count_transcendentals(monkeypatch):
-    calls = {fn: 0 for fn in TRANSCENDENTALS}
+    # The mpmath transcendentals, and the integer square root res1's raw
+    # form takes in place of mpmath.sqrt.
+    calls = {fn: 0 for fn in TRANSCENDENTALS + ("isqrt",)}
 
     def counting(fn, original):
         def counted(*args, **kwargs):
@@ -150,6 +166,7 @@ def _count_transcendentals(monkeypatch):
 
     for fn in TRANSCENDENTALS:
         monkeypatch.setattr(mpmath, fn, counting(fn, getattr(mpmath, fn)))
+    monkeypatch.setattr(routes, "isqrt", counting("isqrt", routes.isqrt))
     return calls
 
 
@@ -176,7 +193,7 @@ def test_res1_raw_form_takes_one_log_one_sqrt_and_at_most_one_exp(monkeypatch):
             calls[fn] = 0
         with ctx.workdps(20):
             integrand.eval(mpf(text))
-        assert calls["log"] == calls["sqrt"] == 1, f"t = {text}: {calls}"
+        assert calls["ln"] == calls["isqrt"] == 1, f"t = {text}: {calls}"
         assert calls["exp"] <= 1, f"t = {text}: {calls}"
         assert sum(calls.values()) == 2 + calls["exp"], f"t = {text}: {calls}"
 
