@@ -24,24 +24,25 @@ The representations:
   with a_n = (gamma + log(2 pi) + log n) / (2 n pi), equal to the integral
   int_0^inf [2 n pi/(t^2 + 4 n^2 pi^2) - e^-t/(2 n pi)] dt/t.
 
-Each improper integrand cancels near t = 0 (both bracket terms approach
-the same constant), so each carries a ``near_zero`` series built on the
-:mod:`glaisher.smallt` power-series kernel; the raw form compensates with
-extra digits scaled to the observed cancellation, which keeps the
-mandatory raw-vs-series consistency check meaningful.
+Each improper integrand cancels near t = 0, so each carries a
+``near_zero`` form summed from module-level power series on the
+:mod:`glaisher.smallt` kernel, with no transcendental of t (Feaux's, for
+x up to 128; Kummer's a = 1/2 - x multiplies its series from outside).
+The raw form computes with guard digits scaled to the cancellation and
+rounds once, on return; past :func:`~glaisher.smallt.far` the Feaux, a_n
+and Dirichlet forms drop e^-t.  These are the route integrands' rules.
+Kummer's raw form reads sinh(t/2) and e^-t off one q = e^(-t/2).
+
+Each integral representation returns its ``QuadratureResult``, with the
+represented quantity's value and estimate (Kummer's: half the integral's).
 
 Also here: the Dirichlet integral for Euler's constant, the quadrature
 cross-check of the context's reference gamma.
-
-Kummer's raw form reads sinh(t/2) and e^-t off one q = e^(-t/2), two
-exps in all, and no near-zero form calls a transcendental of t: each is
-a sum of series on the kernel, each built once at module level: Kummer's
-a = 1/2 - x multiplies its series from outside, so none is built per x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 
 import mpmath
@@ -50,15 +51,7 @@ from mpmath.libmp import to_fixed
 
 from .context import ComputeContext, Real
 from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf
-from .smallt import (
-    PowerSeries,
-    bernoulli,
-    cancellation_guard,
-    exp_neg_tail,
-    expm1_minus_x,
-    one_plus_em1z_over_z,
-    t_minus_log1p,
-)
+from .smallt import PowerSeries, bernoulli, cancellation_guard, far
 
 
 class DomainError(ValueError):
@@ -137,14 +130,30 @@ def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
 # Feaux representation of log Gamma(x+1)
 # ---------------------------------------------------------------------------
 
+# (t - log(1+t)) / t^2 = sum_k (-1)^k t^k / (k+2)
+_LOG1P_TAIL = PowerSeries(lambda k: ((-1) ** k, k + 2))
+
+# (expm1(z) - z) / z^2 = sum_k z^k / (k+2)!
+_EXPM1_TAIL = PowerSeries(lambda k: (1, factorial(k + 2)))
+
+
+def one_plus_em1z_over_z(z: mpf) -> mpf:
+    """1 + expm1(-z)/z = z/2 - z^2/6 + ..., where the Feaux integrand's
+    expm1(-x L)/L cancels its x e^-t: on the kernel for |z| <= 1/2, in
+    closed form above (x L passes 1/2 once x > 128)."""
+    if abs(z) > 0.5:
+        return 1 + mpmath.expm1(-z) / z
+    return z * _EXPM1_TAIL(-z)
+
+
 def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     """Integrand of the Feaux formula at parameter x.
 
     Near-zero form: the bracket equals x e^{-L} [expm1(L-t) + (1 + expm1(-xL)/L)]
     with L = log(1+t); both pieces are O(t^2) and O(t) series with no
     subtractive cancellation.  It calls no transcendental: e^{-L} is
-    exactly 1/(1+t), and with lmt = t - L from the log1p tail,
-    expm1(L-t) = -lmt + expm1_minus_x(-lmt) on the kernel.  Note the
+    exactly 1/(1+t), and with lmt = t - L = t^2 (log1p tail)(t),
+    expm1(L-t) = -lmt + lmt^2 (expm1 tail)(-lmt) on the kernel.  Note the
     log(1+t) denominator (the literature form with a bare 1+t is a known
     typo).
     """
@@ -154,13 +163,14 @@ def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     def raw(t):
         with mp.extradps(cancellation_guard(t, 2)):
             L = mpmath.log(1 + t)
-            bracket = x * exp_neg_tail(t) + ((1 + t) ** (-x - 1) - 1 / (1 + t)) / L
-            return +(bracket / t)
+            e = 0 if far(t) else mpmath.exp(-t)
+            value = (x * e + ((1 + t) ** (-x - 1) - 1 / (1 + t)) / L) / t
+        return +value
 
     def series(t):
-        lmt = t_minus_log1p(t)          # t - log(1+t) = O(t^2)
+        lmt = t * t * _LOG1P_TAIL(t)    # t - log(1+t) = O(t^2)
         L = t - lmt
-        inner = expm1_minus_x(-lmt) - lmt + one_plus_em1z_over_z(x * L)
+        inner = lmt * lmt * _EXPM1_TAIL(-lmt) - lmt + one_plus_em1z_over_z(x * L)
         return x * inner / ((1 + t) * t)
 
     return Integrand(
@@ -170,15 +180,11 @@ def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     )
 
 
-def feaux_log_gamma1p(
-    x: Real, ctx: ComputeContext, full: bool = False
-) -> Real | tuple[Real, QuadratureResult]:
+def feaux_log_gamma1p(x: Real, ctx: ComputeContext) -> QuadratureResult:
     """log Gamma(x+1) by the Feaux integral; exercised on 0 <= x <= 1/2."""
     if not x > -1:
         raise DomainError(f"feaux_log_gamma1p requires x > -1, got {mpmath.nstr(mpf(x), 8)}")
-    result = integrate_zero_to_inf(feaux_integrand(x, ctx), ctx=ctx)
-    result.require_converged("feaux")
-    return (result.value, result) if full else result.value
+    return integrate_zero_to_inf(feaux_integrand(x, ctx), ctx=ctx).require_converged("feaux")
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +242,8 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
             q = mpmath.exp(-t / 2)
             p = mpmath.exp(a * t)
             q2 = q * q
-            bracket = q * (p - 1 / p) / (1 - q2) - 2 * a * q2
-            return +(bracket / t)
+            value = (q * (p - 1 / p) / (1 - q2) - 2 * a * q2) / t
+        return +value
 
     def series(t):
         t2 = t * t
@@ -250,10 +256,9 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     )
 
 
-def kummer_log_gamma(
-    x: Real, ctx: ComputeContext, full: bool = False
-) -> Real | tuple[Real, QuadratureResult]:
-    """log Gamma(x) by the Kummer integral, valid for 0 < x < 1."""
+def kummer_log_gamma(x: Real, ctx: ComputeContext) -> QuadratureResult:
+    """log Gamma(x) by the Kummer integral, valid for 0 < x < 1, with
+    half the integral's error estimate."""
     with ctx.workdps(10):
         x = mpf(x)     # cast at working precision; ambient would round it
     if not (0 < x < 1):
@@ -263,8 +268,7 @@ def kummer_log_gamma(
     consts = ctx.constants
     with ctx.workdps(10):
         value = consts.log_pi / 2 - mpmath.log(mpmath.sin(consts.pi * x)) / 2 + result.value / 2
-        value = +value
-    return (value, result) if full else value
+        return replace(result, value=+value, error_estimate=result.error_estimate / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +290,21 @@ def fourier_a_n_integrand(n: int, ctx: ComputeContext) -> Integrand:
 
     Near zero the two bracket terms both approach 1/(2 n pi); the rewrite
     -t/(2 n pi (t^2 + 4 n^2 pi^2)) - expm1(-t)/(2 n pi t) subtracts them
-    analytically, -expm1(-t)/t = 1 - (1 + expm1(-t)/t) on the kernel.
+    analytically, -expm1(-t)/t = 1 - t (expm1 tail)(-t) on the kernel.
     (That split cancels for large t, so it is used only near zero.)
     """
     with ctx.workdps(10):
-        two_n_pi = 2 * n * (+mpmath.pi)
+        two_n_pi = 2 * n * ctx.constants.pi
         four_n2_pi2 = two_n_pi ** 2
 
     def raw(t):
         with mp.extradps(cancellation_guard(t, 1)):
-            bracket = two_n_pi / (t * t + four_n2_pi2) - exp_neg_tail(t) / two_n_pi
-            return +(bracket / t)
+            e = 0 if far(t) else mpmath.exp(-t)
+            value = (two_n_pi / (t * t + four_n2_pi2) - e / two_n_pi) / t
+        return +value
 
     def series(t):
-        return (1 - one_plus_em1z_over_z(t) - t / (t * t + four_n2_pi2)) / two_n_pi
+        return (1 - t * _EXPM1_TAIL(-t) - t / (t * t + four_n2_pi2)) / two_n_pi
 
     return Integrand(
         eval=raw,
@@ -369,7 +374,8 @@ def dirichlet_integrand(ctx: ComputeContext) -> Integrand:
 
     def raw(t):
         with mp.extradps(cancellation_guard(t, 2)):
-            return +((1 / (1 + t) - exp_neg_tail(t)) / t)
+            value = (1 / (1 + t) - (0 if far(t) else mpmath.exp(-t))) / t
+        return +value
 
     def series(t):
         return t * _DIRICHLET_SERIES(t)
@@ -381,10 +387,8 @@ def dirichlet_integrand(ctx: ComputeContext) -> Integrand:
     )
 
 
-def dirichlet_gamma(
-    ctx: ComputeContext, full: bool = False
-) -> Real | tuple[Real, QuadratureResult]:
+def dirichlet_gamma(ctx: ComputeContext) -> QuadratureResult:
     """Euler's constant by the Dirichlet integral (cross-checks the reference)."""
-    result = integrate_zero_to_inf(dirichlet_integrand(ctx), ctx=ctx)
-    result.require_converged("dirichlet_gamma")
-    return (result.value, result) if full else result.value
+    return integrate_zero_to_inf(dirichlet_integrand(ctx), ctx=ctx).require_converged(
+        "dirichlet_gamma"
+    )

@@ -49,11 +49,11 @@ every node through level 10 to 10^-(P+15) of the per-abscissa
 formulas).
 
 Nodes are shared within one computation and never beyond it.  Inside a
-``shared_work()`` block (``report.run_all`` and ``identity_report`` hold
-one for each whole call) every integral reads its node pairs from one
-table keyed by (transform and interval, ``mp.prec``, level), and the
-(pi/2) sinh u, (pi/2) cosh u stream of a level is shared by both
-transforms.  The table is extended lazily by the same stepping, so a
+``shared_work()`` block (``report.run_all`` and
+``routes.identity_residuals`` hold one for each whole call) every
+integral reads its node pairs from one table keyed by (transform and
+interval, ``mp.prec``, level), and the (pi/2) sinh u, (pi/2) cosh u
+stream of a level is shared by both transforms.  The table is extended lazily by the same stepping, so a
 node has the same value whichever integral reached it first, and every
 value, estimate and count is bit-identical to an integral run alone; in
 ``run_all`` at 50 digits the engine makes 548 exp calls, against 1893

@@ -276,7 +276,6 @@ def _identity_log_a(ctx: ComputeContext, fourier: RouteEstimate | None = None) -
     return fourier.value
 
 
-@shared_work()
 def identity_report(ctx: ComputeContext, log2_coefficient: Real | None = None) -> ReportDocument:
     """The identity residuals alone, as a report, with log A from the
     default-N Fourier series as in :func:`run_all`.
@@ -286,8 +285,8 @@ def identity_report(ctx: ComputeContext, log2_coefficient: Real | None = None) -
     three identity integrals are its only quadrature.  A raising Fourier
     route or identity pass lands in ``failures`` as ``identity_checks``,
     as in :func:`run_all`, so ``ReportDocument.exit_code`` gives the
-    verdict.  Like :func:`run_all`, the call holds one table of shared
-    work.
+    verdict.  :func:`~glaisher.routes.identity_residuals` holds the one
+    table of shared work the three integrals read.
     """
     doc = ReportDocument(
         context_info={

@@ -59,11 +59,12 @@ and a near-zero power series below it.  A raw form runs in fixed point
 takes E = e^{-x/2} and uses coth(x/2) = (1+E^2)/(1-E^2); kummer takes
 q = e^{-t/2}, with tanh(t/4) = (1-q)/(1+q) and e^-t = q^2; pain2 takes
 E too, with e^-x = E^2; feaux takes e^-t, one log and one integer sqrt.
-A near-zero form calls no
-transcendental at all: pain1's, pain2's and feaux's are each one power
-series whose coefficients are the exact-rational quotient of two known
-series (:func:`~glaisher.smallt.quotient_series`); kummer's is one
-series.
+Past t = 2 prec (:func:`~glaisher.smallt.far`) pain1, feaux and kummer
+drop their exponential, which moves no bit there.  A near-zero form
+calls no transcendental at all: pain1's, pain2's and feaux's are each
+one power series whose coefficients are the exact-rational quotient of
+two known series (:func:`~glaisher.smallt.quotient_series`); kummer's
+is one series.
 
 Identity residuals: the Glaisher half-integral identity, its Gamma(x)
 variant, the log-sin integral (the three together from
@@ -107,6 +108,7 @@ from .smallt import (
     PowerSeries,
     bernoulli,
     exp_neg,
+    far,
     fixed_logs,
     fixed_quotient,
     quotient_series,
@@ -249,11 +251,6 @@ _PAIN1 = quotient_series(_pain1_numerator, _pain1_denominator)
 _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
 
 
-def _far(t) -> bool:
-    # Past 2 prec, e^(-t/2) < 2^(-1.44 prec) moves no bit of pain1, res1, res2.
-    return t > 2 * mp.prec
-
-
 def res1_integrand(ctx: ComputeContext) -> Integrand:
     """Feaux-route integrand; three terms of size t^-2 cancelling to O(t).
 
@@ -275,7 +272,7 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
         U = (1 << width) + T
         L = to_fixed(mpmath.ln(mp.make_mpf(from_man_exp(U, -width)), prec=width)._mpf_, width)
         R = isqrt(U << width)
-        G = 0 if _far(t) else to_fixed(exp_neg(t, 0, width)._mpf_, width)
+        G = 0 if far(t) else to_fixed(exp_neg(t, 0, width)._mpf_, width)
         urL2 = (U * R >> width) * (L * L >> width) >> width
         num = (G * urL2 >> width) - ((two + ((L - two) * R >> width)) << 2)
         return fixed_quotient(num, (urL2 * T >> width) << 3)
@@ -302,7 +299,7 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
     over_t = measure == "dt_over_t"
 
     def raw(t):
-        if _far(t):
+        if far(t):
             return mpmath.fdiv(1, mpmath.fmul(t, t, exact=True)) if over_t else 1 / t
         width, T = raw_frame(t, 2)
         one = 1 << width
@@ -343,7 +340,7 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
     """
 
     def raw(x):
-        if _far(x):
+        if far(x):
             cube = mpmath.fmul(mpmath.fmul(x, x, exact=True), x, exact=True)
             return mpmath.fdiv(mpmath.fsub(x, 2, exact=True), cube)
         width, X = raw_frame(x, 2)
@@ -483,16 +480,16 @@ def route_pain2(ctx: ComputeContext) -> RouteEstimate:
 
 def _limit_sequence_value(n: int, log_fact_sum: Real, ctx: ComputeContext) -> Real:
     # log of the defining ratio at index n; log_fact_sum = log G(n+1).
+    # The caller holds P+10 digits.
     c = ctx.constants
-    with ctx.workdps(10):
-        nn = mpf(n)
-        return +(
-            nn / 2 * c.log_2pi
-            + (nn * nn / 2 - mpf(1) / 12) * mpmath.log(nn)
-            - 3 * nn * nn / 4
-            + mpf(1) / 12
-            - log_fact_sum
-        )
+    nn = mpf(n)
+    return (
+        nn / 2 * c.log_2pi
+        + (nn * nn / 2 - mpf(1) / 12) * mpmath.log(nn)
+        - 3 * nn * nn / 4
+        + mpf(1) / 12
+        - log_fact_sum
+    )
 
 
 def _log_barnes_g(points: list[int]) -> list[Real]:
@@ -639,7 +636,7 @@ def route_fourier_series(
     with ctx.workdps(10):
         width, logs = fixed_logs(2 * n_terms + 1)
         partial = mpf((sum(logs[u] // (u * u) for u in range(1, 2 * n_terms, 2)), -width))
-        series_coeff = 2 / (3 * (+mpmath.pi) ** 2)
+        series_coeff = 2 / (3 * c.pi ** 2)
         if accelerate:
             tail, omitted = _em_tail(n_terms, ctx.precision_digits)
             series_sum = partial + tail

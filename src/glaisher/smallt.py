@@ -1,11 +1,12 @@
-"""Small-argument series for the cancellation-prone integrands.
+"""The kernels shared by the cancellation-prone integrands.
 
 Every improper integrand in this project is a difference of terms that
 agree to several orders at t = 0; evaluated literally they lose
 O(log10(1/t)) digits per cancelled order.  The route and log-Gamma modules
 rebuild each integrand near zero from power series whose coefficients
 already hold the cancelled differences, so the subtraction is done
-exactly in the coefficients instead of in floating point.
+exactly in the coefficients instead of in floating point.  Each series
+lives with the integrand that sums it; this module holds what they share.
 
 All of those series run on one kernel, :class:`PowerSeries`.  It takes a
 coefficient function k -> c_k, exact as an integer pair (p, q), q > 0,
@@ -45,15 +46,17 @@ ArithmeticError once the term bound has risen over 8 consecutive nonzero
 coefficients, rather than running on.
 
 The route integrands' raw forms run in the fixed-point frame of
-:func:`raw_frame` and round once in :func:`fixed_quotient`.
+:func:`raw_frame` and round once in :func:`fixed_quotient`; the log Gamma
+representations' raw forms compute with the extra digits of
+:func:`cancellation_guard` and round once, on return.
 
 The far tail has the opposite trouble.  The exp-sinh map also probes
 t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
 an algebraic term of size 1/t to 1/t^2.  There e^-t is far below half an
 ulp of that term, yet mpmath spends milliseconds on it (an integer power
-once t > 2^prec).  Past t = 2 prec the route forms skip it and the
-others take :func:`exp_neg_tail`, an exact 0, in the range where the
-sum rounds to the same bits either way.
+once t > 2^prec).  Past t = 2 prec, :func:`far`, every raw form whose
+exponential is only a correction drops it, in the range where the value
+rounds to the same bits either way.
 
 Sums of integer logarithms -- the Hasse forward-difference table, the
 limit route's log G(n+1) and the Fourier partial sum -- read one table,
@@ -70,16 +73,12 @@ kept by nobody.
 from __future__ import annotations
 
 from functools import cache
-from math import ceil, factorial, inf, isqrt, log2
+from math import ceil, inf, isqrt, log2
 from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_neg, mpf_shift, to_fixed
-
-# An mpf 0 is exact, so it serves every working precision.
-_ZERO = mpf(0)
-
 
 # Guard bits of the fixed-point sum beyond the working precision.
 _GUARD_BITS = 16
@@ -261,25 +260,18 @@ def fixed_quotient(num: int, den: int, exponent: int = 0) -> mpf:
     return mpf((q, exponent - shift))
 
 
-def exp_neg_tail(t: mpf) -> mpf:
-    """e^-t, or exact 0 once t > 2 mp.prec.
+def far(t: mpf) -> bool:
+    """t > 2 mp.prec, where a raw form drops its exponential.
 
-    Only for a caller that adds the result (times a factor it shares
-    with the other term) to a term of magnitude >~ 1/t^2 at the current
-    working precision; the project's callers (the raw forms of the
-    Feaux bracket, Dirichlet and Fourier a_n) add it to terms of size
-    1/t to 1/t^2.  Then the 0 is exact after rounding: for
-    t > 2 prec, e^-t < 2^(-2.88 prec), so t^2 e^-t < 2^(-prec-2) for
-    every prec >= 10.  e^-t is under a quarter ulp of any term >= 1/t^2,
-    with most of 0.88 prec more bits to spare for a smaller constant
-    factor, and adding it leaves that term's bits as they are.  The
-    exponentially small values of other integrands (pain2's e^-x,
-    Kummer's sinh ratio) are the whole value there and must not pass
-    through this helper.
+    Past it e^(-t/2) < 2^(-1.44 prec) and e^-t < 2^(-2.88 prec).  pain1's
+    and res2's fractions move by O(e^(-t/2)) relative; res1, the Feaux
+    bracket, Dirichlet and Fourier a_n add e^-t (times a shared factor)
+    to terms of size 1/t to 1/t^2, and t^2 e^-t < 2^(-prec-2) for every
+    prec >= 10.  Either way the dropped part is under a quarter ulp, so
+    the exact 0 moves no bit after rounding.  pain2's e^-x and Kummer's
+    sinh ratio are the whole value there and never take this cut.
     """
-    if t > 2 * mp.prec:
-        return _ZERO
-    return mpmath.exp(-t)
+    return t > 2 * mp.prec
 
 
 @cache
@@ -308,39 +300,3 @@ def fixed_logs(n: int) -> tuple[int, list[int]]:
         logs[m] = (to_fixed(mpmath.log(m)._mpf_, width) if p == m
                    else logs[p] + logs[m // p])
     return width, logs
-
-
-# (t - log(1+t)) / t^2 = sum_k (-1)^k t^k / (k+2)
-_LOG1P_TAIL = PowerSeries(lambda k: ((-1) ** k, k + 2))
-
-# (expm1(z) - z) / z^2 = sum_k z^k / (k+2)!
-_EXPM1_TAIL = PowerSeries(lambda k: (1, factorial(k + 2)))
-
-
-def t_minus_log1p(t: mpf) -> mpf:
-    """t - log(1+t) = sum_{k>=2} (-1)^k t^k / k, exact to working precision.
-
-    Forming log(1+t) directly costs absolute accuracy ~10^-dps from the
-    rounding of 1+t, which is fatal when the result ~ t^2/2 is itself tiny.
-    """
-    if abs(t) > 0.5:
-        return t - mpmath.log(1 + t)
-    return t * t * _LOG1P_TAIL(t)
-
-
-def expm1_minus_x(z: mpf) -> mpf:
-    """expm1(z) - z = sum_{k>=2} z^k / k!  (no cancellation for small z)."""
-    if abs(z) > 0.5:
-        return mpmath.expm1(z) - z
-    return z * z * _EXPM1_TAIL(z)
-
-
-def one_plus_em1z_over_z(z: mpf) -> mpf:
-    """1 + expm1(-z)/z = expm1_minus_x(-z)/z = sum_{j>=1} (-1)^{j+1} z^j / (j+1)!.
-
-    Appears in the Feaux integrand where expm1(-x L)/L cancels against the
-    x e^{-t} term; value z/2 - z^2/6 + ... near zero.
-    """
-    if abs(z) > 0.5:
-        return 1 + mpmath.expm1(-z) / z
-    return z * _EXPM1_TAIL(-z)

@@ -130,20 +130,20 @@ class TestAcceptance:
             with ctx50.workdps(10):
                 x = mpf(num) / den
             oracle = log_gamma_ref(x, ctx50)
-            kummer = kummer_log_gamma(x, ctx50)
+            kummer = kummer_log_gamma(x, ctx50).value
             with ctx50.workdps(10):
-                feaux = feaux_log_gamma1p(x, ctx50) - mpmath.log(x)
+                feaux = feaux_log_gamma1p(x, ctx50).value - mpmath.log(x)
             for a, b in ((oracle, kummer), (oracle, feaux), (kummer, feaux)):
                 worst = min(worst, digits_of_agreement(a, b))
         # reflection and recurrence within 10x combined error estimates
         xq = mpf(1) / 4
-        va, ra = kummer_log_gamma(xq, ctx50, full=True)
-        vb, rb = kummer_log_gamma(1 - xq, ctx50, full=True)
-        vup, rup = feaux_log_gamma1p(xq, ctx50, full=True)
+        ra = kummer_log_gamma(xq, ctx50)
+        rb = kummer_log_gamma(1 - xq, ctx50)
+        rup = feaux_log_gamma1p(xq, ctx50)
         with mp.workdps(70):
-            reflection_gap = abs(va + vb - (mpmath.log(mpmath.pi)
-                                            - mpmath.log(mpmath.sin(mpmath.pi / 4))))
-            recurrence_gap = abs((vup - va) - mpmath.log(xq))
+            reflection_gap = abs(ra.value + rb.value - (mpmath.log(mpmath.pi)
+                                                        - mpmath.log(mpmath.sin(mpmath.pi / 4))))
+            recurrence_gap = abs((rup.value - ra.value) - mpmath.log(xq))
             reflection_ok = reflection_gap <= 10 * (ra.error_estimate + rb.error_estimate)
             recurrence_ok = recurrence_gap <= 10 * (rup.error_estimate + ra.error_estimate)
         ok = worst >= 30 and reflection_ok and recurrence_ok

@@ -12,7 +12,12 @@ import pytest
 from mpmath import mp, mpf
 
 from glaisher import make_context, routes
-from glaisher.loggamma import dirichlet_integrand, fourier_a_n_integrand, kummer_integrand
+from glaisher.loggamma import (
+    dirichlet_integrand,
+    feaux_integrand,
+    fourier_a_n_integrand,
+    kummer_integrand,
+)
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
 from glaisher.routes import pain1_integrand, pain2_integrand, res1_integrand, res2_integrand
 from glaisher.smallt import cancellation_guard
@@ -151,6 +156,30 @@ def test_near_zero_forms_call_no_transcendental(monkeypatch):
         for name, integrand in forms.items():
             for t in ts:
                 assert mpmath.isfinite(integrand.near_zero(t)), name
+
+
+@pytest.mark.parametrize("digits", [50, 400])
+def test_integrand_values_carry_the_working_precision(digits):
+    # Every form rounds once, to the engine's working precision: a raw
+    # form's guard digits must not reach the value the engine multiplies
+    # by every weight.  The near-zero forms are asked below the threshold
+    # only, where the engine calls them.
+    ctx = make_context(digits)
+    forms = _near_zero_forms(ctx)
+    forms["feaux(x=1/4)"] = feaux_integrand(mpf(1) / 4, ctx)
+    wide = []
+    with ctx.workdps(20):
+        for t in (mpf(2) ** -9, mpf(1) / 3, mpf(409), mpf(10) ** 40):
+            for name, integrand in forms.items():
+                paths = {"raw": integrand.eval}
+                if t < DEFAULT_NEAR_ZERO_THRESHOLD:
+                    paths["near_zero"] = integrand.near_zero
+                for path, form in paths.items():
+                    bits = form(t)._mpf_[1].bit_length()
+                    if bits > mp.prec:
+                        wide.append(f"{name} {path} at t = {mpmath.nstr(t, 5)}: {bits} bits")
+        prec = mp.prec
+    assert not wide, f"working precision {prec} bits: {wide}"
 
 
 def _count_transcendentals(monkeypatch):

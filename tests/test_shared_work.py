@@ -1,12 +1,13 @@
 """Work shared within one computation, and never beyond it.
 
-``run_all`` and ``identity_report`` hold one table (``quadrature.shared_work``)
-for their whole body: the integrals share quadrature nodes, and gla2
-reuses glaisher_half's log Gamma(1+x) values.  Each route still makes its
-own engine call on its own integrand, so the counts the benchmark's traced
-run reconciles still hold, and every value is the one the route gives
-alone.  Both take the identity residuals' log A from one default-N
-Fourier estimate, so ``verify`` integrates no route at all.
+``run_all`` and ``routes.identity_residuals`` hold one table
+(``quadrature.shared_work``) for their whole body: the integrals share
+quadrature nodes, and gla2 reuses glaisher_half's log Gamma(1+x) values.
+Each route still makes its own engine call on its own integrand, so the
+counts the benchmark's traced run reconciles still hold, and every value
+is the one the route gives alone.  ``run_all`` and ``identity_report``
+take the identity residuals' log A from one default-N Fourier estimate,
+so ``verify`` integrates no route at all.
 """
 
 from __future__ import annotations

@@ -12,21 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from glaisher import loggamma, make_context, routes, smallt
-from glaisher.loggamma import kummer_integrand
+from glaisher import loggamma, make_context, routes
+from glaisher.loggamma import kummer_integrand, one_plus_em1z_over_z
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
-from glaisher.smallt import (
-    cancellation_guard,
-    expm1_minus_x,
-    fixed_logs,
-    one_plus_em1z_over_z,
-    t_minus_log1p,
-)
+from glaisher.smallt import cancellation_guard, fixed_logs
 
 from test_quadrature import PROJECT_INTEGRANDS, build_integrand
 
-# Every series the project sums on the kernel, and whether its helper
-# passes arguments out to |z| = 1/2 (the log1p and expm1 tails do).
+# Every series the project sums on the kernel, and whether it is held out
+# to |z| = 1/2 (one_plus_em1z_over_z passes the expm1 tail up to 1/2;
+# Feaux's near-zero form passes both tails at most 2^-8).
 # "res1_psi", "pain1_S" and "pain2_numerator" keep their test ids but now
 # name each integrand's whole near-zero quotient series.  Kummer's
 # near-zero form is a (a^2 t S(a^2 t^2) + G(t)) times t/sinh(t/2), from
@@ -36,8 +31,8 @@ KERNEL_SERIES = {
     "res2_bracket": (routes._RES2_BRACKET_OVER_T2, False),
     "pain1_S": (routes._PAIN1, False),
     "pain2_numerator": (routes._PAIN2, False),
-    "log1p_tail": (smallt._LOG1P_TAIL, True),
-    "expm1_tail": (smallt._EXPM1_TAIL, True),
+    "log1p_tail": (loggamma._LOG1P_TAIL, True),
+    "expm1_tail": (loggamma._EXPM1_TAIL, True),
     "kummer_sinh_tail": (loggamma._SINH_TAIL, False),
     "kummer_g": (loggamma._KUMMER_G, False),
     "t_over_sinh_half": (loggamma._T_OVER_SINH_HALF, False),
@@ -115,9 +110,19 @@ def test_coefficients_are_exact_pairs_rounded_once(name, digits):
         assert 2 * abs(table.fixed[k] * q - (p << table.width)) <= q, f"c_{k}"
 
 
+def log1p_tail_form(t):
+    # t - log(1+t), as the Feaux near-zero form sums it
+    return t * t * loggamma._LOG1P_TAIL(t)
+
+
+def expm1_tail_form(z):
+    # expm1(z) - z, as the Feaux near-zero form sums it
+    return z * z * loggamma._EXPM1_TAIL(z)
+
+
 CLOSED_FORMS = {
-    t_minus_log1p: lambda t: t - mpmath.log1p(t),
-    expm1_minus_x: lambda z: mpmath.expm1(z) - z,
+    log1p_tail_form: lambda t: t - mpmath.log1p(t),
+    expm1_tail_form: lambda z: mpmath.expm1(z) - z,
     one_plus_em1z_over_z: lambda z: 1 + mpmath.expm1(-z) / z,
 }
 
@@ -262,8 +267,8 @@ def _fourier_unguarded(n, ctx):
     return lambda t: (two_n_pi / (t * t + four_n2_pi2) - mpmath.exp(-t) / two_n_pi) / t
 
 
-# Raw forms that take e^-t through exp_neg_tail: (digits lost per decade,
-# the same expression with a plain exp).
+# Raw forms that drop their exponential past smallt.far: (digits lost per
+# decade, the same expression with a plain exp).
 def _unguarded_forms(ctx):
     return {
         "pain1": (2, _pain1_unguarded),
@@ -284,18 +289,17 @@ FRAME_FORMS = ("pain1", "res1", "res2_dt_over_t", "res2_dt")
 @pytest.mark.parametrize("name", list(_unguarded_forms(make_context(20))))
 @pytest.mark.parametrize("digits", [200, 400])
 def test_far_tail_exp_guard_is_bit_identical(name, digits):
-    # exp_neg_tail returns 0 for t > 2 prec, where prec is the precision
-    # the raw form runs at (t >= 1: context + 20 + 10 guard digits).  The
-    # guarded form must round to exactly the bits of the plain-exp form
-    # on both sides of that edge (pain1's argument is x/2, so its edge
-    # sits at x = 4 prec), over a grid of prec/4 steps through both
-    # edges, and far out where a plain exp costs milliseconds.  A lower
-    # edge (say prec/4) leaves e^-t above an ulp and turns this red.
-    # The route forms of FRAME_FORMS cut at 2 prec of the engine's
-    # context + 20 digits instead and round once at that precision: past
-    # the cut their algebraic limit must have the bits of the plain-exp
-    # form rounded there; below it they run the fixed-point frame, held
-    # to one unit in the last place.
+    # smallt.far drops e^-t for t > 2 prec.  The loggamma forms test it
+    # inside their guard, where prec is that of context + 20 + 10 guard
+    # digits (t >= 1); the route forms of FRAME_FORMS test it at the
+    # engine's context + 20 digits.  Every form rounds once at the
+    # engine's precision, so the plain-exp form, computed with the same
+    # guard, is rounded there too.  Past the edge, and for the loggamma
+    # forms on both sides of it, the form must have exactly those bits:
+    # over a grid of prec/4 steps through both edges, and far out where a
+    # plain exp costs milliseconds.  A lower edge (say prec/4) leaves e^-t
+    # above an ulp and turns this red.  Below the edge the FRAME_FORMS run
+    # the fixed-point frame, held to one unit in the last place.
     ctx = make_context(digits)
     integrand = build_integrand(name, ctx)
     per_decade, unguarded = _unguarded_forms(ctx)[name]
@@ -313,8 +317,7 @@ def test_far_tail_exp_guard_is_bit_identical(name, digits):
             got = integrand.eval(t)
             with mp.extradps(cancellation_guard(t, per_decade)):
                 want = +unguarded(t)
-            if name in FRAME_FORMS:
-                want = +want
+            want = +want
             ulp = mpf(2) ** (mpmath.mag(want) - mp.prec)
         if name in FRAME_FORMS and t <= edge:
             assert abs(got - want) <= ulp, (
