@@ -38,15 +38,22 @@ multiplication each, so (pi/2) sinh u and (pi/2) cosh u cost no
 transcendental call (mpmath's ``TanhSinh.calc_nodes`` does the same).
 With s = (pi/2) sinh u, exp-sinh takes t(u) = e^s and t(-u) = 1/t(u),
 and its two weights share (pi/2) cosh u; tanh-sinh takes E = e^{2s}, and
-the endpoint offset and the weight are the same for +u and -u.  Both
-sides advance in one loop, but each keeps its own sum, stop and cap, so
-the summation order and every evaluation count are those of a
-per-abscissa scan.  The stepping error budget: for a level of at most
-n steps the fixed point carries W = prec + bit_length(n) + 4 bits, so
-the drift stays below an eighth of an ulp of the working precision, and
-the stepped sinh and cosh are as accurate as direct calls (tests hold
-every node through level 10 to 10^-(P+15) of the per-abscissa
-formulas).
+the endpoint offset and the weight are the same for +u and -u; weights
+are handed over unrounded, as (man, exp).  Both sides advance in one
+loop, but each keeps its own sum, stop and cap, so every evaluation
+count is that of a per-abscissa scan.  The stepping error budget: for a
+level of at most n steps the fixed point carries W = prec +
+bit_length(n) + 4 bits, so the drift stays below an eighth of an ulp of
+the working precision, and the stepped sinh and cosh are as accurate
+as direct calls (tests hold every node through level 10 to 10^-(P+15)
+of the per-abscissa formulas).
+
+The level loop sums in integers, on one absolute frame of F = prec + 16
+bits.  A term f(x) w is the product of the two mantissas shifted once to
+units of 2^-F and rounded half up, the scan cutoff 10^-(P+10) is tested
+on the same frame, and only a level's value is rounded to an mpf.  N
+terms are off by under N 2^-(F+1): below 2^-(prec+2) for N < 2^15, ten
+digits under the cutoff.  The sum is exact, so its order does not matter.
 
 Nodes are shared within one computation and never beyond it.  Inside a
 ``shared_work()`` block (``report.run_all`` and
@@ -90,17 +97,14 @@ from typing import Callable, Hashable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import mpf_neg, to_fixed
 
 from .context import ComputeContext, Real
 
-DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** -8
+_NEAR_ZERO_LOG2 = -8
+DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** _NEAR_ZERO_LOG2
 
-# The same threshold as an mpf, exact (a power of two), so the engine's
-# per-evaluation compare is mpf to mpf and converts no float.
-_NEAR_ZERO_THRESHOLD = mpf(DEFAULT_NEAR_ZERO_THRESHOLD)
-
-_ZERO = mpf(0)
+_FRAME_GUARD = 16       # bits of the level loop's frame beyond mp.prec
 
 
 class QuadratureError(RuntimeError):
@@ -151,8 +155,12 @@ class Integrand:
     near_zero: Callable[[Real], Real] | None = None
 
     def __call__(self, t: Real) -> Real:
-        if self.near_zero is not None and t < _NEAR_ZERO_THRESHOLD:
-            return self.near_zero(t)
+        # t < 2^-8 read off 2^(exp + bc - 1) <= t = man 2^exp < 2^(exp + bc):
+        # negative, zero and -inf are below it, +inf and NaN are not.
+        if self.near_zero is not None:
+            sign, man, exp, bc = t._mpf_
+            if sign or (exp + bc <= _NEAR_ZERO_LOG2 if man else not exp):
+                return self.near_zero(t)
         return self.eval(t)
 
 
@@ -224,7 +232,8 @@ def _scaled_sinh_cosh(h, step, count):
 
 
 class _Side:
-    """Running sum of one side (u > 0 or u < 0) of one level's scan.
+    """Running sum of one side (u > 0 or u < 0) of one level's scan, in
+    integers on the level loop's frame.
 
     The side stops after two consecutive terms below ``cutoff``
     (double-exponential decay makes a single dip unlikely, two is belt
@@ -237,7 +246,7 @@ class _Side:
     __slots__ = ("total", "evaluations", "small", "live", "hit_cap", "cutoff", "max_terms")
 
     def __init__(self, cutoff, max_terms):
-        self.total = _ZERO
+        self.total = 0
         self.evaluations = 0
         self.small = 0
         self.live = True
@@ -370,34 +379,50 @@ def _run_levels(f, centre, level_nodes, ctx, cutoff):
     :func:`_level_nodes`).  Each level halves h
     and adds the odd multiples of the new step, so no abscissa is ever
     evaluated twice.  Both sides of a level advance in one loop, one
-    pair at a time, but each keeps its own sum, stop and cap.  The
-    summation order is fixed (centre, then ascending positive, then
-    ascending negative abscissae), which keeps repeated runs
-    bit-identical.  A node of zero weight contributes 0 without an
-    evaluation of f (it still counts as one).
+    pair at a time, but each keeps its own sum, stop and cap.  A node of
+    zero weight contributes 0 without an evaluation of f (it still counts
+    as one).
+
+    Each term is an integer on the frame of the module docstring (0 if
+    under half a unit; NaN and infinities abort), and |term| is compared
+    with ``cutoff`` there exactly.
     """
+    frame = mp.prec + _FRAME_GUARD
 
     def term(x, weight):
-        if not weight:
-            return _ZERO
+        w_man, w_exp = weight
+        if not w_man:
+            return 0
         try:
             v = f(x)
         except ZeroDivisionError:
             raise IntegrandEvaluationError(f.label, x) from None
-        if mpmath.isnan(v) or mpmath.isinf(v):
-            raise IntegrandEvaluationError(f.label, x)
-        return v * weight
+        try:
+            sign, man, exp, _ = v._mpf_
+        except AttributeError:              # a Python int or float
+            sign, man, exp, _ = mpf(v)._mpf_
+        if not man:
+            if exp:                         # NaN or an infinity
+                raise IntegrandEvaluationError(f.label, x)
+            return 0
+        shift = exp + w_exp + frame
+        if shift >= 0:
+            n = man * w_man << shift
+        else:       # past the product's bit length the shift gives 0 at once
+            n = ((man * w_man >> (-1 - shift)) + 1) >> 1
+        return -n if sign else n
 
     tol = ctx.target_tolerance
     u_cap = _scan_cap(ctx)
     log_tol = mpmath.log10(tol)
+    small = -to_fixed(mpf_neg(cutoff._mpf_), frame)    # ceil(cutoff 2^F)
     total = term(*centre)       # weighted f at every multiple of h so far
     evaluations = 1
     value = value_prev = None
     for level in range(_max_level(ctx.precision_digits) + 1):
-        h, max_terms, nodes = level_nodes(level, u_cap)
-        pos = _Side(cutoff, max_terms)
-        neg = _Side(cutoff, max_terms)
+        _, max_terms, nodes = level_nodes(level, u_cap)
+        pos = _Side(small, max_terms)
+        neg = _Side(small, max_terms)
         for x_pos, w_pos, x_neg, w_neg in nodes:
             if pos.live:
                 pos.add(term(x_pos, w_pos))
@@ -406,9 +431,9 @@ def _run_levels(f, centre, level_nodes, ctx, cutoff):
             if not (pos.live or neg.live):
                 break
         evaluations += pos.evaluations + neg.evaluations
-        total = total + pos.total + neg.total
+        total += pos.total + neg.total
         value_prev2, value_prev = value_prev, value
-        value = h * total
+        value = mpf((total, -frame - level))        # h = 2^-level
         levels = level + 1
         delta = abs(value - value_prev) if level else abs(value)
         if pos.hit_cap or neg.hit_cap:
@@ -483,24 +508,39 @@ def _integrate(f, ctx, transform, nodes):
         )
 
 
+def _below(man, exp, limit):
+    """man 2^exp < ``limit`` (a raw mpf), exactly, for man, limit > 0."""
+    _, limit_man, limit_exp, limit_bc = limit
+    top = man.bit_length() + exp - limit_bc - limit_exp
+    if top:
+        return top < 0
+    shift = exp - limit_exp
+    return man << shift < limit_man if shift >= 0 else man < limit_man << -shift
+
+
 def _exp_sinh_nodes(skip_below):
     """Centre and ``pair`` function of the exp-sinh map t = e^{(pi/2) sinh u}.
 
     With s = (pi/2) sinh u and w = (pi/2) cosh u, one exp gives both
     nodes, t(u) = e^s and t(-u) = 1/t(u), and both weights t c cosh u =
-    t w.  A weight on the t < 1 side below ``skip_below`` is returned as
-    0, so the integrand is not evaluated there.
+    t w, each handed over unrounded as (man, exp).  A weight on the t < 1
+    side below ``skip_below`` (tested exactly) is returned as (0, 0), so
+    the integrand is not evaluated there.
     """
+    skip = mpf(skip_below)._mpf_
 
     def pair(s, w):
         t = mpmath.exp(s)
         t_neg = 1 / t
-        w_neg = t_neg * w
-        if w_neg < skip_below:
-            w_neg = _ZERO
-        return t, t * w, t_neg, w_neg
+        _, w_man, w_exp, _ = w._mpf_
+        _, man, exp, _ = t._mpf_
+        _, neg_man, neg_exp, _ = t_neg._mpf_
+        w_neg = (neg_man * w_man, neg_exp + w_exp)
+        if skip[1] and _below(*w_neg, skip):
+            w_neg = (0, 0)
+        return t, (man * w_man, exp + w_exp), t_neg, w_neg
 
-    return (mpf(1), mpmath.pi / 2), pair
+    return (mpf(1), (mpmath.pi / 2)._mpf_[1:3]), pair
 
 
 def _tanh_sinh_nodes(a, b):
@@ -510,20 +550,26 @@ def _tanh_sinh_nodes(a, b):
     (the pair's one exp), the offset from the nearer endpoint,
     half (1 - tanh s) = 2 half / (E + 1), is formed without subtraction,
     and the weight half c cosh u / cosh(s)^2 = half w 4E / (E + 1)^2
-    (w = (pi/2) cosh u) is the same on both sides.  There is no weight
-    short-circuit: endpoint-singular integrands (x^-1/2, log sin) can
-    outgrow a tiny weight by many orders.
+    (w = (pi/2) cosh u), the same on both sides, is the offset times
+    2 w E / (E + 1), handed over unrounded as (man, exp).  There is no
+    weight short-circuit: endpoint-singular integrands (x^-1/2, log sin)
+    can outgrow a tiny weight by many orders.
     """
     half = (b - a) / 2
     mid = (a + b) / 2
+    length = 2 * half
 
     def pair(s, w):
         big = mpmath.exp(2 * s)
-        offset = 2 * half / (big + 1)
-        weight = 4 * half * w * big / (big + 1) ** 2
+        den = big + 1
+        offset = length / den
+        _, o_man, o_exp, _ = offset._mpf_
+        _, w_man, w_exp, _ = w._mpf_
+        _, q_man, q_exp, _ = (big / den)._mpf_
+        weight = (o_man * w_man * q_man, o_exp + w_exp + q_exp + 1)
         return b - offset, weight, a + offset, weight
 
-    return (mid, half * (mpmath.pi / 2)), pair
+    return (mid, (half * (mpmath.pi / 2))._mpf_[1:3]), pair
 
 
 def integrate_zero_to_inf(f: Integrand, ctx: ComputeContext) -> QuadratureResult:

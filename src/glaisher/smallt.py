@@ -73,7 +73,8 @@ kept by nobody.
 from __future__ import annotations
 
 from functools import cache
-from math import ceil, inf, isqrt, log2
+from math import ceil, gcd, inf, isqrt, lcm, log2
+from operator import mul
 from typing import Callable
 
 import mpmath
@@ -122,26 +123,44 @@ def quotient_series(
     """The power series of (sum a_k z^k) / (sum b_k z^k), b_0 != 0.
 
     ``numerator(k)`` and ``denominator(k)`` give a_k and b_k exactly, as
-    integer pairs; c_k = (a_k - sum_{j=1..k} b_j c_(k-j)) / b_0 is kept as
-    an exact rational, given to the kernel as a pair, and built only as
-    far as a sum first asks, so nothing is computed at import.
+    integer pairs; c_k = (a_k - sum_{j=1..k} b_j c_(k-j)) / b_0 is exact,
+    given to the kernel as its reduced pair, and built only as far as a
+    sum first asks, so nothing is computed at import.  The b_j and the
+    c_j are kept as integer numerators over one running common
+    denominator each, so the convolution is plain integer products and
+    each new c_k costs one gcd.
     """
-    b: list = []
-    c: list = []
+    b: list[int] = []           # b_j = b[j] / b_den
+    c: list[int] = []           # c_j = c[j] / c_den
+    pairs: list[tuple[int, int]] = []
+    b_den = c_den = 1
 
     def coefficient(k: int) -> tuple[int, int]:
-        # fractions (with decimal) takes about 4 ms to import: load it on
-        # first use, not with the package.
-        from fractions import Fraction
-
-        while len(c) <= k:
-            n = len(c)
-            b.append(Fraction(*denominator(n)))
-            tail = sum(b[j] * c[n - j] for j in range(1, n + 1))
-            c.append((Fraction(*numerator(n)) - tail) / b[0])
-        return c[k].as_integer_ratio()
+        nonlocal b, c, b_den, c_den
+        while len(pairs) <= k:
+            n = len(pairs)
+            b_den, b = _common(b, b_den, *denominator(n))
+            # c_n = (a_n - S / (b_den c_den)) b_den / b[0], S = sum b_j c_(n-j)
+            tail = sum(map(mul, b[1:], reversed(c)))
+            p, q = numerator(n)
+            num = p * b_den * c_den - q * tail
+            den = q * c_den * b[0]
+            g = gcd(num, den) * (-1 if den < 0 else 1)
+            pairs.append((num // g, den // g))
+            c_den, c = _common(c, c_den, *pairs[-1])
+        return pairs[k]
 
     return PowerSeries(coefficient)
+
+
+def _common(nums: list[int], den: int, p: int, q: int) -> tuple[int, list[int]]:
+    """(D, numerators) of the values nums[j] / den and p / q (q != 0) over
+    their least common denominator D = lcm(den, |q|)."""
+    new = lcm(den, q)
+    scale = new // den
+    if scale != 1:
+        nums = [x * scale for x in nums]
+    return new, nums + [p * (new // q)]
 
 
 class _FixedCoefficients:
@@ -270,8 +289,18 @@ def far(t: mpf) -> bool:
     prec >= 10.  Either way the dropped part is under a quarter ulp, so
     the exact 0 moves no bit after rounding.  pain2's e^-x and Kummer's
     sinh ratio are the whole value there and never take this cut.
+
+    The bit lengths of t's mantissa and of 2 prec decide, or, when equal
+    after the exponent, the integers; t <= 0 or not finite compares mpfs.
     """
-    return t > 2 * mp.prec
+    sign, man, exp, bc = t._mpf_
+    limit = 2 * mp.prec
+    if sign or not man:
+        return t > limit
+    top = exp + bc - limit.bit_length()
+    if top:
+        return top > 0
+    return man << exp > limit if exp >= 0 else man > limit << -exp
 
 
 @cache

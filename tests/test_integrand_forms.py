@@ -124,6 +124,42 @@ def test_res1_numerator_cancels_exactly():
     assert routes._RES1._coefficient(0) == (1, 48)
 
 
+def _fraction_quotient(numerator, denominator, n):
+    """c_0..c_(n-1) of (sum a_k z^k) / (sum b_k z^k) by the Fraction
+    convolution c_k = (a_k - sum_{j=1..k} b_j c_(k-j)) / b_0."""
+    b, c = [], []
+    for k in range(n):
+        b.append(Fraction(*denominator(k)))
+        tail = sum(b[j] * c[k - j] for j in range(1, k + 1))
+        c.append((Fraction(*numerator(k)) - tail) / b[0])
+    return c
+
+
+def _res1_fraction_reference(n):
+    pairs = list(islice(routes._res1_coefficients(), n + 3))
+    return _fraction_quotient(lambda k: pairs[k + 3][0].as_integer_ratio(),
+                              lambda k: pairs[k][1].as_integer_ratio(), n)
+
+
+QUOTIENT_REFERENCES = {
+    "pain1": (routes._PAIN1, lambda n: _fraction_quotient(
+        routes._pain1_numerator, routes._pain1_denominator, n)),
+    "pain2": (routes._PAIN2, lambda n: _fraction_quotient(
+        routes._pain2_numerator, routes._pain2_denominator, n)),
+    "res1": (routes._RES1, _res1_fraction_reference),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_REFERENCES))
+def test_quotient_series_pairs_match_fraction_convolution(name):
+    # The integer convolution over running common denominators must hand
+    # the kernel the same reduced pairs as exact rational arithmetic, out
+    # to k = 200 (a 400-digit sum at z = 2^-8 reads about 170 of them).
+    series, reference = QUOTIENT_REFERENCES[name]
+    want = [c.as_integer_ratio() for c in reference(201)]
+    assert [series._coefficient(k) for k in range(201)] == want
+
+
 TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log", "ln", "sqrt")
 
 

@@ -11,6 +11,8 @@ Fourier series route, at its default N (100 up to 245 digits, 158 at
 400), must also be at full precision: estimate within 10^-(P-10) at
 every digit count, 400 included.  Its value is the log A of the identity
 residuals, so both commands judge them against an engine-free log A.
+The four integral routes' evaluation counts are pinned at 20, 200 and
+400 digits.
 On a 2-vCPU VM (mpmath on its Python backend) the 400-digit case takes
 24-36 s, of which ``verify`` is 7-8 s: it integrates no route.
 """
@@ -24,6 +26,15 @@ from mpmath import mp, mpf
 from glaisher import deserialize_report, make_context
 from glaisher.cli import EXIT_CONFIG, EXIT_OK, main
 from glaisher.routes import IDENTITY_IDS, ROUTE_IDS
+
+# Evaluations of the four integral routes.  They depend only on where each
+# side's scan stops, so a change to the level loop or the nodes must leave
+# them as they are (50 and 100 digits are pinned in test_routes).
+EVALUATIONS = {
+    20: {"pain1": 89, "pain2": 120, "feaux": 163, "kummer": 89},
+    200: {"pain1": 6627, "pain2": 4397, "feaux": 6618, "kummer": 6628},
+    400: {"pain1": 14580, "pain2": 9542, "feaux": 14571, "kummer": 14581},
+}
 
 
 @pytest.mark.slow
@@ -40,6 +51,8 @@ def test_compute_and_verify_hold_their_contracts(digits, capsys, tmp_path):
         assert f.route_id in f.error, f"refusal does not name its route: {f.error}"
     assert code == (EXIT_CONFIG if refused else EXIT_OK)
     assert sorted(refused | {e.route_id for e in doc.estimates}) == sorted(ROUTE_IDS)
+    pinned = EVALUATIONS.get(digits, {})
+    assert {e.route_id: e.evaluations for e in doc.estimates if e.route_id in pinned} == pinned
 
     with mp.workdps(digits + 20):
         log_a = mpf(1) / 12 - mpmath.zeta(-1, derivative=1)

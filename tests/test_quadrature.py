@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import mpmath
 import pytest
@@ -27,6 +28,7 @@ from glaisher.loggamma import (
 )
 from glaisher.quadrature import (
     DEFAULT_NEAR_ZERO_THRESHOLD,
+    _below,
     _exp_sinh_nodes,
     _level_nodes,
     _max_level,
@@ -113,6 +115,35 @@ class TestResultStructure:
         with pytest.raises(IntegrandEvaluationError, match="broken"):
             integrate_zero_to_inf(bad, ctx=ctx50)
 
+    @pytest.mark.parametrize("infinity", [mpmath.inf, -mpmath.inf])
+    def test_infinity_aborts_with_label_and_abscissa(self, ctx50, infinity):
+        bad = Integrand(eval=lambda t: infinity if t > 3 else mpmath.exp(-t), label="blows_up")
+        with pytest.raises(IntegrandEvaluationError, match="blows_up") as caught:
+            integrate_zero_to_inf(bad, ctx=ctx50)
+        assert caught.value.label == "blows_up"
+        assert caught.value.abscissa > 3
+
+    def test_term_far_below_the_frame_counts_as_zero(self, ctx20):
+        # A value 2^-(10^8) times its weight rounds to 0 on the frame; the
+        # loop must find that without building an integer of 10^8 bits
+        # (12.5 MB), as a shift-sized rounding bit would.
+        tiny = Integrand(eval=lambda t: mpf((1, -10 ** 8)), label="tiny")
+        tracemalloc.start()
+        try:
+            r = integrate_zero_to_inf(tiny, ctx=ctx20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.value == 0 and r.converged
+        assert peak < 10 ** 6
+
+    def test_python_int_integrand_integrates_as_its_mpf(self, ctx50):
+        as_int = integrate_finite(Integrand(eval=lambda x: 3, label="three"), 0, 1, ctx=ctx50)
+        as_mpf = integrate_finite(Integrand(eval=lambda x: mpf(3), label="three"), 0, 1, ctx=ctx50)
+        assert as_int.value._mpf_ == as_mpf.value._mpf_
+        assert as_int.evaluations == as_mpf.evaluations
+        assert as_int.converged and abs_diff(as_int.value, 3) < mpf(10) ** -40
+
     def test_division_by_zero_at_right_endpoint_aborts_with_label(self, ctx20):
         # b - offset rounds to b once the offset is below half an ulp, so
         # 1/sqrt(1 - x) is evaluated at x = 1; the engine must turn the
@@ -128,6 +159,25 @@ class TestResultStructure:
         f = Integrand(eval=lambda t: 1 / (1 + t), label="divergent")
         r = integrate_zero_to_inf(f, ctx=ctx30)
         assert not r.converged
+
+
+def threshold_points(bound):
+    """Where an exponent test of t against ``bound`` (an mpf) can slip: the
+    bound and one ulp either side, the powers of two around it and 1,
+    zero, and negative t, all exact at the working precision."""
+    ulp = mpmath.ldexp(1, mpmath.mag(bound) - mp.prec)
+    points = [bound, bound + ulp, bound - ulp, mpf(0), -bound, -ulp, mpf(-1)]
+    points += [mpmath.ldexp(1, k) for k in range(-12, mpmath.mag(bound) + 3)]
+    return points
+
+
+@pytest.mark.parametrize("digits", [20, 50, 400])
+def test_near_zero_switch_is_t_below_two_to_minus_eight(digits):
+    f = Integrand(eval=lambda t: "eval", near_zero=lambda t: "near_zero", label="switch")
+    with make_context(digits).workdps(20):
+        bound = mpf(DEFAULT_NEAR_ZERO_THRESHOLD)
+        for t in threshold_points(bound):
+            assert f(t) == ("near_zero" if t < bound else "eval"), mpmath.nstr(t, 30)
 
 
 class TestScanCap:
@@ -448,6 +498,8 @@ class TestPairNodes:
                     weight = 2 * w / (t + 1 / t) ** 2
                     want += [t, t * w, 1 / t, w / t, 1 - offset, weight, offset, weight]
                 for name, g, v in zip(names, got, want):
+                    if isinstance(g, tuple):        # an unrounded weight (man, exp)
+                        g = mpmath.ldexp(*g)
                     if abs(g - v) > bound * abs(v):
                         misses.append(f"{name} at u = {mpmath.nstr(u, 8)}: relative "
                                       f"error {mpmath.nstr(abs(g / v - 1), 3)}")
@@ -456,6 +508,20 @@ class TestPairNodes:
             f"{len(misses)} values over {len(stepped)} steps ({node_pairs} node pairs) "
             f"off by more than 1e-{digits + 15}; first: {misses[:3]}"
         )
+
+
+@pytest.mark.parametrize("digits", [20, 400])
+def test_weight_skip_test_is_exact(digits):
+    # exp-sinh skips a t < 1 weight below cutoff/8, compared unrounded:
+    # the same value as the limit with wider mantissas, one unit either
+    # side of it, and the powers of two around its leading bit.
+    with make_context(digits).workdps(20):
+        limit = mpf(10) ** -(digits + 10) / 8
+    _, man, exp, bc = limit._mpf_
+    cases = [((man << wider) + d, exp - wider) for wider in (0, 1, 7, 2 * bc) for d in (-1, 0, 1)]
+    cases += [(1, exp + bc), (1, exp + bc - 1), (3, exp + bc - 2), (1, exp + bc - 2)]
+    for m, e in cases:
+        assert _below(m, e, limit._mpf_) == (mpmath.ldexp(m, e) < limit), (m, e)
 
 
 class TestDeterminism:

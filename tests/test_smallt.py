@@ -15,9 +15,9 @@ from mpmath import mp, mpf
 from glaisher import loggamma, make_context, routes
 from glaisher.loggamma import kummer_integrand, one_plus_em1z_over_z
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
-from glaisher.smallt import cancellation_guard, fixed_logs
+from glaisher.smallt import cancellation_guard, far, fixed_logs
 
-from test_quadrature import PROJECT_INTEGRANDS, build_integrand
+from test_quadrature import PROJECT_INTEGRANDS, build_integrand, threshold_points
 
 # Every series the project sums on the kernel, and whether it is held out
 # to |z| = 1/2 (one_plus_em1z_over_z passes the expm1 tail up to 1/2;
@@ -284,6 +284,16 @@ def _unguarded_forms(ctx):
 # The route forms whose raw form runs in the fixed-point frame up to
 # 2 prec and returns its algebraic limit past it.
 FRAME_FORMS = ("pain1", "res1", "res2_dt_over_t", "res2_dt")
+
+
+@pytest.mark.parametrize("digits", [20, 50, 400])
+def test_far_is_t_above_twice_the_working_precision(digits):
+    # far reads the exponent and mantissa; 2 prec is no power of two, so
+    # at the bound the integers must decide.
+    with make_context(digits).workdps(20):
+        bound = mpf(2 * mp.prec)
+        for t in threshold_points(bound):
+            assert far(t) == (t > bound), mpmath.nstr(t, 30)
 
 
 @pytest.mark.parametrize("name", list(_unguarded_forms(make_context(20))))
