@@ -64,7 +64,8 @@ stream of a level is shared by both transforms.  The table is extended lazily by
 node has the same value whichever integral reached it first, and every
 value, estimate and count is bit-identical to an integral run alone; in
 ``run_all`` at 50 digits the engine makes 548 exp calls, against 1893
-with a node scan per integral.
+with a node scan per integral.  The route raw forms keep their
+E = e^(-t/2) in the same table: 362 exps, against 1139.
 The block drops the table on exit.  An integral outside any block
 streams its nodes and keeps none (only the current pair is alive): a
 table that outlived one computation would make every call after the

@@ -55,10 +55,10 @@ Integrand evaluation
 --------------------
 Each integral route's integrand has a raw form, used from t = 2^-8 on,
 and a near-zero power series below it.  A raw form runs in fixed point
-(:func:`~glaisher.smallt.raw_frame`) and costs at most one exp: pain1
-takes E = e^{-x/2} and uses coth(x/2) = (1+E^2)/(1-E^2); kummer takes
-q = e^{-t/2}, with tanh(t/4) = (1-q)/(1+q) and e^-t = q^2; pain2 takes
-E too, with e^-x = E^2; feaux takes e^-t, one log and one integer sqrt.
+(:func:`~glaisher.smallt.raw_frame`) on E = e^{-t/2}, one exp per
+abscissa in one computation: pain1 uses coth(x/2) = (1+E^2)/(1-E^2);
+kummer tanh(t/4) = (1-E)/(1+E) and e^-t = E^2; pain2 e^-x = E^2; feaux
+e^-t = E^2, one log and one integer sqrt.
 Past t = 2 prec (:func:`~glaisher.smallt.far`) pain1, feaux and kummer
 drop their exponential, which moves no bit there.  A near-zero form
 calls no transcendental at all: pain1's, pain2's and feaux's are each
@@ -80,13 +80,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from math import ceil, comb, factorial, isqrt
+from math import ceil, comb, factorial, gcd, isqrt
 from operator import sub
 from typing import Callable, Literal
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, mpf_mul, to_fixed
 
 from .context import (
     MIN_PRECISION_DIGITS,
@@ -139,6 +139,8 @@ class RouteEstimate:
     parameters: dict = field(default_factory=dict)
     evaluations: int = 0
     elapsed: float = 0.0
+    """Seconds of the call; shared work (nodes, E) is charged to the
+    first route that reaches it."""
 
 
 @dataclass
@@ -201,7 +203,7 @@ def _pain2_denominator(k: int) -> tuple[int, int]:
 
 def _res1_coefficients():
     """Yield (a_m, s_m), m = 0, 1, ...: the coefficients of t^m in A and in
-    l^2 as exact rationals, where l = log(1+t)/t and the res1 integrand is
+    l^2 as reduced pairs (p, q), where l = log(1+t)/t and the res1 integrand is
     A / (t^3 l^2),  A = e^-t t^2 l^2 / 8 - (1+t)^(-3/2) - (t l - 2) / (2 (1+t)).
 
     a_0 = a_1 = a_2 = 0 and a_3 = 1/48.  G = e^-t t^2 l^2 = e^-t L^2, with
@@ -210,22 +212,28 @@ def _res1_coefficients():
     M' = N - M, K = M/(1+t), and G' = 2K - G.  The coefficients of
     (1+t)^(-3/2) and (t l - 2) / (2 (1+t)) are (-1)^m (2m+1) C(2m, m) / 4^m
     and (-1)^(m+1) (2 + H_m) / 2, and s_m = (-1)^m 2 H_(m+1) / (m+2), H
-    the harmonic numbers.
+    the harmonic numbers.  N, M, K, G and H are integers over m! (a step's
+    division by m turns (m-1)! into m!).
     """
-    from fractions import Fraction
-
-    N, M, K, G, H = Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)
-    m = 0
+    N, M, K, G, H = 1, 0, 0, 0, 0
+    m, fact = 0, 1
     while True:
-        sign = (-1) ** m
-        inverse_sqrt_cubed = Fraction((2 * m + 1) * comb(2 * m, m), 4 ** m)
-        a = G / 8 + sign * ((2 + H) / 2 - inverse_sqrt_cubed)
-        yield a, sign * 2 * (H + Fraction(1, m + 1)) / (m + 2)
+        sign, scale = (-1) ** m, 4 ** m
+        a = G * scale + sign * 4 * ((2 * fact + H) * scale
+                                    - 2 * fact * (2 * m + 1) * comb(2 * m, m))
+        s = sign * 2 * (H * (m + 1) + fact)
+        yield _reduced(a, 8 * fact * scale), _reduced(s, fact * (m + 1) * (m + 2))
         m += 1
-        M, G = (N - M) / m, (2 * K - G) / m
-        N = Fraction(-sign, factorial(m)) - N
-        K = M - K
-        H += Fraction(1, m)
+        fact *= m
+        M, G = N - M, 2 * K - G
+        N = -sign - m * N
+        K = M - m * K
+        H = m * H + fact // m
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _res1_quotient() -> PowerSeries:
@@ -239,10 +247,7 @@ def _res1_quotient() -> PowerSeries:
             known.append(next(pairs))
         return known[m]
 
-    return quotient_series(
-        lambda k: term(k + 3)[0].as_integer_ratio(),
-        lambda k: term(k)[1].as_integer_ratio(),
-    )
+    return quotient_series(lambda k: term(k + 3)[0], lambda k: term(k)[1])
 
 
 _RES1 = _res1_quotient()
@@ -251,12 +256,21 @@ _PAIN1 = quotient_series(_pain1_numerator, _pain1_denominator)
 _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
 
 
+def _exp_half(t: mpf) -> tuple:
+    """``exp_neg(t)``, once per abscissa in one computation."""
+    memo = shared_values(("exp-half", mp.prec))
+    E = memo.get(t._mpf_)
+    if E is None:
+        E = memo[t._mpf_] = exp_neg(t)
+    return E
+
+
 def res1_integrand(ctx: ComputeContext) -> Integrand:
     """Feaux-route integrand; three terms of size t^-2 cancelling to O(t).
 
-    The raw form takes one log, one integer sqrt and one exp in fixed
-    point: with u = 1+t, L = log u, r = sqrt(u) and G = e^-t (0 past
-    2 prec), it is [G u r L^2 - 4 (2 + (L-2) r)] / (8 u r L^2 t).  Near
+    The raw form takes one log and one integer sqrt in fixed point, and
+    the shared E: with u = 1+t, L = log u, r = sqrt(u) and G = e^-t = E^2
+    (0 past 2 prec), it is [G u r L^2 - 4 (2 + (L-2) r)] / (8 u r L^2 t).  Near
     zero the integrand is A / (t^3 l^2) with l = log(1+t)/t, whose numerator's
     coefficients of t^0..t^2 cancel exactly (see ``_res1_coefficients``): one
     power series with exact rational coefficients
@@ -272,7 +286,10 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
         U = (1 << width) + T
         L = to_fixed(mpmath.ln(mp.make_mpf(from_man_exp(U, -width)), prec=width)._mpf_, width)
         R = isqrt(U << width)
-        G = 0 if far(t) else to_fixed(exp_neg(t, 0, width)._mpf_, width)
+        G = 0
+        if not far(t):
+            E = _exp_half(t)
+            G = to_fixed(mpf_mul(E, E), width)
         urL2 = (U * R >> width) * (L * L >> width) >> width
         num = (G * urL2 >> width) - ((two + ((L - two) * R >> width)) << 2)
         return fixed_quotient(num, (urL2 * T >> width) << 3)
@@ -287,7 +304,7 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
 def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Integrand:
     """Kummer-route integrand [tanh(t/4)/t - e^-t/4] / t (or without /t).
 
-    The raw form takes one exp in fixed point: with q = e^{-t/2},
+    The raw form reads the shared q = e^{-t/2} in fixed point:
     tanh(t/4) = (1-q)/(1+q) and e^-t = q^2, so the bracket is
     [4 (1-q) - q^2 t (1+q)] / (4 t (1+q)), and 1/t past 2 prec.
     Near zero the bracket is t/4 - (25/192) t^2 + ...; the series form is
@@ -303,7 +320,7 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
             return mpmath.fdiv(1, mpmath.fmul(t, t, exact=True)) if over_t else 1 / t
         width, T = raw_frame(t, 2)
         one = 1 << width
-        q = to_fixed(exp_neg(t, 1, width)._mpf_, width)
+        q = to_fixed(_exp_half(t), width)
         num = ((one - q) << 2) - (((q * q >> width) * T >> width) * (one + q) >> width)
         den = T * (one + q) >> (width - 2)
         return fixed_quotient(num, den * T >> width if over_t else den)
@@ -328,7 +345,7 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
 def pain1_integrand(ctx: ComputeContext) -> Integrand:
     """(1 - e^{-x/2}) (x coth(x/2) - 2) / x^3; limit 1/12 at zero.
 
-    One exp: with E = e^{-x/2}, coth(x/2) = (1+E^2)/(1-E^2), and the
+    The shared E = e^{-x/2} gives coth(x/2) = (1+E^2)/(1-E^2), and the
     factor 1 - E cancels against 1 - E^2 = (1-E)(1+E), so the raw form is
         (x (1+E^2) - 2 (1-E^2)) / (x^3 (1+E))
     in fixed point, and (x - 2)/x^3 past 2 prec.  Near zero the same
@@ -345,7 +362,7 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
             return mpmath.fdiv(mpmath.fsub(x, 2, exact=True), cube)
         width, X = raw_frame(x, 2)
         one = 1 << width
-        E = to_fixed(exp_neg(x, 1, width)._mpf_, width)
+        E = to_fixed(_exp_half(x), width)
         E2 = E * E >> width
         num = (X * (one + E2) >> width) - ((one - E2) << 1)
         return fixed_quotient(num, ((X * X >> width) * X >> width) * (one + E) >> width)
@@ -360,7 +377,7 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
 def pain2_integrand(ctx: ComputeContext) -> Integrand:
     """((8-3x) e^x - 8 e^{x/2} - x) / (4 x^2 e^x (e^x - 1)); limit -1/12.
 
-    The raw form takes one exp, E = e^{-x/2}: it is e^-x ((8-3x) - 8E -
+    The raw form reads the shared E = e^{-x/2}: it is e^-x ((8-3x) - 8E -
     xE^2) / (4 x^2 (1-E^2)), the fraction in fixed point and e^-x = E^2
     from E's mantissa, so it is relative-accurate at any x.
     Numerator Taylor coefficients n_k = 8/k! - 3/(k-1)! - 8/(2^k k!)
@@ -375,12 +392,12 @@ def pain2_integrand(ctx: ComputeContext) -> Integrand:
     def raw(x):
         width, X = raw_frame(x, 3)
         one = 1 << width
-        half = exp_neg(x, 1, width)
-        E = to_fixed(half._mpf_, width)
+        half = _exp_half(x)
+        E = to_fixed(half, width)
         E2 = E * E >> width
         num = (8 << width) - 3 * X - 8 * E - (X * E2 >> width)
         den = (X * X >> width) * (one - E2) >> (width - 2)
-        _, man, e, _ = half._mpf_      # e^-x = (man 2^e)^2
+        _, man, e, _ = half             # e^-x = (man 2^e)^2
         return fixed_quotient(num * man * man, den, 2 * e)
 
     return Integrand(

@@ -79,7 +79,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_neg, mpf_shift, to_fixed
+from mpmath.libmp import mpf_exp, mpf_neg, mpf_shift, round_nearest, to_fixed
 
 # Guard bits of the fixed-point sum beyond the working precision.
 _GUARD_BITS = 16
@@ -259,9 +259,11 @@ def raw_frame(t: mpf, digits_per_decade: int) -> tuple[int, int]:
     return width, to_fixed(t._mpf_, width)
 
 
-def exp_neg(t: mpf, halvings: int, width: int) -> mpf:
-    """e^(-t / 2^halvings) as an mpf rounded to ``width`` bits, t > 0."""
-    return mpmath.exp(mp.make_mpf(mpf_neg(mpf_shift(t._mpf_, -halvings))), prec=width)
+def exp_neg(t: mpf) -> tuple:
+    """E = e^(-t/2), t > 0, as an ``_mpf_`` of W + 4 bits, W that of
+    ``raw_frame(t, 3)``, the widest route frame: cut to W' <= W bits E is
+    off by under 2^-W' (1 + 2^-4), and E^2 by about 2^-(W+3) relative."""
+    return mpf_exp(mpf_neg(mpf_shift(t._mpf_, -1)), raw_frame(t, 3)[0] + 4, round_nearest)
 
 
 def fixed_quotient(num: int, den: int, exponent: int = 0) -> mpf:

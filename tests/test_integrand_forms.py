@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -18,9 +19,9 @@ from glaisher.loggamma import (
     fourier_a_n_integrand,
     kummer_integrand,
 )
-from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
+from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD, shared_values, shared_work
 from glaisher.routes import pain1_integrand, pain2_integrand, res1_integrand, res2_integrand
-from glaisher.smallt import cancellation_guard
+from glaisher.smallt import cancellation_guard, exp_neg, far
 
 
 def _pain1_literal(x):
@@ -66,16 +67,28 @@ def _literal_grid(prec):
     return grid
 
 
+# A form of the other cancellation guard (2 against 3 digits per decade)
+# whose raw form takes E = e^(-t/2) at the same abscissae.
+STORED_BY = {"pain1": "pain2", "pain2": "pain1", "res1": "res2_dt_over_t",
+             "res2_dt_over_t": "res1", "res2_dt": "pain2"}
+
+
 @pytest.mark.parametrize("name", list(LITERAL_FORMS))
 @pytest.mark.parametrize("digits", [20, 50, 200, pytest.param(400, marks=pytest.mark.slow)])
 def test_raw_form_matches_literal_expression(name, digits):
     # The fixed-point raw form at the engine's P+20 digits against the
     # literal expression (coth, tanh, two exps) at P+40, to 10^-(P+10)
     # relative: the guard covers the cancellation down to 2^-8 10^-6, and
-    # the far tail's algebraic limit drops nothing above an ulp.
+    # the far tail's algebraic limit drops nothing above an ulp.  Short of
+    # the far tail the form also runs inside one computation after the
+    # form of STORED_BY, and so reads the E that form stored (cut to its
+    # own frame below t = 1, where the two guards differ): that E must be
+    # the one ``exp_neg`` gives whichever form takes it, and the form's
+    # bits those it gives alone.
     ctx = make_context(digits)
     factory, literal = LITERAL_FORMS[name]
     integrand = factory(ctx)
+    other = LITERAL_FORMS[STORED_BY[name]][0](ctx)
     bound = mpf(10) ** (-(digits + 10))
     misses = []
     with ctx.workdps(20):
@@ -83,6 +96,12 @@ def test_raw_form_matches_literal_expression(name, digits):
     for t in grid:
         with ctx.workdps(20):
             got = integrand.eval(t)
+            if not far(t):                      # where every raw form takes E
+                with shared_work():
+                    other.eval(t)
+                    stored = shared_values(("exp-half", mp.prec))[t._mpf_]
+                    assert stored == exp_neg(t), mpmath.nstr(t, 8)
+                    assert integrand.eval(t)._mpf_ == got._mpf_, mpmath.nstr(t, 8)
         with ctx.workdps(40):
             want = literal(t)
             rel = abs(got - want) / abs(want)
@@ -119,9 +138,35 @@ def test_res1_numerator_cancels_exactly():
     # t^0..t^2 coefficients exactly, and l^2 = (log(1+t)/t)^2 starts
     # 1 - t + 11/12 t^2 - 5/6 t^3, so the series starts at c_0 = 1/48.
     pairs = list(islice(routes._res1_coefficients(), 4))
-    assert [a for a, _ in pairs] == [0, 0, 0, Fraction(1, 48)]
-    assert [s for _, s in pairs] == [1, -1, Fraction(11, 12), Fraction(-5, 6)]
+    assert [a for a, _ in pairs] == [(0, 1), (0, 1), (0, 1), (1, 48)]
+    assert [s for _, s in pairs] == [(1, 1), (-1, 1), (11, 12), (-5, 6)]
     assert routes._RES1._coefficient(0) == (1, 48)
+
+
+def _res1_fraction_coefficients():
+    """(a_m, s_m) of ``routes._res1_coefficients`` by the same four
+    recurrences in exact rationals."""
+    N, M, K, G, H = Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)
+    m = 0
+    while True:
+        sign = (-1) ** m
+        inverse_sqrt_cubed = Fraction((2 * m + 1) * comb(2 * m, m), 4 ** m)
+        yield (G / 8 + sign * ((2 + H) / 2 - inverse_sqrt_cubed),
+               sign * 2 * (H + Fraction(1, m + 1)) / (m + 2))
+        m += 1
+        M, G = (N - M) / m, (2 * K - G) / m
+        N = Fraction(-sign, factorial(m)) - N
+        K = M - K
+        H += Fraction(1, m)
+
+
+def test_res1_coefficients_match_fraction_recurrences():
+    # The integer numerators over m! must give the reduced pairs of the
+    # Fraction recurrences, out to k = 200 (a 400-digit sum at z = 2^-8
+    # reads about 175 of them).
+    want = [(a.as_integer_ratio(), s.as_integer_ratio())
+            for a, s in islice(_res1_fraction_coefficients(), 201)]
+    assert list(islice(routes._res1_coefficients(), 201)) == want
 
 
 def _fraction_quotient(numerator, denominator, n):
@@ -136,7 +181,7 @@ def _fraction_quotient(numerator, denominator, n):
 
 
 def _res1_fraction_reference(n):
-    pairs = list(islice(routes._res1_coefficients(), n + 3))
+    pairs = list(islice(_res1_fraction_coefficients(), n + 3))
     return _fraction_quotient(lambda k: pairs[k + 3][0].as_integer_ratio(),
                               lambda k: pairs[k][1].as_integer_ratio(), n)
 
@@ -219,8 +264,9 @@ def test_integrand_values_carry_the_working_precision(digits):
 
 
 def _count_transcendentals(monkeypatch):
-    # The mpmath transcendentals, and the integer square root res1's raw
-    # form takes in place of mpmath.sqrt.
+    # The mpmath transcendentals, the integer square root res1's raw form
+    # takes in place of mpmath.sqrt, and the route raw forms' E, which
+    # smallt.exp_neg takes on mpmath's libmp (counted as an exp).
     calls = {fn: 0 for fn in TRANSCENDENTALS + ("isqrt",)}
 
     def counting(fn, original):
@@ -232,6 +278,7 @@ def _count_transcendentals(monkeypatch):
     for fn in TRANSCENDENTALS:
         monkeypatch.setattr(mpmath, fn, counting(fn, getattr(mpmath, fn)))
     monkeypatch.setattr(routes, "isqrt", counting("isqrt", routes.isqrt))
+    monkeypatch.setattr(routes, "exp_neg", counting("exp", routes.exp_neg))
     return calls
 
 

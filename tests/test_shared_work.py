@@ -62,6 +62,21 @@ def engine_exp_calls(monkeypatch):
 
 
 @pytest.fixture
+def raw_exp_calls(monkeypatch):
+    """The (precision, abscissa) of each E = e^(-t/2) the route raw forms
+    take (``smallt.exp_neg``, their only exp)."""
+    calls = []
+    original = glaisher.routes.exp_neg
+
+    def counted(t):
+        calls.append((mpmath.mp.prec, t._mpf_))
+        return original(t)
+
+    monkeypatch.setattr(glaisher.routes, "exp_neg", counted)
+    return calls
+
+
+@pytest.fixture
 def oracle_calls(monkeypatch):
     calls = [0]
     original = glaisher.routes.log_gamma_ref
@@ -271,6 +286,15 @@ class TestSharingIsScoped:
         assert first == 548
         run_all(make_context(50))
         assert engine_exp_calls[0] == 2 * first
+
+    def test_run_all_raw_form_exp_calls(self, raw_exp_calls):
+        run_all(make_context(50))
+        first = len(raw_exp_calls)
+        # one E per abscissa; 1139 with an exp per raw-form evaluation
+        assert first == len(set(raw_exp_calls)) == 362
+        run_all(make_context(50))
+        assert len(raw_exp_calls) == 2 * first
+        assert raw_exp_calls[first:] == raw_exp_calls[:first]
 
     def test_identity_report_oracle_calls(self, oracle_calls):
         doc = identity_report(make_context(100))
