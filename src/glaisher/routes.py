@@ -96,7 +96,7 @@ from .context import (
     Real,
     make_context,
 )
-from .loggamma import DomainError, log_gamma_ref
+from .loggamma import DomainError, _log_gamma1p_series, log_gamma_ref
 from .quadrature import (
     Integrand,
     integrate_finite,
@@ -805,6 +805,7 @@ def consensus_log_a(ctx: ComputeContext) -> Real:
         return +((feaux.value + kummer.value) / 2)
 
 
+@shared_work()
 def _identity_integral(
     ctx: ComputeContext,
     identity_id: str,
@@ -814,7 +815,9 @@ def _identity_integral(
 ) -> IdentityResidual:
     """Integrate ``f`` over [0, 1/2] and map the integral I to the identity's
     residual by ``residual(I, c)``, evaluated at P+10 digits with the
-    context constants c; the tolerance is the context's target."""
+    context constants c; the tolerance is the context's target.  It holds
+    a table of shared work, so an identity checked alone builds the zeta
+    table of the end series (:func:`_log_gamma1p`) once, not per node."""
     start = time.perf_counter()
     result = integrate_finite(Integrand(eval=f, label=label), mpf(0), mpf(1) / 2, ctx=ctx)
     result.require_converged(identity_id)
@@ -829,12 +832,17 @@ def _identity_integral(
 
 
 def _log_gamma1p(x: Real, ctx: ComputeContext) -> Real:
-    """log Gamma(1+x) from the oracle, once per abscissa in one computation:
-    glaisher_half and gla2 integrate it on the same nodes."""
+    """log Gamma(1+x), once per abscissa in one computation: glaisher_half
+    and gla2 integrate it on the same nodes.  Within 2^-8 of 0 or 1/2,
+    where the tanh-sinh nodes crowd, it is a Taylor series in zeta(k);
+    elsewhere the Stirling oracle."""
     memo = shared_values(("log_gamma1p", ctx.precision_digits))
     value = memo.get(x)
     if value is None:
-        value = memo[x] = log_gamma_ref(x + 1, ctx)
+        value = _log_gamma1p_series(x, ctx)
+        if value is None:
+            value = log_gamma_ref(x + 1, ctx)
+        memo[x] = value
     return value
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from glaisher import loggamma
+from glaisher import loggamma, routes
 from glaisher import (
     DomainError,
     dirichlet_gamma,
@@ -20,6 +20,8 @@ from glaisher import (
     log_gamma_ref,
     make_context,
 )
+from glaisher.quadrature import shared_work
+from glaisher.report import identity_report
 
 from conftest import abs_diff, rel_diff
 
@@ -111,6 +113,104 @@ class TestStirlingOracle:
         first = log_gamma_ref(x, make_context(50))
         assert oracle_error(x, 400) <= mpf(10) ** -410
         assert log_gamma_ref(x, make_context(50))._mpf_ == first._mpf_
+
+
+def end_series_width(digits):
+    """The fixed-point width W = prec + 20 of the end series at ``digits``."""
+    with make_context(digits).workdps(15):
+        return mp.prec + 20
+
+
+def identity_log_gamma1p(x, ctx):
+    """log Gamma(1+x) as the identity pass takes it, at the engine's P + 20
+    digits in a computation of its own."""
+    with shared_work(), ctx.workdps(20):
+        return routes._log_gamma1p(x, ctx)
+
+
+class TestEndSeries:
+    """log Gamma(1+x) within 2^-8 of x = 0 and x = 1/2: Taylor series on a
+    Borwein zeta table, in place of the Stirling oracle."""
+
+    @pytest.mark.parametrize("digits", [20, 50, 100, 200, 400])
+    def test_zeta_table_against_external_zeta(self, digits):
+        width = end_series_width(digits)
+        table = loggamma._zeta_fixed(width, width // 8 + 1)
+        assert len(table) == width // 8
+        with mp.workprec(width + 40):
+            for k, z in enumerate(table, 2):
+                err = abs(z - mpmath.zeta(k) * 2 ** width)
+                assert err <= 1, f"zeta({k}) at {digits} digits: {mpmath.nstr(err, 3)} units"
+
+    @pytest.mark.parametrize("digits", [20, 50, 100, 200, 400])
+    def test_both_sides_of_each_switch(self, digits, monkeypatch):
+        series_points = []
+        original = routes._log_gamma1p_series
+
+        def recorded(x, ctx):
+            value = original(x, ctx)
+            if value is not None:
+                series_points.append(x)
+            return value
+
+        monkeypatch.setattr(routes, "_log_gamma1p_series", recorded)
+        ctx = make_context(digits)
+        with ctx.workdps(20):
+            end, ulp = mpf(2) ** -8, mpf(2) ** -mp.prec
+            inside = [end - ulp, mpf(1) / 2 - end + ulp, mpf(1) / 2]
+            outside = [end + ulp, mpf(1) / 2 - end - ulp]
+        for x in inside + outside:
+            got = identity_log_gamma1p(x, ctx)
+            with mp.workdps(digits + 40):
+                expected = mpmath.loggamma(1 + x)
+                err = abs(got - expected) / max(mpf(1), abs(expected))
+            assert err <= mpf(10) ** -(digits + 10), (
+                f"x = {mpmath.nstr(x, 8)} at {digits} digits: error {mpmath.nstr(err, 3)}"
+            )
+        assert series_points == inside
+
+    @pytest.mark.parametrize("digits, exponent", [(20, -200), (400, -2000)])
+    def test_relative_accuracy_below_the_working_unit(self, digits, exponent):
+        # 1 + x rounds to 1 at the working precision, which once made the
+        # value an exact 0; the series keeps x as a factor.
+        ctx = make_context(digits)
+        x = mpf(2) ** exponent
+        got = identity_log_gamma1p(x, ctx)
+        with mp.workprec(-exponent + 4 * digits):
+            expected = mpmath.loggamma(1 + x)
+            assert abs(got - expected) / abs(expected) <= mpf(10) ** -(digits + 5)
+
+    def test_identity_pass_calls_no_external_zeta_or_loggamma(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the package called an external oracle")
+
+        monkeypatch.setattr(mpmath, "zeta", refuse)
+        monkeypatch.setattr(mpmath, "loggamma", refuse)
+        doc = identity_report(make_context(50))
+        assert not doc.failures and not doc.failed_residuals
+        assert [r.identity_id for r in doc.residuals] == ["glaisher_half", "gla2", "log_sin"]
+
+    def test_identities_catch_a_bad_zeta_table(self, monkeypatch):
+        # zeta(2) moved by d = 2^-80 moves the x^2 and y^2 coefficients by
+        # d/2 and 3d/2, so glaisher_half by (1/6 + 1/2) d 2^-24, about
+        # 3e-32, far above its 10^-40 tolerance at 50 digits.
+        good = identity_report(make_context(50))
+        original = loggamma._zeta_fixed
+
+        def perturbed(width, count):
+            table = original(width, count)
+            table[0] += 1 << (width - 80)
+            return table
+
+        monkeypatch.setattr(loggamma, "_zeta_fixed", perturbed)
+        bad = identity_report(make_context(50))
+        assert not bad.failures
+        residuals = {r.identity_id: r for r in bad.residuals}
+        for iid in ("glaisher_half", "gla2"):
+            assert abs(residuals[iid].residual) > 10 * residuals[iid].tolerance_used, iid
+        assert [r.identity_id for r in bad.failed_residuals] == ["glaisher_half", "gla2"]
+        # log sin(pi x) reads no zeta value.
+        assert residuals["log_sin"].residual._mpf_ == good.residuals[2].residual._mpf_
 
 
 class TestFeauxRepresentation:

@@ -296,11 +296,22 @@ class TestSharingIsScoped:
         assert len(raw_exp_calls) == 2 * first
         assert raw_exp_calls[first:] == raw_exp_calls[:first]
 
-    def test_identity_report_oracle_calls(self, oracle_calls):
+    def test_identity_report_oracle_calls(self, oracle_calls, monkeypatch):
+        series_calls = [0]
+        original = glaisher.routes._log_gamma1p_series
+
+        def counted(*args):
+            value = original(*args)
+            series_calls[0] += value is not None
+            return value
+
+        monkeypatch.setattr(glaisher.routes, "_log_gamma1p_series", counted)
         doc = identity_report(make_context(100))
         assert not doc.failures and not doc.failed_residuals
-        # 678 with an oracle call per node of glaisher_half and gla2 each
-        assert oracle_calls[0] == 342
+        # 342 distinct nodes of the 678 of glaisher_half and gla2; those
+        # within 2^-8 of 0 or 1/2 take the Taylor series, the rest Stirling.
+        assert (oracle_calls[0], series_calls[0]) == (77, 265)
+        assert oracle_calls[0] + series_calls[0] == 342
 
     def test_standalone_route_shares_nothing(self, engine_exp_calls):
         ctx = make_context(30)
