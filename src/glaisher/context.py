@@ -142,8 +142,8 @@ def euler_gamma_ref(ctx: ComputeContext) -> Real:
     cross-check.  Deterministic: same context precision, same bits.
     """
     digits = ctx.precision_digits
-    # e^-n / n below 10^-(digits+8) bounds the dropped tail.
-    n = math.ceil((digits + 8) * math.log(10))
+    # e^-n / n below 10^-(digits+12) bounds the dropped tail.
+    n = math.ceil((digits + 12) * math.log(10))
     with ctx.workdps(10):
         width = mp.prec + 2 * n.bit_length() + 10
         with mp.workprec(width):

@@ -32,12 +32,11 @@ kummer          log A = (log 2)/36 + (1/3) int [tanh(t/4)/t - e^-t/4] dt/t.
                 (evaluated over a fixed truncation so the comparison is a
                 concrete, reproducible number).
 fourier_series  log A = (log 2)/36 + (gamma + log 2pi)/12
-                + (2/(3 pi^2)) sum_{n>=0} log(2n+1)/(2n+1)^2; raw partial
-                sums converge like log N / N, so an Euler-Maclaurin tail
-                correction is added, with as many Bernoulli terms as the
-                precision needs.  N caps the accuracy (about 275 digits
-                at N = 100), so the default N follows the precision:
-                max(100, floor(0.37 P) + 10).
+                + (2/(3 pi^2)) sum_{n>=0} log(2n+1)/(2n+1)^2, plus the
+                Euler-Maclaurin tail after N terms: two exact Bernoulli
+                series summed to the precision or to their turn.  N caps
+                the accuracy (about 275 digits at N = 100), so the
+                default N is max(100, floor(0.37 P) + 10).
 hasse           log A = 1/8 - (1/2) sum_n 1/(n+1)
                 sum_k (-1)^k C(n,k) (k+1)^2 log(k+1).  The inner sum is
                 (-1)^n Delta^n f(0) for f(k) = (k+1)^2 log(k+1), read off
@@ -79,7 +78,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from math import ceil, comb, factorial, gcd, isqrt
 from operator import sub
 from typing import Callable, Literal
@@ -578,53 +576,47 @@ def route_limit(ctx: ComputeContext, n: int = 64, richardson_order: int = 3) -> 
     )
 
 
-def _log_over_square_derivatives():
-    """Yield the integers (a_m, b_m), m = 0, 1, 2, ..., of
-    d^m/du^m (log u / u^2) = (a_m + b_m log u) / u^(m+2):
-    a_0 = 0, b_0 = 1, a_(m+1) = b_m - (m+2) a_m, b_(m+1) = -(m+2) b_m."""
-    a, b, m = 0, 1, 0
-    while True:
-        yield a, b
-        a, b, m = b - (m + 2) * a, -(m + 2) * b, m + 1
+# Exact pairs H_(2j+2) - 1, j = 0, 1, ..., H_n the harmonic number, kept.
+_HARMONIC = [(1, 2)]
 
 
-def _em_tail(n_from: int, digits: int) -> tuple[mpf, mpf]:
-    """Euler-Maclaurin tail of sum_{n>=N} f(n), f(n) = log(2n+1)/(2n+1)^2,
-    and the bound of its first omitted term.
+def _harmonic_bernoulli(j: int) -> tuple[int, int]:
+    """B_(2j+2) (H_(2j+2) - 1) as an integer pair."""
+    while len(_HARMONIC) <= j:
+        n = 2 * len(_HARMONIC) + 1          # add 1/n + 1/(n+1)
+        h, d = _HARMONIC[-1]
+        h, d = h * n * (n + 1) + (2 * n + 1) * d, d * n * (n + 1)
+        g = gcd(h, d)
+        _HARMONIC.append((h // g, d // g))
+    p, q = bernoulli(2 * j + 2)
+    h, d = _HARMONIC[j]
+    return p * h, q * d
 
-    With u = 2N+1, tail = (log u + 1)/(2u) + f(N)/2 - sum_k B_2k/(2k)!
-    f^(2k-1)(N), and f^(m)(N) = 2^m (a_m + b_m log u)/u^(m+2).  Terms are
-    taken while their bound |B_2k|/(2k)! 2^m (|a_m| + |b_m| log u)/u^(m+2)
-    falls and stays above 10^-(digits+5).  The bound, because the signed
-    term dips where a_m + b_m log u changes sign, long before the
-    asymptotic series turns (at k = 316 for N = 100, error about 4e-277).
-    """
-    u = mpf(2 * n_from + 1)
-    lu = mpmath.log(u)
-    tail = (lu + 1) / (2 * u) + lu / (2 * u * u)
-    small = mpf(10) ** -(digits + 5)
-    power = 2 / u ** 3                    # 2^m / u^(m+2) at m = 1
-    last = mpmath.inf
-    odd = islice(_log_over_square_derivatives(), 1, None, 2)
-    for k, (a, b) in enumerate(odd, 1):
-        p, q = bernoulli(2 * k)
-        scale = power * p / (q * factorial(2 * k))
-        bound = abs(scale) * (abs(a) + abs(b) * lu)
-        if not small < bound < last:
-            return tail, bound
-        tail -= scale * (a + b * lu)
-        last = bound
-        power *= 4 / (u * u)
+
+# S_B(w) = sum_j B_(2j+2) w^j and S_H(w) = sum_j B_(2j+2) (H_(2j+2) - 1) w^j.
+_EM_BERNOULLI = PowerSeries(lambda j: bernoulli(2 * j + 2))
+_EM_HARMONIC = PowerSeries(_harmonic_bernoulli)
+
+
+def _em_tail(u: int, log_u: mpf) -> tuple[mpf, mpf]:
+    """Euler-Maclaurin tail of sum_{n>=N} log(2n+1)/(2n+1)^2, u = 2N+1, and
+    the bound of its first omitted terms: (log u + 1)/(2u) + log u/(2u^2)
+    - (w/2u) [S_H(w) - log u S_B(w)], w = 4/u^2, each series summed by
+    ``to_turn`` 3 bits(u) bits short of mp.prec, as w/2u <= 2^(4 - 3
+    bits(u)) scales its error and the kernel's guard bits cover the 4."""
+    w = mpf(4) / (u * u)
+    with mp.workprec(max(mp.prec - 3 * u.bit_length(), 53)):
+        s_b, omitted_b = _EM_BERNOULLI.to_turn(w)
+        s_h, omitted_h = _EM_HARMONIC.to_turn(w)
+    scale = w / (2 * u)
+    tail = (log_u + 1) / (2 * u) + log_u / (2 * u * u) - scale * (s_h - log_u * s_b)
+    return tail, scale * (omitted_h + log_u * omitted_b)
 
 
 def fourier_default_terms(digits: int) -> int:
-    """The Fourier route's default N at P digits: max(100, floor(0.37 P) + 10).
-
-    The Euler-Maclaurin tail after N terms is asymptotic, and its term
-    bound turns near 10^-(2.73 N) (2e-274 at N = 100, 1e-331 at N = 121,
-    1e-432 at N = 158), so this N puts the turn about 27 digits below
-    10^-P.  It is 100 up to 245 digits, 121 at 300 and 158 at 400.
-    """
+    """The Fourier route's default N at P digits, max(100, floor(0.37 P) + 10):
+    the tail's series turn near 10^-(2.73 N) (2e-275, 8e-333 and 9e-434 at
+    N = 100, 121 and 158), about 27 digits below 10^-P at this N."""
     return max(100, 37 * digits // 100 + 10)
 
 
@@ -634,15 +626,11 @@ def route_fourier_series(
     """log A from the appendix series over odd integers.
 
     The partial sum over n < N is one W-bit fixed-point integer sum of
-    log u // u^2, u = 2n+1, over the log table of
-    :func:`~glaisher.smallt.fixed_logs` (each quotient truncated by under
-    one unit of 2^-W), rounded once.  ``accelerate=False`` returns it raw
-    (error estimate: an upper bound on the dropped tail, which really is
-    the error -- the raw series converges like log N / N).  With acceleration
-    the tail of :func:`_em_tail` is added and the estimate is its first
-    omitted term's bound.  N caps the accuracy (about 275 digits at
-    N = 100); ``n_terms=None`` takes :func:`fourier_default_terms`, which
-    keeps the accelerated estimate within 10^-(P-10) at every precision.
+    log u // u^2, u = 2n+1, over :func:`~glaisher.smallt.fixed_logs`,
+    rounded once.  ``accelerate=False`` returns it raw, estimated by a
+    bound on the dropped tail (the raw series converges like log N / N);
+    otherwise :func:`_em_tail` is added, estimated by the bound of its
+    first omitted terms.  ``n_terms=None`` takes :func:`fourier_default_terms`.
     """
     if n_terms is None:
         n_terms = fourier_default_terms(ctx.precision_digits)
@@ -654,16 +642,15 @@ def route_fourier_series(
         width, logs = fixed_logs(2 * n_terms + 1)
         partial = mpf((sum(logs[u] // (u * u) for u in range(1, 2 * n_terms, 2)), -width))
         series_coeff = 2 / (3 * c.pi ** 2)
+        u = 2 * n_terms + 1
+        log_u = mpf((logs[u], -width))
         if accelerate:
-            tail, omitted = _em_tail(n_terms, ctx.precision_digits)
+            tail, omitted = _em_tail(u, log_u)
             series_sum = partial + tail
             err = series_coeff * omitted
         else:
             series_sum = partial
-            u = 2 * n_terms + 1
-            lu = mpf((logs[u], -width))
-            tail_bound = (lu + 1) / (2 * u) + lu / (u * u)
-            err = series_coeff * tail_bound
+            err = series_coeff * ((log_u + 1) / (2 * u) + log_u / (u * u))
         floor = mpf(10) ** (-(ctx.precision_digits + 1))
         value = +(c.log2 / 36 + (c.euler_gamma + c.log_2pi) / 12
                   + series_coeff * series_sum)

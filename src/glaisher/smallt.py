@@ -32,18 +32,17 @@ factorially (summed forward, the Stirling tail was off by 2e8 units of
 sum by z, never a rounded power by c_k.
 
 The number of terms comes from integer bit lengths: term k is below
-2^(bits(c_k) + k log2 |z|) in units of 2^-W, where the bit length and
-the top 8 bits of the fixed-point z bound log2 |z| from above.  The sum
-keeps terms up to and including the second of two consecutive terms at
-or below 10^-(dps+5) times |c_0| (times 1 if c_0 = 0), so a tiny result
-keeps its full working precision; two terms rather than one guard
-against a single coefficient that happens to be small.  The count is
-kept per (bit length, top 8 bits) of z.  The series here converge for
-|z| <= 0.5, which covers every near-zero threshold used in the project
-(2^-8) with a large margin.  A sum that never meets the stop (an
-asymptotic series such as Stirling's, asked at too large a z) raises
-ArithmeticError once the term bound has risen over 8 consecutive nonzero
-coefficients, rather than running on.
+2^(bits(c_k) + k log2 |z|) in units of 2^-W, log2 |z| bounded from above
+by the bit length and top 8 bits of the fixed-point z, per which the
+count is kept.  The sum keeps terms through the second of two
+consecutive terms at or below 10^-(dps+5) times |c_0| (times 1 if
+c_0 = 0), so a tiny result keeps its full working precision; two, lest
+one coefficient happen to be small.  The series here converge for
+|z| <= 0.5, far beyond every near-zero threshold used (2^-8).  A sum
+that never meets the stop (an asymptotic series such as Stirling's, at
+too large a z) has turned once its term bound has risen over 8
+consecutive nonzero coefficients: a call raises ArithmeticError there,
+and :meth:`PowerSeries.to_turn` sums through the smallest term.
 
 The route integrands' raw forms run in the fixed-point frame of
 :func:`raw_frame` and round once in :func:`fixed_quotient`; the log Gamma
@@ -110,10 +109,29 @@ class PowerSeries:
         width = table.width
         z_fixed = to_fixed(z._mpf_, width)
         n = table.terms(abs(z_fixed) + 1)
+        if n < 0:
+            raise ArithmeticError(f"power series diverges at z = {mpmath.nstr(z, 5)}")
         acc = 0
         for c in table.fixed[n - 1::-1]:
             acc = c + (acc * z_fixed >> width)
         return mpf((acc, -width))
+
+    def to_turn(self, z: mpf) -> tuple[mpf, mpf]:
+        """(sum, bound of the first omitted term), the sum stopped as a call
+        stops it or, on a series that turns at z, after its smallest term."""
+        table = self._cache.get(mp.prec)
+        if table is None:
+            table = self._cache[mp.prec] = _FixedCoefficients(self._coefficient)
+        width = table.width
+        z_fixed = to_fixed(z._mpf_, width)
+        n = abs(table.terms(abs(z_fixed) + 1))
+        if n == len(table.fixed):
+            table._extend()
+        acc = 0
+        for c in table.fixed[n - 1::-1]:
+            acc = c + (acc * z_fixed >> width)
+        log2_z = log2(abs(z_fixed) + 1) - width       # term n < |c_n| |z|^n
+        return mpf((acc, -width)), mpf(2) ** (table.bits[n] - width + n * log2_z)
 
 
 def quotient_series(
@@ -188,23 +206,19 @@ class _FixedCoefficients:
         self.bits.append(abs(c).bit_length())
 
     def terms(self, z_bound: int) -> int:
-        """How many terms a z with |z| 2^W <= ``z_bound`` needs.
-
-        The count is kept per bit length and top 8 bits of ``z_bound``,
-        which bound log2 |z| from above to within 0.012.  Raises
-        ArithmeticError once the term bound has risen over
-        ``_DIVERGING_RISES`` consecutive nonzero coefficients: the series
-        is diverging at this z (an asymptotic series past its smallest
-        term), and the stop would never come.
-        """
+        """How many terms a z with |z| 2^W <= ``z_bound`` needs, kept per bit
+        length and top 8 bits of ``z_bound`` (they bound log2 |z| from above
+        to within 0.012); -n where the term bound has risen over
+        ``_DIVERGING_RISES`` consecutive nonzero coefficients, the series
+        turned and n counting the terms through its least bound."""
         bits = z_bound.bit_length()
         top = z_bound >> (bits - 8) if bits > 8 else z_bound << (8 - bits)
         key = (bits, top)
         n = self.counts.get(key)
         if n is None:
             log2_z = log2(top + 1) + bits - 8 - self.width
-            k = small = rises = 0
-            last = inf
+            k = small = rises = least = 0
+            last = smallest = inf
             while small < 2:
                 if k == len(self.fixed):
                     self._extend()
@@ -214,12 +228,11 @@ class _FixedCoefficients:
                     bound = self.bits[k] + k * log2_z
                     small = small + 1 if bound <= self.limit else 0
                     rises = rises + 1 if bound > last else 0
+                    if bound < smallest:
+                        smallest, least = bound, k
                     if rises == _DIVERGING_RISES:
-                        raise ArithmeticError(
-                            f"power series diverges at |z| <= 2^{log2_z:.2f}: its "
-                            f"term bound rose over {rises} consecutive nonzero "
-                            f"coefficients up to k = {k}"
-                        )
+                        k = -least - 1
+                        break
                     last = bound
                 k += 1
             n = self.counts[key] = k

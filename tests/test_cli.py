@@ -286,6 +286,16 @@ class TestConvergenceCommand:
         assert lines[0] == "route,param,value,estimate,abs_delta"
         assert len(lines) == 4
 
+    def test_accelerated_fourier_grid_below_the_turn(self, capsys):
+        # At N = 1, 2 and 5 the Euler-Maclaurin tail turns far above
+        # 10^-P; each row stops there and the command still succeeds.
+        code, out, _ = run_cli(
+            capsys,
+            "convergence", "--route", "fourier_series", "--accelerate", "--grid", "1,2,5",
+        )
+        assert code == EXIT_OK
+        assert len([line for line in out.splitlines() if line]) == 4
+
     def test_limit_grid_deltas_decrease(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -36,7 +37,6 @@ from glaisher.quadrature import integrate_finite, integrate_zero_to_inf
 from glaisher.routes import (
     _hasse_partial_sums,
     _log_barnes_g,
-    _log_over_square_derivatives,
     fourier_default_terms,
     pain1_integrand,
     pain2_integrand,
@@ -303,12 +303,39 @@ def _fourier_true_error(est, digits):
         return abs(est.value - (mpf(1) / 12 - mpmath.zeta(-1, derivative=1)))
 
 
+def _log_over_square_derivatives():
+    # (a_m, b_m), m = 0, 1, 2, ..., of d^m/du^m (log u / u^2) =
+    # (a_m + b_m log u) / u^(m+2), by the two-term integer recurrence
+    a, b, m = 0, 1, 0
+    while True:
+        yield a, b
+        a, b, m = b - (m + 2) * a, -(m + 2) * b, m + 1
+
+
 class TestEulerMaclaurinTail:
     def test_recurrence_gives_the_odd_derivative_constants(self):
         # f^(m) = 2^m (a_m + b_m log u)/u^(m+2) at m = 1, 3, 5, 7: the
         # constants of the B2..B8 terms derived by hand
-        odd = list(islice(_log_over_square_derivatives(), 8))[1::2]
-        assert odd == [(1, -2), (26, -24), (1044, -720), (69264, -40320)]
+        recurrence = list(islice(_log_over_square_derivatives(), 62))
+        assert recurrence[1:8:2] == [(1, -2), (26, -24), (1044, -720), (69264, -40320)]
+        # the tail's closed form: b_m = (-1)^m (m+1)!, a_m = b_m (1 - H_(m+1)),
+        # so S_H's coefficient B_(m+1) (H_(m+1) - 1) is -B_(m+1) a_m / b_m
+        for m in range(1, 62, 2):
+            b = -factorial(m + 1)
+            a = b * (1 - sum(Fraction(1, i) for i in range(1, m + 2)))
+            assert recurrence[m] == (a, b), f"m = {m}"
+            s_h = Fraction(*glaisher.routes._harmonic_bernoulli(m // 2))
+            assert s_h == -Fraction(*glaisher.smallt.bernoulli(m + 1)) * a / b, f"m = {m}"
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    @pytest.mark.parametrize("n_terms", [1, 2, 5, 10])
+    def test_small_n_stops_at_the_turn_within_its_estimate(self, digits, n_terms):
+        # Both Bernoulli series turn long before 10^-P; the estimate is
+        # the bound of their first omitted terms.
+        est = route_fourier_series(make_context(digits), n_terms=n_terms)
+        true_error = _fourier_true_error(est, digits)
+        with mp.workdps(digits + 20):
+            assert true_error <= 10 * est.error_estimate
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_full_precision_at_n100(self, digits):
@@ -335,20 +362,24 @@ class TestEulerMaclaurinTail:
         assert fourier_default_terms(246) == 101
 
     def test_stops_at_the_turn(self, monkeypatch):
-        # N = 10 cannot reach 50 digits: the term bound turns at k = 34,
-        # where the error is near 5e-31; the tail stops there and says so.
-        # Emptied first, the Bernoulli cache asks bernfrac once per B_2k read.
+        # N = 10 cannot reach 50 digits: S_B's term bound is least at
+        # j = 33, where the error is near 5e-30; the tail stops there and
+        # says so, after at most _DIVERGING_RISES more coefficients.
+        # Emptied first, the Bernoulli cache asks bernfrac once per B_2k
+        # read, and the two tail series read them afresh at this precision.
         glaisher.smallt.bernoulli.cache_clear()
+        glaisher.routes._EM_BERNOULLI._cache.clear()
+        glaisher.routes._EM_HARMONIC._cache.clear()
         calls = []
         bernfrac = mpmath.bernfrac
         monkeypatch.setattr(mpmath, "bernfrac", lambda n: calls.append(n) or bernfrac(n))
         est = route_fourier_series(make_context(50), n_terms=10)
-        assert calls == [2 * k for k in range(1, 35)]
+        assert calls == [2 * k for k in range(1, len(calls) + 1)]
+        assert len(calls) <= 33 + glaisher.smallt._DIVERGING_RISES + 1
         true_error = _fourier_true_error(est, 50)
         with mp.workdps(70):
             assert true_error <= 10 * est.error_estimate
             assert mpf(10) ** -40 < est.error_estimate < mpf(10) ** -28
-
 
     def test_second_call_reads_the_bernoulli_cache(self, monkeypatch):
         # The first call fills smallt.bernoulli; a second call at the same

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from glaisher import loggamma, make_context, routes
 from glaisher.loggamma import kummer_integrand, one_plus_em1z_over_z
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
-from glaisher.smallt import cancellation_guard, far, fixed_logs
+from glaisher.smallt import PowerSeries, cancellation_guard, far, fixed_logs
 
 from test_quadrature import PROJECT_INTEGRANDS, build_integrand, threshold_points
 
@@ -189,6 +189,47 @@ def test_diverging_series_raises_instead_of_running_on():
         with pytest.raises(ArithmeticError, match="diverges"):
             loggamma._STIRLING_SERIES(mpf(2) ** -8)
     assert time.perf_counter() - start < 1
+
+
+def test_to_turn_sums_through_the_smallest_term():
+    # c_k = 2^(k^2) at z = 2^-10: term k is 2^(k^2 - 10k), least at k = 5
+    # (2^-25), one bit below both neighbours, and rising from there on.
+    series = PowerSeries(lambda k: (2 ** (k * k), 1))
+    z = mpf(2) ** -10
+    with mp.workdps(30):
+        total, omitted = series.to_turn(z)
+        assert total == sum(mpf(2) ** (k * k - 10 * k) for k in range(6))
+        assert mpf(2) ** -24 <= omitted <= mpf(2) ** -22    # term 6, 2^-24
+        with pytest.raises(ArithmeticError, match="diverges"):
+            series(z)
+
+
+def test_a_call_builds_no_coefficient_past_its_terms():
+    # A call reads only the coefficients its sum needs; to_turn builds one
+    # more, for the bound of the first omitted term.
+    series = PowerSeries(lambda k: (1, k + 1))          # -log(1 - z)/z
+    z = mpf(2) ** -8
+    with mp.workdps(30):
+        value = series(z)
+        table = series._cache[mp.prec]
+        (n,) = table.counts.values()
+        assert len(table.fixed) == n
+        total, omitted = series.to_turn(z)
+        assert total == value and len(table.fixed) == n + 1
+        bound = mpf(2) ** (table.bits[n] - table.width) * z ** n     # |c_n| < 2^(bits - W)
+        assert bound <= omitted <= bound * 1.001
+
+
+def test_to_turn_stops_stirling_where_it_turns():
+    # The series that raises above, summed to its turn instead: the
+    # Stirling tail of log Gamma(16) is then within its first omitted
+    # term, near 1e-44, of the true tail.
+    with mp.workdps(220):
+        total, omitted = loggamma._STIRLING_SERIES.to_turn(mpf(2) ** -8)
+        z = mpf(16)
+        tail = mpmath.loggamma(z) - (z - 0.5) * mpmath.log(z) + z - mpmath.log(2 * mpmath.pi) / 2
+        assert mpf(10) ** -46 < omitted < mpf(10) ** -42
+        assert abs(total / z - tail) <= omitted / z
 
 
 def _prime_factor_count(m: int) -> int:
