@@ -12,14 +12,13 @@ fixed-point Horner kernel of :mod:`glaisher.smallt`, which keeps its
 coefficients as integers per working precision; (log 2pi)/2 is cached
 per working precision too.
 
-The identity pass integrates log Gamma(1+x) over [0, 1/2], where the
-tanh-sinh nodes crowd at both ends.  Within 2^-8 of either end it takes
-a Taylor series instead, :func:`_log_gamma1p_series`: x times a series
-in zeta(k) x^(k-1) at 0, and one in zeta(k, 3/2) y^k, y = x - 1/2, at
-1/2, with zeta(k, 3/2) = (2^k - 1) zeta(k) - 2^k.  The zeta(k) come from
+The identity pass integrates log Gamma(1+x) over [0, 1/2] by its Taylor
+series, :func:`_log_gamma1p_series`: x times a series in zeta(k) x^(k-1)
+for x < 1/4, and one in zeta(k, 3/2) y^k, y = x - 1/2, from 1/4 on,
+with zeta(k, 3/2) = (2^k - 1) zeta(k) - 2^k.  The zeta(k) come from
 Borwein's algorithm on integers (:func:`_zeta_fixed`), a table built
 once per computation; the 2^k that the Hurwitz relation multiplies its
-error by is paid for by y^k <= 2^-8k.
+error by is paid for by |y|^k <= 4^-k.
 
 The representations:
 
@@ -136,13 +135,8 @@ def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
 
 
 # ---------------------------------------------------------------------------
-# log Gamma(1+x) near the ends of [0, 1/2]: Taylor series in zeta(k)
+# log Gamma(1+x) on [0, 1/2]: Taylor series in zeta(k)
 # ---------------------------------------------------------------------------
-
-# The Taylor forms serve |x| < 2^-8 and |x - 1/2| < 2^-8.
-_END = mpf(2) ** -8
-_HALF = mpf(0.5)
-
 
 def _zeta_fixed(width: int, count: int) -> list[int]:
     """[zeta(2), ..., zeta(count)] as ``width``-bit fixed-point integers,
@@ -181,7 +175,7 @@ def _zeta_fixed(width: int, count: int) -> list[int]:
 
 def _end_coefficients(ctx: ComputeContext, width: int) -> tuple[list[int], list[int]]:
     """The ``width``-bit Taylor coefficients a_j of log Gamma(1+x) / x at
-    x = 0 and b_j of log Gamma(3/2+y) at y = 0, j <= width // 8, from one
+    x = 0 and b_j of log Gamma(3/2+y) at y = 0, j <= width // 2, from one
     zeta table kept in the computation's shared table."""
     memo = shared_values(("log-gamma1p-ends", width))
     table = memo.get("coefficients")
@@ -189,7 +183,7 @@ def _end_coefficients(ctx: ComputeContext, width: int) -> tuple[list[int], list[
         consts = ctx.constants
         gamma, log2, log_pi = (to_fixed(c._mpf_, width)
                                for c in (consts.euler_gamma, consts.log2, consts.log_pi))
-        zeta = _zeta_fixed(width, width // 8 + 1)
+        zeta = _zeta_fixed(width, width // 2 + 1)
         one = 1 << width
         # a_0 = -gamma, a_j = (-1)^(j+1) zeta(j+1) / (j+1)
         at_zero = [-gamma] + [(-1) ** k * zk // k for k, zk in enumerate(zeta, 2)]
@@ -203,38 +197,35 @@ def _end_coefficients(ctx: ComputeContext, width: int) -> tuple[list[int], list[
     return table
 
 
-def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real | None:
-    """log Gamma(1+x) by its Taylor series at 0 when |x| < 2^-8, or at
-    1/2 when |x - 1/2| < 2^-8; None elsewhere.
+def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
+    """log Gamma(1+x) for 0 <= x <= 1/2 by its Taylor series at 0 when
+    x < 1/4, and at 1/2 (y = x - 1/2, |y| <= 1/4) otherwise.
 
         log Gamma(1+x)   = x (-gamma + sum_{k>=2} (-1)^k zeta(k) x^(k-1) / k)
         log Gamma(3/2+y) = (log pi)/2 - log 2 + (2 - gamma - 2 log 2) y
                            + sum_{k>=2} (-1)^k zeta(k, 3/2) y^k / k
 
     The sum runs by Horner's rule in W-bit fixed point, W = prec + 20 at
-    the oracle's P + 15 digits, over the j <= W // m terms that a |z| <
-    2^-m (m >= 8, from bit lengths) needs, and rounds once to P + 15
-    digits; near 0 the rounding is of x times the sum, so the value keeps
-    its relative precision at any x, however small.  The zeta table
+    P + 15 digits, over the j <= W // m terms that a |z| <= 2^-m (m >= 2,
+    from bit lengths) needs, and rounds once to P + 15 digits; near 0 the
+    rounding is of x times the sum, so the value keeps its relative
+    precision at any x, however small.  The zeta table
     (:func:`_zeta_fixed`) is off by under a unit of 2^-W.  zeta(k, 3/2)
     is about (2/3)^k, a difference of terms near 2^k, so its coefficient
-    is off by up to 2^k units; y^k <= 2^-8k more than pays for that, and
-    every term's error stays below 2^-7k units.  All told the sum is off
-    by a few units of 2^-W; gamma, log 2 and log pi, the context's
-    constants at P + 10 digits, dominate the error.
+    is off by up to 2^k units; |y|^k <= 4^-k leaves 2^-k units per term.
+    All told the sum is off by a few units of 2^-W; gamma, log 2 and
+    log pi, the context's constants at P + 10 digits, dominate the error.
     """
-    near_zero = -_END < x < _END
-    if not (near_zero or _HALF - _END < x < _HALF + _END):
-        return None
     with ctx.workdps(15):
         width = mp.prec + 20
         at_zero, at_half = _end_coefficients(ctx, width)
         z = to_fixed(x._mpf_, width)
+        near_zero = z < 1 << (width - 2)
         if not near_zero:
             z -= 1 << (width - 1)
         acc = 0
-        # |z| < 2^-m with m >= 8; the terms past j = W // m are below 2^-W.
-        m = max(8, width - abs(z).bit_length())
+        # |z| <= 2^-m with m >= 2; the terms past j = W // m are below 2^-W.
+        m = max(2, width - abs(z).bit_length())
         for c in (at_zero if near_zero else at_half)[width // m::-1]:
             acc = c + (acc * z >> width)
         if near_zero:

@@ -67,7 +67,7 @@ from .routes import (
     route_pain2,
 )
 
-CSV_HEADER = "route,param,value,estimate,abs_delta"
+CSV_HEADER = "route,param,value,estimate,abs_delta,error_estimate"
 
 # The exit codes of the command-line contract.
 EXIT_OK = 0
@@ -81,11 +81,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class ConvergenceRecord:
+    """One grid point: ``estimate`` is the route's value, ``error_estimate``
+    its bound (both 0 on an ``error`` row)."""
+
     route_id: str
     parameter: str
     parameter_value: int
     estimate: Real
     abs_delta_vs_consensus: Real
+    error_estimate: Real
     error: str | None = None
 
 
@@ -315,7 +319,8 @@ def convergence_study(
     ctx: ComputeContext,
     params: dict | None = None,
 ) -> list[ConvergenceRecord]:
-    """One record per grid point: route estimate vs the feaux/kummer consensus.
+    """One record per grid point: route value and error estimate vs the
+    feaux/kummer consensus.
 
     The grid must be non-empty and ascending.  Per-point failures are
     recorded in the record's ``error`` field, not raised: a convergence
@@ -340,12 +345,13 @@ def convergence_study(
 
     records = []
     for value in grid:
-        record = ConvergenceRecord(route_id, param_name, value, mpf(0), mpf(0))
+        record = ConvergenceRecord(route_id, param_name, value, mpf(0), mpf(0), mpf(0))
         try:
             estimate = _route_runner(route_id, ctx, {**merged, key: value})
             with ctx.workdps(10):
                 record.abs_delta_vs_consensus = +abs(estimate.value - consensus)
             record.estimate = estimate.value
+            record.error_estimate = estimate.error_estimate
         except Exception as exc:
             record.error = str(exc)
         records.append(record)
@@ -358,14 +364,14 @@ def convergence_study(
 
 def serialize(doc: ReportDocument, format: str = "json") -> bytes:
     """Serialize a report; JSON carries the whole document, CSV the flat
-    convergence-record table (header ``route,param,value,estimate,abs_delta``)."""
+    convergence-record table (header :data:`CSV_HEADER`)."""
     digits = doc.context_info["precision_digits"]
     if format == "json":
         return json.dumps(_encode(doc, digits), indent=2).encode()
     if format == "csv":
         rows = [CSV_HEADER]
         for c in doc.convergence_records:
-            numbers = [c.estimate, c.abs_delta_vs_consensus]
+            numbers = [c.estimate, c.abs_delta_vs_consensus, c.error_estimate]
             cells = ["" if c.error else real_to_decimal(v, digits) for v in numbers]
             rows.append(",".join([c.route_id, c.parameter, str(c.parameter_value), *cells]))
         return ("\n".join(rows) + "\n").encode()

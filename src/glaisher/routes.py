@@ -94,7 +94,7 @@ from .context import (
     Real,
     make_context,
 )
-from .loggamma import DomainError, _log_gamma1p_series, log_gamma_ref
+from .loggamma import DomainError, _log_gamma1p_series
 from .quadrature import (
     Integrand,
     integrate_finite,
@@ -804,7 +804,7 @@ def _identity_integral(
     residual by ``residual(I, c)``, evaluated at P+10 digits with the
     context constants c; the tolerance is the context's target.  It holds
     a table of shared work, so an identity checked alone builds the zeta
-    table of the end series (:func:`_log_gamma1p`) once, not per node."""
+    table of the log Gamma series (:func:`_log_gamma1p`) once, not per node."""
     start = time.perf_counter()
     result = integrate_finite(Integrand(eval=f, label=label), mpf(0), mpf(1) / 2, ctx=ctx)
     result.require_converged(identity_id)
@@ -820,16 +820,12 @@ def _identity_integral(
 
 def _log_gamma1p(x: Real, ctx: ComputeContext) -> Real:
     """log Gamma(1+x), once per abscissa in one computation: glaisher_half
-    and gla2 integrate it on the same nodes.  Within 2^-8 of 0 or 1/2,
-    where the tanh-sinh nodes crowd, it is a Taylor series in zeta(k);
-    elsewhere the Stirling oracle."""
+    and gla2 integrate it on the same nodes.  It is a Taylor series in
+    zeta(k) at 0 or at 1/2, whichever is nearer (:func:`_log_gamma1p_series`)."""
     memo = shared_values(("log_gamma1p", ctx.precision_digits))
     value = memo.get(x)
     if value is None:
-        value = _log_gamma1p_series(x, ctx)
-        if value is None:
-            value = log_gamma_ref(x + 1, ctx)
-        memo[x] = value
+        value = memo[x] = _log_gamma1p_series(x, ctx)
     return value
 
 
@@ -860,9 +856,9 @@ def gla2_residual(ctx: ComputeContext, log_a: Real) -> IdentityResidual:
     - (5/36) log 2 - (log pi)/6 against ``log_a`` (the report passes the
     Fourier series' value at its default N).
 
-    The integrand is log Gamma(x) = log Gamma(1+x) - log x, the shift the
-    oracle itself applies below its Stirling range, so inside one
-    computation it takes glaisher_half's oracle values and adds one log.
+    The integrand is log Gamma(x) = log Gamma(1+x) - log x, so inside one
+    computation it takes glaisher_half's log Gamma(1+x) values and adds
+    one log.
     What the check still tests is its own: the quadrature of a
     log-singular integrand at x = 0 (glaisher_half's is smooth there) and
     the paper's constants 2/3, 5/36 and 1/6 of the Gamma(x) form.
@@ -899,7 +895,7 @@ def identity_residuals(
     :func:`res2_measure_check`, is not among them: only ``run_all`` runs
     it.  The call holds one table of shared work (:func:`shared_work`): the
     three integrals share the nodes of [0, 1/2], and gla2 reuses
-    glaisher_half's oracle values.
+    glaisher_half's log Gamma(1+x) values.
     """
     return [
         glaisher_identity_residual(ctx, log_a=log_a, log2_coefficient=log2_coefficient),

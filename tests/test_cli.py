@@ -132,7 +132,7 @@ class TestComputeCommand:
     def test_raising_identity_pass_in_verify_exits_two(self, capsys, monkeypatch):
         # verify takes its verdict from the same report: a non-finite
         # integrand in the identity pass is a failure row and exit 2
-        monkeypatch.setattr(glaisher.routes, "log_gamma_ref", lambda x, ctx: mpf("nan"))
+        monkeypatch.setattr(glaisher.routes, "_log_gamma1p_series", lambda x, ctx: mpf("nan"))
         code, out, err = run_cli(capsys, "verify", "--digits", "25")
         assert code == EXIT_DISAGREE
         lines = out.splitlines()
@@ -283,7 +283,7 @@ class TestConvergenceCommand:
         )
         assert code == EXIT_OK
         lines = [line for line in out.splitlines() if line]
-        assert lines[0] == "route,param,value,estimate,abs_delta"
+        assert lines[0] == "route,param,value,estimate,abs_delta,error_estimate"
         assert len(lines) == 4
 
     def test_accelerated_fourier_grid_below_the_turn(self, capsys):
@@ -295,6 +295,22 @@ class TestConvergenceCommand:
         )
         assert code == EXIT_OK
         assert len([line for line in out.splitlines() if line]) == 4
+
+    def test_rows_carry_the_error_estimate(self, capsys):
+        # Each row's gap to the consensus is within ten times the route's
+        # own error estimate, the small-N tail bound included.
+        code, out, _ = run_cli(
+            capsys,
+            "convergence", "--digits", "50",
+            "--route", "fourier_series", "--accelerate", "--grid", "1,2,5",
+        )
+        assert code == EXIT_OK
+        header, *rows = [line.split(",") for line in out.splitlines() if line]
+        assert header[-1] == "error_estimate"
+        assert [row[2] for row in rows] == ["1", "2", "5"]
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert mpf(fields["abs_delta"]) <= 10 * mpf(fields["error_estimate"]), row
 
     def test_limit_grid_deltas_decrease(self, capsys):
         code, out, _ = run_cli(
@@ -328,7 +344,7 @@ class TestConvergenceCommand:
         assert [r.error is None for r in studied] == [True, False]
         doc = ReportDocument(context_info={"precision_digits": 25}, convergence_records=studied)
         assert out.encode() == serialize(doc, "csv")
-        assert out.splitlines()[2] == "hasse,n_terms,60,,"
+        assert out.splitlines()[2] == "hasse,n_terms,60,,,"
 
 
 class TestFlagSurface:

@@ -1,0 +1,45 @@
+"""A fault in a shared component must turn the report red.
+
+Each row moves one shared piece by a relative 10^-30 and runs ``run_all``
+at 50 digits.  Where the fault moves a reported value by more than ten
+times its estimate, the report must fail and name what fired.  Each row
+empties the caches the fault would otherwise miss or leave behind, so no
+faulted table reaches a later test.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import glaisher.routes
+from glaisher import make_context, run_all
+from glaisher.report import EXIT_DISAGREE
+
+DE_ROUTES = ("pain1", "pain2", "feaux", "kummer")
+
+
+@pytest.mark.parametrize("series", ["_EM_BERNOULLI", "_EM_HARMONIC"])
+def test_moved_euler_maclaurin_tail_series(series, monkeypatch):
+    # The first coefficient of S_B (B_2) or of S_H (B_2 (H_2 - 1)) moves
+    # the Fourier value by about 1.5e-38 or 1.4e-39 against an estimate
+    # near 1e-51: every DE route disagrees with it, and the two identities
+    # that take their log A from it fail.
+    good = glaisher.routes.route_fourier_series(make_context(50))
+    target = getattr(glaisher.routes, series)
+    original = target._coefficient
+
+    def moved(j):
+        p, q = original(j)
+        return (p * (10**30 + 1), q * 10**30) if j == 0 else (p, q)
+
+    monkeypatch.setattr(target, "_coefficient", moved)
+    monkeypatch.setattr(target, "_cache", {})
+    doc = run_all(make_context(50))
+
+    fourier = next(e for e in doc.estimates if e.route_id == "fourier_series")
+    assert abs(fourier.value - good.value) > 10 * fourier.error_estimate
+    assert doc.exit_code == EXIT_DISAGREE
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    assert {frozenset((rid, "fourier_series")) for rid in DE_ROUTES} <= pairs
+    failed = {r.identity_id for r in doc.failed_residuals}
+    assert {"glaisher_half", "gla2"} <= failed

@@ -21,7 +21,7 @@ from glaisher import (
     make_context,
 )
 from glaisher.quadrature import shared_work
-from glaisher.report import identity_report
+from glaisher.report import EXIT_OK, identity_report, run_all
 
 from conftest import abs_diff, rel_diff
 
@@ -129,14 +129,14 @@ def identity_log_gamma1p(x, ctx):
 
 
 class TestEndSeries:
-    """log Gamma(1+x) within 2^-8 of x = 0 and x = 1/2: Taylor series on a
-    Borwein zeta table, in place of the Stirling oracle."""
+    """log Gamma(1+x) on [0, 1/2] for the identity pass: Taylor series at
+    x = 0 and x = 1/2 on a Borwein zeta table, meeting at x = 1/4."""
 
     @pytest.mark.parametrize("digits", [20, 50, 100, 200, 400])
     def test_zeta_table_against_external_zeta(self, digits):
         width = end_series_width(digits)
-        table = loggamma._zeta_fixed(width, width // 8 + 1)
-        assert len(table) == width // 8
+        table = loggamma._zeta_fixed(width, width // 2 + 1)
+        assert len(table) == width // 2
         with mp.workprec(width + 40):
             for k, z in enumerate(table, 2):
                 err = abs(z - mpmath.zeta(k) * 2 ** width)
@@ -144,30 +144,27 @@ class TestEndSeries:
 
     @pytest.mark.parametrize("digits", [20, 50, 100, 200, 400])
     def test_both_sides_of_each_switch(self, digits, monkeypatch):
-        series_points = []
-        original = routes._log_gamma1p_series
+        # The expansions meet at x = 1/4; the points 2^-8 from either end
+        # are where the nodes crowd, and the grid i/64 holds 0, 1/4 and 1/2.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the identity pass called log_gamma_ref")
 
-        def recorded(x, ctx):
-            value = original(x, ctx)
-            if value is not None:
-                series_points.append(x)
-            return value
-
-        monkeypatch.setattr(routes, "_log_gamma1p_series", recorded)
+        monkeypatch.setattr(loggamma, "log_gamma_ref", refuse)
         ctx = make_context(digits)
         with ctx.workdps(20):
-            end, ulp = mpf(2) ** -8, mpf(2) ** -mp.prec
-            inside = [end - ulp, mpf(1) / 2 - end + ulp, mpf(1) / 2]
-            outside = [end + ulp, mpf(1) / 2 - end - ulp]
-        for x in inside + outside:
-            got = identity_log_gamma1p(x, ctx)
-            with mp.workdps(digits + 40):
-                expected = mpmath.loggamma(1 + x)
-                err = abs(got - expected) / max(mpf(1), abs(expected))
-            assert err <= mpf(10) ** -(digits + 10), (
-                f"x = {mpmath.nstr(x, 8)} at {digits} digits: error {mpmath.nstr(err, 3)}"
-            )
-        assert series_points == inside
+            quarter, end, ulp = mpf(1) / 4, mpf(2) ** -8, mpf(2) ** -mp.prec
+            points = [quarter - ulp, quarter + ulp, end - ulp, end + ulp,
+                      mpf(1) / 2 - end - ulp, mpf(1) / 2 - end + ulp]
+            points += [mpf(i) / 64 for i in range(33)]
+        with shared_work():
+            for x in points:
+                got = identity_log_gamma1p(x, ctx)
+                with mp.workdps(digits + 40):
+                    expected = mpmath.loggamma(1 + x)
+                    err = abs(got - expected) / max(mpf(1), abs(expected))
+                assert err <= mpf(10) ** -(digits + 10), (
+                    f"x = {mpmath.nstr(x, 8)} at {digits} digits: error {mpmath.nstr(err, 3)}"
+                )
 
     @pytest.mark.parametrize("digits, exponent", [(20, -200), (400, -2000)])
     def test_relative_accuracy_below_the_working_unit(self, digits, exponent):
@@ -190,10 +187,26 @@ class TestEndSeries:
         assert not doc.failures and not doc.failed_residuals
         assert [r.identity_id for r in doc.residuals] == ["glaisher_half", "gla2", "log_sin"]
 
+    @pytest.mark.parametrize(
+        "digits", [20, 50, 100, 200, pytest.param(400, marks=pytest.mark.slow)])
+    def test_reports_call_no_stirling_oracle(self, digits, monkeypatch):
+        # The identity pass takes log Gamma(1+x) from the series alone;
+        # routes holds no binding of the oracle that the patch would miss.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report called log_gamma_ref")
+
+        assert "log_gamma_ref" not in vars(routes)
+        monkeypatch.setattr(loggamma, "log_gamma_ref", refuse)
+        ctx = make_context(digits)
+        assert identity_report(ctx).exit_code == EXIT_OK
+        if digits == 50:
+            assert run_all(ctx).exit_code == EXIT_OK
+
     def test_identities_catch_a_bad_zeta_table(self, monkeypatch):
         # zeta(2) moved by d = 2^-80 moves the x^2 and y^2 coefficients by
-        # d/2 and 3d/2, so glaisher_half by (1/6 + 1/2) d 2^-24, about
-        # 3e-32, far above its 10^-40 tolerance at 50 digits.
+        # d/2 and 3d/2, so glaisher_half, over x < 1/4 and y in [-1/4, 0],
+        # by (1/2 + 3/2) d 4^-3 / 3 = d/96, about 9e-27, far above its
+        # 10^-40 tolerance at 50 digits.
         good = identity_report(make_context(50))
         original = loggamma._zeta_fixed
 

@@ -278,8 +278,8 @@ class TestSerialization:
 
     def test_csv_header_byte_exact(self, small_report):
         raw = serialize(small_report, "csv")
-        assert raw.split(b"\n")[0] == b"route,param,value,estimate,abs_delta"
-        assert CSV_HEADER == "route,param,value,estimate,abs_delta"
+        assert raw.split(b"\n")[0] == b"route,param,value,estimate,abs_delta,error_estimate"
+        assert CSV_HEADER == "route,param,value,estimate,abs_delta,error_estimate"
 
     def test_csv_line_count_matches_records(self, ctx):
         doc = run_all(ctx, ["feaux", "kummer"])

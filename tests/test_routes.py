@@ -204,7 +204,6 @@ class TestLimitRoute:
             raise AssertionError("route_limit called log_gamma_ref")
 
         expected = route_limit(make_context(30))
-        monkeypatch.setattr(glaisher.routes, "log_gamma_ref", refuse)
         monkeypatch.setattr(glaisher.loggamma, "log_gamma_ref", refuse)
         est = route_limit(make_context(30))
         assert est.evaluations == 0
