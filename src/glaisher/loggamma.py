@@ -51,7 +51,7 @@ cross-check of the context's reference gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import factorial
+from math import factorial, log2
 
 import mpmath
 from mpmath import mp, mpf
@@ -206,10 +206,11 @@ def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
                            + sum_{k>=2} (-1)^k zeta(k, 3/2) y^k / k
 
     The sum runs by Horner's rule in W-bit fixed point, W = prec + 20 at
-    P + 15 digits, over the j <= W // m terms that a |z| <= 2^-m (m >= 2,
-    from bit lengths) needs, and rounds once to P + 15 digits; near 0 the
-    rounding is of x times the sum, so the value keeps its relative
-    precision at any x, however small.  The zeta table
+    P + 15 digits, over the j <= W / m terms that a |z| <= 2^-m (m >= 2,
+    from log2 of the fixed-point z) needs: W/3 at |z| = 1/8, W/2 only at
+    1/4.  It rounds once to P + 15 digits; near 0 the rounding is of x
+    times the sum, so the value keeps its relative precision at any x,
+    however small.  The zeta table
     (:func:`_zeta_fixed`) is off by under a unit of 2^-W.  zeta(k, 3/2)
     is about (2/3)^k, a difference of terms near 2^k, so its coefficient
     is off by up to 2^k units; |y|^k <= 4^-k leaves 2^-k units per term.
@@ -224,9 +225,9 @@ def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
         if not near_zero:
             z -= 1 << (width - 1)
         acc = 0
-        # |z| <= 2^-m with m >= 2; the terms past j = W // m are below 2^-W.
-        m = max(2, width - abs(z).bit_length())
-        for c in (at_zero if near_zero else at_half)[width // m::-1]:
+        # |z| <= 2^-m with m >= 2; the terms past j = W / m are below 2^-W.
+        m = max(2, width - log2(abs(z) + 1))
+        for c in (at_zero if near_zero else at_half)[int(width / m)::-1]:
             acc = c + (acc * z >> width)
         if near_zero:
             return x * mp.make_mpf(from_man_exp(acc, -width))

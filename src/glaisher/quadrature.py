@@ -32,10 +32,11 @@ Levels grow like log2 P: an exp-sinh integral of e^-t needs
 digits, and the cap stays two levels above that.  An integral that
 reaches the cap is reported as not converged.
 
-Nodes come in +-u pairs, one exp per pair.  A level walks u = k h once,
-stepping (pi/4) e^{kh} and (pi/4) e^{-kh} by one fixed-point
-multiplication each, so (pi/2) sinh u and (pi/2) cosh u cost no
-transcendental call (mpmath's ``TanhSinh.calc_nodes`` does the same).
+Nodes come in +-u pairs, one exp per pair, by :func:`~glaisher.smallt._exp`
+(``mpf_exp``'s bits in half its time at 200 digits).  A level walks
+u = k h once, stepping (pi/4) e^{kh} and (pi/4) e^{-kh} by one
+fixed-point multiplication each, so (pi/2) sinh u and (pi/2) cosh u cost
+no transcendental call (mpmath's ``TanhSinh.calc_nodes`` does the same).
 With s = (pi/2) sinh u, exp-sinh takes t(u) = e^s and t(-u) = 1/t(u),
 and its two weights share (pi/2) cosh u; tanh-sinh takes E = e^{2s}, and
 the endpoint offset and the weight are the same for +u and -u; weights
@@ -64,8 +65,9 @@ stream of a level is shared by both transforms.  The table is extended lazily by
 node has the same value whichever integral reached it first, and every
 value, estimate and count is bit-identical to an integral run alone; in
 ``run_all`` at 50 digits the engine makes 548 exp calls, against 1893
-with a node scan per integral.  The route raw forms keep their
-E = e^(-t/2) in the same table: 362 exps, against 1139.
+with a node scan per integral (500 pairs, and four ``mpmath.exp`` per
+level stream).  The route raw forms keep their E = e^(-t/2) in the same
+table: 362 exps, against 1139.
 The block drops the table on exit.  An integral outside any block
 streams its nodes and keeps none (only the current pair is alive): a
 table that outlived one computation would make every call after the
@@ -98,9 +100,10 @@ from typing import Callable, Hashable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_neg, to_fixed
+from mpmath.libmp import mpf_neg, mpf_shift, to_fixed
 
 from .context import ComputeContext, Real
+from .smallt import _exp
 
 _NEAR_ZERO_LOG2 = -8
 DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** _NEAR_ZERO_LOG2
@@ -531,7 +534,7 @@ def _exp_sinh_nodes(skip_below):
     skip = mpf(skip_below)._mpf_
 
     def pair(s, w):
-        t = mpmath.exp(s)
+        t = mp.make_mpf(_exp(s._mpf_, mp.prec))
         t_neg = 1 / t
         _, w_man, w_exp, _ = w._mpf_
         _, man, exp, _ = t._mpf_
@@ -561,7 +564,7 @@ def _tanh_sinh_nodes(a, b):
     length = 2 * half
 
     def pair(s, w):
-        big = mpmath.exp(2 * s)
+        big = mp.make_mpf(_exp(mpf_shift(s._mpf_, 1), mp.prec))
         den = big + 1
         offset = length / den
         _, o_man, o_exp, _ = offset._mpf_

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from mpmath import mp, mpf
 
@@ -395,12 +395,17 @@ def _encode(value, digits: int):
 
 def _decode(record_type, entry: dict, ctx: ComputeContext):
     """One record from its JSON object: the fields annotated ``Real`` are
-    parsed at the context precision, the others taken as they are.  The
-    record modules postpone annotations, so ``Field.type`` is the text."""
-    return record_type(**{
-        f.name: real_from_decimal(entry[f.name], ctx) if f.type == "Real" else entry[f.name]
-        for f in fields(record_type)
-    })
+    parsed at the context precision, the others taken as they are, and an
+    absent field takes its default; one without a default is a ValueError.
+    The record modules postpone annotations, so ``Field.type`` is the text."""
+    values = {}
+    for f in fields(record_type):
+        if f.name in entry:
+            v = entry[f.name]
+            values[f.name] = real_from_decimal(v, ctx) if f.type == "Real" else v
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{record_type.__name__} record without its {f.name!r} field")
+    return record_type(**values)
 
 
 def deserialize_report(raw: bytes, ctx: ComputeContext) -> ReportDocument:

@@ -601,13 +601,14 @@ _EM_HARMONIC = PowerSeries(_harmonic_bernoulli)
 def _em_tail(u: int, log_u: mpf) -> tuple[mpf, mpf]:
     """Euler-Maclaurin tail of sum_{n>=N} log(2n+1)/(2n+1)^2, u = 2N+1, and
     the bound of its first omitted terms: (log u + 1)/(2u) + log u/(2u^2)
-    - (w/2u) [S_H(w) - log u S_B(w)], w = 4/u^2, each series summed by
-    ``to_turn`` 3 bits(u) bits short of mp.prec, as w/2u <= 2^(4 - 3
-    bits(u)) scales its error and the kernel's guard bits cover the 4."""
+    - (w/2u) [S_H(w) - log u S_B(w)], w = 4/u^2: S_H summed by ``to_turn``
+    and S_B to the same count, one order for both, 3 bits(u) bits short of
+    mp.prec, as w/2u <= 2^(4 - 3 bits(u)) scales their error and the
+    kernel's guard bits cover the 4."""
     w = mpf(4) / (u * u)
     with mp.workprec(max(mp.prec - 3 * u.bit_length(), 53)):
-        s_b, omitted_b = _EM_BERNOULLI.to_turn(w)
-        s_h, omitted_h = _EM_HARMONIC.to_turn(w)
+        s_h, omitted_h, n = _EM_HARMONIC.to_turn(w)
+        s_b, omitted_b, _ = _EM_BERNOULLI.to_turn(w, n)
     scale = w / (2 * u)
     tail = (log_u + 1) / (2 * u) + log_u / (2 * u * u) - scale * (s_h - log_u * s_b)
     return tail, scale * (omitted_h + log_u * omitted_b)

@@ -166,6 +166,33 @@ class TestEndSeries:
                     f"x = {mpmath.nstr(x, 8)} at {digits} digits: error {mpmath.nstr(err, 3)}"
                 )
 
+    @pytest.mark.parametrize("digits", [20, 50, 100, 200, 400])
+    def test_term_count_from_the_top_bits(self, digits):
+        # m from log2 |z| sums about W/3 terms at |z| = 1/8
+        # where the bit length alone asked W/2; the value stays within its
+        # rounding and a few units of 2^-W of the W/2-term sum.
+        ctx = make_context(digits)
+        width = end_series_width(digits)
+        with ctx.workdps(15):
+            quarter, prec = mpf(1) / 4, mp.prec
+            points = [quarter / 2, quarter - mpf(2) ** -prec, 3 * quarter / 2, 2 * quarter]
+        with shared_work():
+            at_zero, at_half = loggamma._end_coefficients(ctx, width)
+            for x in points:
+                got = loggamma._log_gamma1p_series(x, ctx)
+                z = mpmath.libmp.to_fixed(x._mpf_, width)
+                near_zero = z < 1 << (width - 2)
+                z -= 0 if near_zero else 1 << (width - 1)
+                acc = 0
+                for c in (at_zero if near_zero else at_half)[width // 2::-1]:
+                    acc = c + (acc * z >> width)
+                with mp.workprec(2 * width):
+                    full = (x if near_zero else 1) * mpf(acc) / mpf(2) ** width
+                    err = abs(got - full)
+                    assert err <= abs(got) * mpf(2) ** -prec + 4 * mpf(2) ** -width, (
+                        f"x = {mpmath.nstr(x, 8)} at {digits} digits"
+                    )
+
     @pytest.mark.parametrize("digits, exponent", [(20, -200), (400, -2000)])
     def test_relative_accuracy_below_the_working_unit(self, digits, exponent):
         # 1 + x rounds to 1 at the working precision, which once made the

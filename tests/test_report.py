@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -309,6 +310,19 @@ class TestSerialization:
         back = deserialize_report(raw, ctx)
         assert serialize(back, "json") == raw
         assert back.exit_code == doc.exit_code == glaisher.report.EXIT_DISAGREE
+
+    def test_absent_field_takes_its_default_or_is_named(self, small_report, ctx):
+        records = convergence_study("limit", [16, 32], ctx, params={"limit_order": 0})
+        doc = replace(small_report, convergence_records=records)
+        payload = json.loads(serialize(doc, "json"))
+        for record in payload["convergence_records"]:
+            del record["error"]
+        back = deserialize_report(json.dumps(payload).encode(), ctx)
+        assert [r.error for r in back.convergence_records] == [None, None]
+        assert serialize(back, "json") == serialize(doc, "json")
+        del payload["convergence_records"][1]["error_estimate"]
+        with pytest.raises(ValueError, match="ConvergenceRecord.*'error_estimate'"):
+            deserialize_report(json.dumps(payload).encode(), ctx)
 
     def test_exit_code_reads_failures_and_residuals(self, small_report, ctx):
         report = glaisher.report

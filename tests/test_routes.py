@@ -356,6 +356,30 @@ class TestEulerMaclaurinTail:
             assert est.error_estimate <= mpf(10) ** -(digits - 10)
             assert true_error <= 10 * est.error_estimate
 
+    @pytest.mark.parametrize(
+        "n_terms, old_error", [(1, 4.9e-6), (2, 7.0e-9), (5, 3.3e-17), (10, 5.5e-31)])
+    def test_small_n_cuts_both_series_at_one_order(self, n_terms, old_error):
+        # S_H turns one index before S_B; cut at its count, both series give
+        # back the errors of the per-term loop that summed the tail before
+        # (old_error, at 50 digits), against the 80-digit default value.
+        reference = route_fourier_series(make_context(80)).value
+        est = route_fourier_series(make_context(50), n_terms=n_terms)
+        with mp.workdps(80):
+            true_error = abs(est.value - reference)
+            assert true_error <= 2 * old_error
+            assert true_error <= 10 * est.error_estimate
+
+    @pytest.mark.parametrize("digits", [20, 50, 100, 200, 400])
+    def test_one_order_leaves_the_default_n_value(self, digits, monkeypatch):
+        # At the default N S_B stops by itself a few terms before S_H; the
+        # terms between move no bit of the value.
+        ctx = make_context(digits)
+        value = route_fourier_series(ctx).value
+        series = glaisher.routes._EM_BERNOULLI
+        own = series.to_turn
+        monkeypatch.setattr(series, "to_turn", lambda z, n=None: own(z))
+        assert route_fourier_series(ctx).value._mpf_ == value._mpf_
+
     def test_default_n_is_100_up_to_245_digits(self):
         assert {fourier_default_terms(p) for p in range(20, 246)} == {100}
         assert fourier_default_terms(246) == 101

@@ -46,8 +46,8 @@ def _bits(x):
 
 @pytest.fixture
 def engine_exp_calls(monkeypatch):
-    """Count the engine's mpmath.exp calls (one per node pair, plus four per
-    fresh level stream)."""
+    """Count the engine's exps: the kernel's, one per node pair, and
+    mpmath.exp's, four per fresh level stream."""
     calls = [0]
 
     class Counting:
@@ -58,7 +58,14 @@ def engine_exp_calls(monkeypatch):
             calls[0] += 1
             return mpmath.exp(*args)
 
+    kernel = glaisher.quadrature._exp
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
     monkeypatch.setattr(glaisher.quadrature, "mpmath", Counting())
+    monkeypatch.setattr(glaisher.quadrature, "_exp", counted)
     return calls
 
 

@@ -197,11 +197,16 @@ def test_to_turn_sums_through_the_smallest_term():
     series = PowerSeries(lambda k: (2 ** (k * k), 1))
     z = mpf(2) ** -10
     with mp.workdps(30):
-        total, omitted = series.to_turn(z)
+        total, omitted, n = series.to_turn(z)
+        assert n == 6
         assert total == sum(mpf(2) ** (k * k - 10 * k) for k in range(6))
         assert mpf(2) ** -24 <= omitted <= mpf(2) ** -22    # term 6, 2^-24
         with pytest.raises(ArithmeticError, match="diverges"):
             series(z)
+        # a given count: three terms, and the bound of term 3, 2^-21
+        total, omitted, n = series.to_turn(z, 3)
+        assert n == 3 and total == sum(mpf(2) ** (k * k - 10 * k) for k in range(3))
+        assert mpf(2) ** -21 <= omitted <= mpf(2) ** -19
 
 
 def test_a_call_builds_no_coefficient_past_its_terms():
@@ -214,8 +219,8 @@ def test_a_call_builds_no_coefficient_past_its_terms():
         table = series._cache[mp.prec]
         (n,) = table.counts.values()
         assert len(table.fixed) == n
-        total, omitted = series.to_turn(z)
-        assert total == value and len(table.fixed) == n + 1
+        total, omitted, count = series.to_turn(z)
+        assert total == value and count == n and len(table.fixed) == n + 1
         bound = mpf(2) ** (table.bits[n] - table.width) * z ** n     # |c_n| < 2^(bits - W)
         assert bound <= omitted <= bound * 1.001
 
@@ -225,7 +230,7 @@ def test_to_turn_stops_stirling_where_it_turns():
     # Stirling tail of log Gamma(16) is then within its first omitted
     # term, near 1e-44, of the true tail.
     with mp.workdps(220):
-        total, omitted = loggamma._STIRLING_SERIES.to_turn(mpf(2) ** -8)
+        total, omitted, _ = loggamma._STIRLING_SERIES.to_turn(mpf(2) ** -8)
         z = mpf(16)
         tail = mpmath.loggamma(z) - (z - 0.5) * mpmath.log(z) + z - mpmath.log(2 * mpmath.pi) / 2
         assert mpf(10) ** -46 < omitted < mpf(10) ** -42
