@@ -59,7 +59,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .context import ComputeContext, Real
 from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf, shared_values
-from .smallt import PowerSeries, bernoulli, cancellation_guard, far
+from .smallt import PowerSeries, _horner, bernoulli, cancellation_guard, far
 
 
 class DomainError(ValueError):
@@ -224,11 +224,9 @@ def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
         near_zero = z < 1 << (width - 2)
         if not near_zero:
             z -= 1 << (width - 1)
-        acc = 0
         # |z| <= 2^-m with m >= 2; the terms past j = W / m are below 2^-W.
         m = max(2, width - log2(abs(z) + 1))
-        for c in (at_zero if near_zero else at_half)[int(width / m)::-1]:
-            acc = c + (acc * z >> width)
+        acc = _horner(at_zero if near_zero else at_half, int(width / m) + 1, z, width)
         if near_zero:
             return x * mp.make_mpf(from_man_exp(acc, -width))
         return mpf((acc, -width))

@@ -61,12 +61,13 @@ Nodes are shared within one computation and never beyond it.  Inside a
 ``routes.identity_residuals`` hold one for each whole call) every
 integral reads its node pairs from one table keyed by (transform and
 interval, ``mp.prec``, level), and the (pi/2) sinh u, (pi/2) cosh u
-stream of a level is shared by both transforms.  The table is extended lazily by the same stepping, so a
+stream of a level is shared by both transforms.  Each stream is one
+:class:`~glaisher.smallt._Lazy`, made on the table's first miss, so a
 node has the same value whichever integral reached it first, and every
 value, estimate and count is bit-identical to an integral run alone; in
 ``run_all`` at 50 digits the engine makes 548 exp calls, against 1893
-with a node scan per integral (500 pairs, and four ``mpmath.exp`` per
-level stream).  The route raw forms keep their E = e^(-t/2) in the same
+with a node scan per integral (500 pairs, and four seed exps per level
+stream).  The route raw forms keep their E = e^(-t/2) in the same
 table: 362 exps, against 1139.
 The block drops the table on exit.  An integral outside any block
 streams its nodes and keeps none (only the current pair is alive): a
@@ -100,10 +101,10 @@ from typing import Callable, Hashable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_neg, mpf_shift, to_fixed
+from mpmath.libmp import from_man_exp, mpf_neg, mpf_pi, mpf_shift, round_nearest, to_fixed
 
 from .context import ComputeContext, Real
-from .smallt import _exp
+from .smallt import _exp, _Lazy
 
 _NEAR_ZERO_LOG2 = -8
 DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** _NEAR_ZERO_LOG2
@@ -207,9 +208,10 @@ class ErrorModelReport:
 
 
 def _scaled_sinh_cosh(h, step, count):
-    """Yield ((pi/2) sinh u, (pi/2) cosh u) for u = h, h + step h, ...
+    """Yield ((pi/2) sinh u, (pi/2) cosh u) for u = h, h + step h, ...,
+    as raw mpfs at the working precision.
 
-    ``count`` values in all.  (pi/4) e^u and (pi/4) e^-u are carried as
+    ``count`` pairs in all.  (pi/4) e^u and (pi/4) e^-u are carried as
     W-bit fixed-point integers and stepped by one multiplication each with
     e^{+-step h}, so a scan calls no transcendental function to place its
     abscissae; their difference and sum are the two scaled values.  Each
@@ -221,16 +223,15 @@ def _scaled_sinh_cosh(h, step, count):
     stepped values are as accurate as direct sinh and cosh calls.
     """
     width = mp.prec + count.bit_length() + 4
-    with mp.workprec(width + 10):
-        quarter_pi = to_fixed(mpmath.pi._mpf_, width - 2)
-        up = to_fixed(mpmath.exp(h)._mpf_, width)
-        down = to_fixed(mpmath.exp(-h)._mpf_, width)
-        step_up = to_fixed(mpmath.exp(step * h)._mpf_, width)
-        step_down = to_fixed(mpmath.exp(-step * h)._mpf_, width)
+    quarter_pi = to_fixed(mpf_pi(width + 10, round_nearest), width - 2)
+    up, down, step_up, step_down = (to_fixed(_exp(x._mpf_, width + 10), width)
+                                    for x in (h, -h, step * h, -step * h))
     a = quarter_pi * up >> width          # (pi/4) e^u
     b = quarter_pi * down >> width        # (pi/4) e^-u
+    prec = mp.prec
     for _ in range(count):
-        yield mpf((a - b, -width)), mpf((a + b, -width))
+        yield (from_man_exp(a - b, -width, prec, round_nearest),
+               from_man_exp(a + b, -width, prec, round_nearest))
         a = a * step_up >> width
         b = b * step_down >> width
 
@@ -306,34 +307,6 @@ def shared_values(key: Hashable) -> dict:
     return {} if table is None else table.setdefault(key, {})
 
 
-class _Shared:
-    """One sequence, computed lazily and once, read by any number of scans.
-
-    ``source`` is stepped only when a reader passes the last item computed,
-    so every reader sees the same objects in the same order, whichever
-    reached them first.
-    """
-
-    __slots__ = ("_items", "_source")
-
-    def __init__(self, source):
-        self._items = []
-        self._source = source
-
-    def __iter__(self):
-        items = self._items
-        i = 0
-        while i < len(items) or self._extend():
-            yield items[i]
-            i += 1
-
-    def _extend(self):
-        for item in self._source:
-            self._items.append(item)
-            return True
-        return False
-
-
 def _level_nodes(table, transform, pair, level, u_cap):
     """Node pairs of one level, lazily, and the per-side term cap.
 
@@ -349,8 +322,7 @@ def _level_nodes(table, transform, pair, level, u_cap):
     the scaled (sinh, cosh) values under (mp.prec, level), shared by
     every transform, and the node pairs under (``transform``, mp.prec,
     level), where ``transform`` names the map and its interval.  Each is
-    extended only as far as some scan reads it, by the same stepping, so
-    a node has the same value whichever integral reached it first.
+    a :class:`~glaisher.smallt._Lazy` made on the table's first miss.
     """
     h = mpmath.ldexp(1, -level)
     step = 1 if level == 0 else 2
@@ -358,9 +330,12 @@ def _level_nodes(table, transform, pair, level, u_cap):
     scaled = _scaled_sinh_cosh(h, step, max_terms + 1)     # runs only when read
     if table is None:
         return h, max_terms, starmap(pair, scaled)
-    scaled = table.setdefault((mp.prec, level), _Shared(scaled))
-    nodes = table.setdefault((transform, mp.prec, level), _Shared(starmap(pair, scaled)))
-    return h, max_terms, nodes
+    key = (transform, mp.prec, level)
+    if key not in table:
+        if key[1:] not in table:
+            table[key[1:]] = _Lazy(scaled)
+        table[key] = _Lazy(starmap(pair, table[key[1:]]))
+    return h, max_terms, table[key]
 
 
 def _scan_cap(ctx):
@@ -534,9 +509,9 @@ def _exp_sinh_nodes(skip_below):
     skip = mpf(skip_below)._mpf_
 
     def pair(s, w):
-        t = mp.make_mpf(_exp(s._mpf_, mp.prec))
+        t = mp.make_mpf(_exp(s, mp.prec))
         t_neg = 1 / t
-        _, w_man, w_exp, _ = w._mpf_
+        _, w_man, w_exp, _ = w
         _, man, exp, _ = t._mpf_
         _, neg_man, neg_exp, _ = t_neg._mpf_
         w_neg = (neg_man * w_man, neg_exp + w_exp)
@@ -564,11 +539,11 @@ def _tanh_sinh_nodes(a, b):
     length = 2 * half
 
     def pair(s, w):
-        big = mp.make_mpf(_exp(mpf_shift(s._mpf_, 1), mp.prec))
+        big = mp.make_mpf(_exp(mpf_shift(s, 1), mp.prec))
         den = big + 1
         offset = length / den
         _, o_man, o_exp, _ = offset._mpf_
-        _, w_man, w_exp, _ = w._mpf_
+        _, w_man, w_exp, _ = w
         _, q_man, q_exp, _ = (big / den)._mpf_
         weight = (o_man * w_man * q_man, o_exp + w_exp + q_exp + 1)
         return b - offset, weight, a + offset, weight

@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import count
 from math import ceil, comb, factorial, gcd, isqrt
 from operator import sub
 from typing import Callable, Literal
@@ -104,6 +105,7 @@ from .quadrature import (
 )
 from .smallt import (
     PowerSeries,
+    _Lazy,
     bernoulli,
     exp_neg,
     far,
@@ -234,21 +236,9 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _res1_quotient() -> PowerSeries:
-    # The near-zero form (A / t^3) / l^2, from _res1_coefficients grown as
-    # far as a sum first asks.
-    pairs = _res1_coefficients()
-    known: list = []
-
-    def term(m):
-        while len(known) <= m:
-            known.append(next(pairs))
-        return known[m]
-
-    return quotient_series(lambda k: term(k + 3)[0], lambda k: term(k)[1])
-
-
-_RES1 = _res1_quotient()
+# The near-zero form (A / t^3) / l^2.
+_RES1_PAIRS = _Lazy(_res1_coefficients())
+_RES1 = quotient_series(lambda k: _RES1_PAIRS[k + 3][0], lambda k: _RES1_PAIRS[k][1])
 _RES2_BRACKET_OVER_T2 = PowerSeries(_res2_coefficient)
 _PAIN1 = quotient_series(_pain1_numerator, _pain1_denominator)
 _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
@@ -576,20 +566,21 @@ def route_limit(ctx: ComputeContext, n: int = 64, richardson_order: int = 3) -> 
     )
 
 
-# Exact pairs H_(2j+2) - 1, j = 0, 1, ..., H_n the harmonic number, kept.
-_HARMONIC = [(1, 2)]
+def _harmonic_minus_one():
+    """Yield H_(2j+2) - 1, j >= 0, as reduced pairs (H_n harmonic)."""
+    h, d = 1, 2
+    for n in count(3, 2):           # add 1/n + 1/(n+1)
+        yield h, d
+        h, d = _reduced(h * n * (n + 1) + (2 * n + 1) * d, d * n * (n + 1))
+
+
+_H_MINUS_ONE = _Lazy(_harmonic_minus_one())
 
 
 def _harmonic_bernoulli(j: int) -> tuple[int, int]:
     """B_(2j+2) (H_(2j+2) - 1) as an integer pair."""
-    while len(_HARMONIC) <= j:
-        n = 2 * len(_HARMONIC) + 1          # add 1/n + 1/(n+1)
-        h, d = _HARMONIC[-1]
-        h, d = h * n * (n + 1) + (2 * n + 1) * d, d * n * (n + 1)
-        g = gcd(h, d)
-        _HARMONIC.append((h // g, d // g))
     p, q = bernoulli(2 * j + 2)
-    h, d = _HARMONIC[j]
+    h, d = _H_MINUS_ONE[j]
     return p * h, q * d
 
 

@@ -13,11 +13,13 @@ coefficient function k -> c_k, exact as an integer pair (p, q), q > 0,
 and sums sum_{k>=0} c_k z^k in fixed point: per working precision
 (``mp.prec``) it keeps each c_k once as the W-bit integer nearest to
 p 2^W / q, takes z once as a W-bit integer, and sums by Horner's rule,
-acc = c_k + (acc z >> W), from the last term down; only the final sum is
-rounded to an mpf.  A term costs one integer multiply and one shift
-instead of a few pure-Python mpf operations.  A near-zero form that is a
-quotient of two known series (pain1's, pain2's, res1's) becomes one
-series by :func:`quotient_series`.
+acc = c_k + (acc z >> W), from the last term down (:func:`_horner`, which
+the log Gamma Taylor series calls too); only the final sum is rounded to
+an mpf.  A term costs one integer multiply and one shift instead of a
+few pure-Python mpf operations.  A near-zero form that is a quotient of
+two known series (pain1's, pain2's, res1's) becomes one series by
+:func:`quotient_series`.  Sequences grown term by term (such c_k, node
+streams) are :class:`_Lazy`.
 
 The W budget.  W = prec + 16 bits.  Each Horner step truncates by under
 one unit of 2^-W and each stored c_k is off by at most half a unit; the
@@ -85,7 +87,7 @@ kept by nobody.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from math import ceil, gcd, inf, isqrt, lcm, log2
 from operator import mul
 from typing import Callable
@@ -118,37 +120,41 @@ class PowerSeries:
         self._cache: dict[int, _FixedCoefficients] = {}
 
     def __call__(self, z: mpf) -> mpf:
-        table = self._cache.get(mp.prec)
-        if table is None:
-            table = self._cache[mp.prec] = _FixedCoefficients(self._coefficient)
-        width = table.width
-        z_fixed = to_fixed(z._mpf_, width)
+        table, z_fixed = self._frame(z)
         n = table.terms(abs(z_fixed) + 1)
         if n < 0:
             raise ArithmeticError(f"power series diverges at z = {mpmath.nstr(z, 5)}")
-        acc = 0
-        for c in table.fixed[n - 1::-1]:
-            acc = c + (acc * z_fixed >> width)
-        return mpf((acc, -width))
+        return mpf((_horner(table.fixed, n, z_fixed, table.width), -table.width))
 
     def to_turn(self, z: mpf, n: int | None = None) -> tuple[mpf, mpf, int]:
         """(sum, bound of the first omitted term, n), the sum of the first
         n terms: as many as a call sums or, on a series that turns at z,
         through its smallest term, unless ``n`` is given."""
-        table = self._cache.get(mp.prec)
-        if table is None:
-            table = self._cache[mp.prec] = _FixedCoefficients(self._coefficient)
-        width = table.width
-        z_fixed = to_fixed(z._mpf_, width)
+        table, z_fixed = self._frame(z)
         if n is None:
             n = abs(table.terms(abs(z_fixed) + 1))
         while n >= len(table.fixed):
             table._extend()
-        acc = 0
-        for c in table.fixed[n - 1::-1]:
-            acc = c + (acc * z_fixed >> width)
+        width = table.width
         log2_z = log2(abs(z_fixed) + 1) - width       # term n < |c_n| |z|^n
-        return mpf((acc, -width)), mpf(2) ** (table.bits[n] - width + n * log2_z), n
+        return (mpf((_horner(table.fixed, n, z_fixed, width), -width)),
+                mpf(2) ** (table.bits[n] - width + n * log2_z), n)
+
+    def _frame(self, z: mpf) -> tuple[_FixedCoefficients, int]:
+        """This precision's coefficient table, and z on its frame."""
+        table = self._cache.get(mp.prec)
+        if table is None:
+            table = self._cache[mp.prec] = _FixedCoefficients(self._coefficient)
+        return table, to_fixed(z._mpf_, table.width)
+
+
+def _horner(fixed: list[int], n: int, z: int, width: int) -> int:
+    """sum_{k<n} fixed[k] z^k in ``width``-bit fixed point, by Horner's
+    rule from the last term down, each step truncated."""
+    acc = 0
+    for c in fixed[n - 1::-1]:
+        acc = c + (acc * z >> width)
+    return acc
 
 
 def quotient_series(
@@ -165,15 +171,11 @@ def quotient_series(
     denominator each, so the convolution is plain integer products and
     each new c_k costs one gcd.
     """
-    b: list[int] = []           # b_j = b[j] / b_den
-    c: list[int] = []           # c_j = c[j] / c_den
-    pairs: list[tuple[int, int]] = []
-    b_den = c_den = 1
-
-    def coefficient(k: int) -> tuple[int, int]:
-        nonlocal b, c, b_den, c_den
-        while len(pairs) <= k:
-            n = len(pairs)
+    def pairs():
+        b: list[int] = []           # b_j = b[j] / b_den
+        c: list[int] = []           # c_j = c[j] / c_den
+        b_den = c_den = 1
+        for n in count():
             b_den, b = _common(b, b_den, *denominator(n))
             # c_n = (a_n - S / (b_den c_den)) b_den / b[0], S = sum b_j c_(n-j)
             tail = sum(map(mul, b[1:], reversed(c)))
@@ -181,11 +183,11 @@ def quotient_series(
             num = p * b_den * c_den - q * tail
             den = q * c_den * b[0]
             g = gcd(num, den) * (-1 if den < 0 else 1)
-            pairs.append((num // g, den // g))
-            c_den, c = _common(c, c_den, *pairs[-1])
-        return pairs[k]
+            pair = num // g, den // g
+            c_den, c = _common(c, c_den, *pair)
+            yield pair
 
-    return PowerSeries(coefficient)
+    return PowerSeries(_Lazy(pairs()).__getitem__)
 
 
 def _common(nums: list[int], den: int, p: int, q: int) -> tuple[int, list[int]]:
@@ -196,6 +198,29 @@ def _common(nums: list[int], den: int, p: int, q: int) -> tuple[int, list[int]]:
     if scale != 1:
         nums = [x * scale for x in nums]
     return new, nums + [p * (new // q)]
+
+
+class _Lazy:
+    """A sequence computed lazily and once, shared by all its readers.
+
+    ``seq[k]`` steps ``source`` (an iterator) past the last item computed
+    as far as item k, so every reader sees the same objects in the same
+    order.  Past the end of a finite source it raises IndexError, which
+    ends a ``for`` loop over it.
+    """
+
+    def __init__(self, source):
+        self._items = []
+        self._source = source
+
+    def __getitem__(self, k: int):
+        items = self._items
+        if k >= len(items):
+            for item in self._source:
+                items.append(item)
+                if len(items) > k:
+                    break
+        return items[k]
 
 
 class _FixedCoefficients:

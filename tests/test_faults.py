@@ -18,6 +18,20 @@ from glaisher.report import EXIT_DISAGREE
 DE_ROUTES = ("pain1", "pain2", "feaux", "kummer")
 
 
+def _move_first_coefficient(series, monkeypatch):
+    """Move c_0 of the ``routes`` series named ``series`` by a relative
+    10^-30, with its coefficient tables emptied for the fault."""
+    target = getattr(glaisher.routes, series)
+    original = target._coefficient
+
+    def moved(k):
+        p, q = original(k)
+        return (p * (10**30 + 1), q * 10**30) if k == 0 else (p, q)
+
+    monkeypatch.setattr(target, "_coefficient", moved)
+    monkeypatch.setattr(target, "_cache", {})
+
+
 @pytest.mark.parametrize("series", ["_EM_BERNOULLI", "_EM_HARMONIC"])
 def test_moved_euler_maclaurin_tail_series(series, monkeypatch):
     # The first coefficient of S_B (B_2) or of S_H (B_2 (H_2 - 1)) moves
@@ -25,15 +39,7 @@ def test_moved_euler_maclaurin_tail_series(series, monkeypatch):
     # near 1e-51: every DE route disagrees with it, and the two identities
     # that take their log A from it fail.
     good = glaisher.routes.route_fourier_series(make_context(50))
-    target = getattr(glaisher.routes, series)
-    original = target._coefficient
-
-    def moved(j):
-        p, q = original(j)
-        return (p * (10**30 + 1), q * 10**30) if j == 0 else (p, q)
-
-    monkeypatch.setattr(target, "_coefficient", moved)
-    monkeypatch.setattr(target, "_cache", {})
+    _move_first_coefficient(series, monkeypatch)
     doc = run_all(make_context(50))
 
     fourier = next(e for e in doc.estimates if e.route_id == "fourier_series")
@@ -43,3 +49,27 @@ def test_moved_euler_maclaurin_tail_series(series, monkeypatch):
     assert {frozenset((rid, "fourier_series")) for rid in DE_ROUTES} <= pairs
     failed = {r.identity_id for r in doc.failed_residuals}
     assert {"glaisher_half", "gla2"} <= failed
+
+
+@pytest.mark.parametrize("series, route_id", [
+    ("_PAIN1", "pain1"),
+    ("_PAIN2", "pain2"),
+    ("_RES1", "feaux"),
+    ("_RES2_BRACKET_OVER_T2", "kummer"),
+])
+def test_moved_route_near_zero_series(series, route_id, monkeypatch):
+    # A route's near-zero series sums its integrand below t = 2^-8; its
+    # first coefficient moved moves the route by about 1e6 times its
+    # estimate, and the route disagrees with each of the other four
+    # full-precision routes, and with nothing else.
+    good = getattr(glaisher.routes, f"route_{route_id}")(make_context(50))
+    _move_first_coefficient(series, monkeypatch)
+    doc = run_all(make_context(50))
+
+    moved = next(e for e in doc.estimates if e.route_id == route_id)
+    assert abs(moved.value - good.value) > 10 * moved.error_estimate
+    assert doc.exit_code == EXIT_DISAGREE
+    assert not doc.failures
+    others = set(DE_ROUTES + ("fourier_series",)) - {route_id}
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    assert pairs == {frozenset((route_id, rid)) for rid in others}

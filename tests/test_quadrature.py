@@ -479,7 +479,7 @@ class TestPairNodes:
                 for i, (s, w) in enumerate(scaled):
                     u = (1 + step * i) * h
                     nodes = exp_sinh(s, w) + tanh_sinh(s, w) if u <= u_cap else ()
-                    stepped.append((u, (s, w) + nodes))
+                    stepped.append((u, (mp.make_mpf(s), mp.make_mpf(w)) + nodes))
         bound = mpf(10) ** -(digits + 15)
         names = ("sinh", "cosh", "t+", "w+", "t-", "w-", "x+", "v+", "x-", "v-")
         misses = []

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from glaisher import loggamma, make_context, routes
 from glaisher.loggamma import kummer_integrand, one_plus_em1z_over_z
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
-from glaisher.smallt import PowerSeries, cancellation_guard, far, fixed_logs
+from glaisher.smallt import PowerSeries, _Lazy, cancellation_guard, far, fixed_logs
 
 from test_quadrature import PROJECT_INTEGRANDS, build_integrand, threshold_points
 
@@ -223,6 +223,35 @@ def test_a_call_builds_no_coefficient_past_its_terms():
         assert total == value and count == n and len(table.fixed) == n + 1
         bound = mpf(2) ** (table.bits[n] - table.width) * z ** n     # |c_n| < 2^(bits - W)
         assert bound <= omitted <= bound * 1.001
+
+
+def test_lazy_sequence_computes_each_item_once_on_first_read():
+    # A counting source: nothing is computed until read, an item is
+    # computed when first read and never again, and every reader (two
+    # interleaved iterators, an index) gets the same object.
+    made = []
+
+    def source():
+        for k in range(5):
+            made.append(k)
+            yield [k]
+
+    seq = _Lazy(source())
+    assert made == []
+    first, second = iter(seq), iter(seq)
+    a0 = next(first)
+    assert made == [0]
+    b0, b1 = next(second), next(second)
+    a1 = next(first)
+    assert made == [0, 1]
+    assert a0 is b0 and a1 is b1 and seq[1] is a1
+    assert seq[3] == [3] and made == [0, 1, 2, 3]
+    assert next(first) is seq[2] and made == [0, 1, 2, 3]
+    assert [item[0] for item in seq] == [0, 1, 2, 3, 4]
+    assert list(first) == [[3], [4]] and made == [0, 1, 2, 3, 4]
+    with pytest.raises(IndexError):
+        seq[5]
+    assert made == [0, 1, 2, 3, 4]
 
 
 def test_to_turn_stops_stirling_where_it_turns():
