@@ -6,7 +6,8 @@ Exit codes follow the verification-tool contract:
   times the sum of their error estimates and every identity check
   passes; verify: all identity residuals below tolerance).
 * 1 -- configuration error: a usage error (an unknown flag or a bad flag
-  value), an unknown route, an empty grid, too few digits, an ``--out``
+  value), an unknown route, an empty grid, too few digits or more than
+  the audited ceiling of ``MAX_AUDITED_DIGITS`` (400), an ``--out``
   path that cannot be written (checked before any computation), or a
   route that refused the requested precision or parameters while every
   route that ran agreed.
@@ -40,7 +41,7 @@ import mpmath
 from mpmath import mpf
 
 from . import __version__
-from .context import PrecisionError, make_context, real_to_decimal
+from .context import MIN_PRECISION_DIGITS, PrecisionError, make_context, real_to_decimal
 from .report import (
     DEFAULT_PARAMS,
     EXIT_CONFIG,
@@ -54,6 +55,9 @@ from .report import (
     serialize,
 )
 from .routes import ROUTE_IDS
+
+# The highest precision the tier-1 sweep audits; the CLI refuses more.
+MAX_AUDITED_DIGITS = 400
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,15 +154,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_digits(args) -> int:
-    if args.digits is not None:
-        return args.digits
-    env = os.environ.get("GLAISHER_DIGITS")
-    if env is not None:
+    """--digits, else GLAISHER_DIGITS, else 50; refused above ``MAX_AUDITED_DIGITS``."""
+    source, digits = "--digits", args.digits
+    if digits is None:
+        source, env = "GLAISHER_DIGITS", os.environ.get("GLAISHER_DIGITS", "50")
         try:
-            return int(env)
+            digits = int(env)
         except ValueError as exc:
             raise ConfigError(f"GLAISHER_DIGITS is not an integer: {env!r}") from exc
-    return 50
+    if digits > MAX_AUDITED_DIGITS:
+        raise ConfigError(
+            f"{source} {digits} is above the ceiling of {MAX_AUDITED_DIGITS} digits: the "
+            f"error contract is audited from {MIN_PRECISION_DIGITS} to {MAX_AUDITED_DIGITS} digits"
+        )
+    return digits
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:

@@ -55,7 +55,7 @@ from math import factorial, log2
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_mul, round_nearest, to_fixed
 
 from .context import ComputeContext, Real
 from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf, shared_values
@@ -176,25 +176,26 @@ def _zeta_fixed(width: int, count: int) -> list[int]:
 def _end_coefficients(ctx: ComputeContext, width: int) -> tuple[list[int], list[int]]:
     """The ``width``-bit Taylor coefficients a_j of log Gamma(1+x) / x at
     x = 0 and b_j of log Gamma(3/2+y) at y = 0, j <= width // 2, from one
-    zeta table kept in the computation's shared table."""
+    zeta table kept in the computation's shared table, if any."""
     memo = shared_values(("log-gamma1p-ends", width))
-    table = memo.get("coefficients")
-    if table is None:
-        consts = ctx.constants
-        gamma, log2, log_pi = (to_fixed(c._mpf_, width)
-                               for c in (consts.euler_gamma, consts.log2, consts.log_pi))
-        zeta = _zeta_fixed(width, width // 2 + 1)
-        one = 1 << width
-        # a_0 = -gamma, a_j = (-1)^(j+1) zeta(j+1) / (j+1)
-        at_zero = [-gamma] + [(-1) ** k * zk // k for k, zk in enumerate(zeta, 2)]
-        # b_0 = (log pi)/2 - log 2, b_1 = psi(3/2) = 2 - gamma - 2 log 2,
-        # b_j = (-1)^j zeta(j, 3/2) / j, zeta(j, 3/2) = (2^j - 1) zeta(j) - 2^j
-        at_half = [(log_pi >> 1) - log2, 2 * one - gamma - 2 * log2] + [
-            (-1) ** k * (((1 << k) - 1) * zk - (one << k)) // k
-            for k, zk in enumerate(zeta[:-1], 2)
-        ]
-        table = memo["coefficients"] = (at_zero, at_half)
-    return table
+    if memo:
+        return memo["coefficients"]
+    consts = ctx.constants
+    gamma, log2, log_pi = (to_fixed(c._mpf_, width)
+                           for c in (consts.euler_gamma, consts.log2, consts.log_pi))
+    zeta = _zeta_fixed(width, width // 2 + 1)
+    one = 1 << width
+    # a_0 = -gamma, a_j = (-1)^(j+1) zeta(j+1) / (j+1)
+    at_zero = [-gamma] + [(-1) ** k * zk // k for k, zk in enumerate(zeta, 2)]
+    # b_0 = (log pi)/2 - log 2, b_1 = psi(3/2) = 2 - gamma - 2 log 2,
+    # b_j = (-1)^j zeta(j, 3/2) / j, zeta(j, 3/2) = (2^j - 1) zeta(j) - 2^j
+    at_half = [(log_pi >> 1) - log2, 2 * one - gamma - 2 * log2] + [
+        (-1) ** k * (((1 << k) - 1) * zk - (one << k)) // k
+        for k, zk in enumerate(zeta[:-1], 2)
+    ]
+    if memo is not None:
+        memo["coefficients"] = at_zero, at_half
+    return at_zero, at_half
 
 
 def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
@@ -217,19 +218,19 @@ def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
     All told the sum is off by a few units of 2^-W; gamma, log 2 and
     log pi, the context's constants at P + 10 digits, dominate the error.
     """
-    with ctx.workdps(15):
-        width = mp.prec + 20
-        at_zero, at_half = _end_coefficients(ctx, width)
-        z = to_fixed(x._mpf_, width)
-        near_zero = z < 1 << (width - 2)
-        if not near_zero:
-            z -= 1 << (width - 1)
-        # |z| <= 2^-m with m >= 2; the terms past j = W / m are below 2^-W.
-        m = max(2, width - log2(abs(z) + 1))
-        acc = _horner(at_zero if near_zero else at_half, int(width / m) + 1, z, width)
-        if near_zero:
-            return x * mp.make_mpf(from_man_exp(acc, -width))
-        return mpf((acc, -width))
+    prec = dps_to_prec(ctx.precision_digits + 15)
+    width = prec + 20
+    at_zero, at_half = _end_coefficients(ctx, width)
+    z = to_fixed(x._mpf_, width)
+    near_zero = z < 1 << (width - 2)
+    if not near_zero:
+        z -= 1 << (width - 1)
+    # |z| <= 2^-m with m >= 2; the terms past j = W / m are below 2^-W.
+    m = max(2, width - log2(abs(z) + 1))
+    acc = _horner(at_zero if near_zero else at_half, int(width / m) + 1, z, width)
+    if near_zero:
+        return mp.make_mpf(mpf_mul(x._mpf_, from_man_exp(acc, -width), prec, round_nearest))
+    return mp.make_mpf(from_man_exp(acc, -width, prec, round_nearest))
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ from typing import Callable, Hashable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_neg, mpf_pi, mpf_shift, round_nearest, to_fixed
+from mpmath.libmp import (fone, from_man_exp, mpf_add, mpf_div, mpf_neg, mpf_pi, mpf_shift, mpf_sub,
+                          round_nearest, to_fixed)
 
 from .context import ComputeContext, Real
 from .smallt import _exp, _Lazy
@@ -299,12 +300,12 @@ def shared_work():
         _SHARED.reset(token)
 
 
-def shared_values(key: Hashable) -> dict:
+def shared_values(key: Hashable) -> dict | None:
     """The dict under ``key`` in the current computation's table, for
-    values several integrals compute alike (a throwaway dict outside any
-    ``shared_work`` block)."""
+    values several integrals compute alike; None outside any
+    ``shared_work`` block, where the caller computes and keeps nothing."""
     table = _SHARED.get()
-    return {} if table is None else table.setdefault(key, {})
+    return None if table is None else table.setdefault(key, {})
 
 
 def _level_nodes(table, transform, pair, level, u_cap):
@@ -507,17 +508,18 @@ def _exp_sinh_nodes(skip_below):
     the integrand is not evaluated there.
     """
     skip = mpf(skip_below)._mpf_
+    prec = mp.prec
 
     def pair(s, w):
-        t = mp.make_mpf(_exp(s, mp.prec))
-        t_neg = 1 / t
+        t = _exp(s, prec)
+        t_neg = mpf_div(fone, t, prec, round_nearest)
         _, w_man, w_exp, _ = w
-        _, man, exp, _ = t._mpf_
-        _, neg_man, neg_exp, _ = t_neg._mpf_
+        _, man, exp, _ = t
+        _, neg_man, neg_exp, _ = t_neg
         w_neg = (neg_man * w_man, neg_exp + w_exp)
         if skip[1] and _below(*w_neg, skip):
             w_neg = (0, 0)
-        return t, (man * w_man, exp + w_exp), t_neg, w_neg
+        return mp.make_mpf(t), (man * w_man, exp + w_exp), mp.make_mpf(t_neg), w_neg
 
     return (mpf(1), (mpmath.pi / 2)._mpf_[1:3]), pair
 
@@ -536,17 +538,19 @@ def _tanh_sinh_nodes(a, b):
     """
     half = (b - a) / 2
     mid = (a + b) / 2
-    length = 2 * half
+    length, a, b = (2 * half)._mpf_, a._mpf_, b._mpf_
+    prec = mp.prec
 
     def pair(s, w):
-        big = mp.make_mpf(_exp(mpf_shift(s, 1), mp.prec))
-        den = big + 1
-        offset = length / den
-        _, o_man, o_exp, _ = offset._mpf_
+        big = _exp(mpf_shift(s, 1), prec)
+        den = mpf_add(big, fone, prec, round_nearest)
+        offset = mpf_div(length, den, prec, round_nearest)
+        _, o_man, o_exp, _ = offset
         _, w_man, w_exp, _ = w
-        _, q_man, q_exp, _ = (big / den)._mpf_
+        _, q_man, q_exp, _ = mpf_div(big, den, prec, round_nearest)
         weight = (o_man * w_man * q_man, o_exp + w_exp + q_exp + 1)
-        return b - offset, weight, a + offset, weight
+        return (mp.make_mpf(mpf_sub(b, offset, prec, round_nearest)), weight,
+                mp.make_mpf(mpf_add(a, offset, prec, round_nearest)), weight)
 
     return (mid, (half * (mpmath.pi / 2))._mpf_[1:3]), pair
 

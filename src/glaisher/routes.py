@@ -85,7 +85,8 @@ from typing import Callable, Literal
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_mul, to_fixed
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_log,
+                          mpf_mul, mpf_sin, mpf_sub, round_nearest, to_fixed)
 
 from .context import (
     MIN_PRECISION_DIGITS,
@@ -247,6 +248,8 @@ _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
 def _exp_half(t: mpf) -> tuple:
     """``exp_neg(t)``, once per abscissa in one computation."""
     memo = shared_values(("exp-half", mp.prec))
+    if memo is None:
+        return exp_neg(t)
     E = memo.get(t._mpf_)
     if E is None:
         E = memo[t._mpf_] = exp_neg(t)
@@ -305,7 +308,9 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
 
     def raw(t):
         if far(t):
-            return mpmath.fdiv(1, mpmath.fmul(t, t, exact=True)) if over_t else 1 / t
+            _, man, exp, _ = t._mpf_          # 1/t^2 or 1/t, t = man 2^exp
+            den = from_man_exp(man * man, 2 * exp) if over_t else t._mpf_
+            return mp.make_mpf(mpf_div(fone, den, mp.prec, round_nearest))
         width, T = raw_frame(t, 2)
         one = 1 << width
         q = to_fixed(_exp_half(t), width)
@@ -346,8 +351,10 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
 
     def raw(x):
         if far(x):
-            cube = mpmath.fmul(mpmath.fmul(x, x, exact=True), x, exact=True)
-            return mpmath.fdiv(mpmath.fsub(x, 2, exact=True), cube)
+            _, man, exp, _ = x._mpf_          # (x - 2)/x^3, x = man 2^exp
+            low = min(exp, 0)
+            num = from_man_exp((man << exp - low) - (2 << -low), low)
+            return mp.make_mpf(mpf_div(num, from_man_exp(man ** 3, 3 * exp), mp.prec, round_nearest))
         width, X = raw_frame(x, 2)
         one = 1 << width
         E = to_fixed(_exp_half(x), width)
@@ -678,8 +685,8 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
 
     Refuses to start when the context precision cannot absorb the
     cancellation of the inner sums (the result would be silent garbage).
-    Each step runs in its own precision block, so a caller that stops
-    early leaves no precision change behind.
+    The steps sum on libmp at that precision, read once, so no step
+    changes the precision, and a caller that stops early changes none.
     """
     needed = hasse_required_digits(n_max)
     if ctx.precision_digits < needed:
@@ -689,15 +696,16 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
             f"(ceil(0.302 N) + 20)"
         )
     with ctx.workdps(10):
+        prec = mp.prec
         width, logs = fixed_logs(n_max + 1)
-        row = [m * m * logs[m] for m in range(1, n_max + 2)]
-        total = mpf(0)
+    row = [m * m * logs[m] for m in range(1, n_max + 2)]
+    total = fzero
     for n in range(n_max + 1):
-        with ctx.workdps(10):
-            head = -row[0] if n % 2 else row[0]
-            outer = mpf(from_man_exp(head, -width)) / (n + 1)
-            total += outer
-        yield n, outer, total
+        head = -row[0] if n % 2 else row[0]
+        outer = mpf_div(from_man_exp(head, -width, prec, round_nearest), from_int(n + 1),
+                        prec, round_nearest)
+        total = mpf_add(total, outer, prec, round_nearest)
+        yield n, mp.make_mpf(outer), mp.make_mpf(total)
         row = list(map(sub, row[1:], row))
 
 
@@ -815,6 +823,8 @@ def _log_gamma1p(x: Real, ctx: ComputeContext) -> Real:
     and gla2 integrate it on the same nodes.  It is a Taylor series in
     zeta(k) at 0 or at 1/2, whichever is nearer (:func:`_log_gamma1p_series`)."""
     memo = shared_values(("log_gamma1p", ctx.precision_digits))
+    if memo is None:
+        return _log_gamma1p_series(x, ctx)
     value = memo.get(x)
     if value is None:
         value = memo[x] = _log_gamma1p_series(x, ctx)
@@ -855,19 +865,29 @@ def gla2_residual(ctx: ComputeContext, log_a: Real) -> IdentityResidual:
     log-singular integrand at x = 0 (glaisher_half's is smooth there) and
     the paper's constants 2/3, 5/36 and 1/6 of the Gamma(x) form.
     """
+
+    def log_gamma(x):
+        prec = mp.prec
+        log_x = mpf_log(x._mpf_, prec, round_nearest)
+        return mp.make_mpf(mpf_sub(_log_gamma1p(x, ctx)._mpf_, log_x, prec, round_nearest))
+
     return _identity_integral(
-        ctx, "gla2", "int_log_gamma_half",
-        lambda x: _log_gamma1p(x, ctx) - mpmath.log(x),
+        ctx, "gla2", "int_log_gamma_half", log_gamma,
         lambda I, c: mpf(2) / 3 * I - mpf(5) / 36 * c.log2 - c.log_pi / 6 - log_a,
     )
 
 
 def log_sin_check(ctx: ComputeContext) -> IdentityResidual:
     """Residual of int_0^1/2 log sin(pi x) dx = -(log 2)/2."""
-    pi_local = ctx.constants.pi
+    pi = ctx.constants.pi._mpf_
+
+    def log_sin(x):
+        prec = mp.prec
+        return mp.make_mpf(mpf_log(mpf_sin(mpf_mul(pi, x._mpf_, prec, round_nearest),
+                                           prec, round_nearest), prec, round_nearest))
+
     return _identity_integral(
-        ctx, "log_sin", "log_sin",
-        lambda x: mpmath.log(mpmath.sin(pi_local * x)),
+        ctx, "log_sin", "log_sin", log_sin,
         lambda I, c: I + c.log2 / 2,
     )
 

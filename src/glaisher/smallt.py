@@ -49,7 +49,10 @@ and :meth:`PowerSeries.to_turn` sums through the smallest term.
 The route integrands' raw forms run in the fixed-point frame of
 :func:`raw_frame` and round once in :func:`fixed_quotient`; the log Gamma
 representations' raw forms compute with the extra digits of
-:func:`cancellation_guard` and round once, on return.
+:func:`cancellation_guard` and round once, on return.  Hot loops, here
+and in the routes and the engine, call libmp at an explicit precision
+with ``round_nearest``, mpmath's own rounding, so they keep its bits
+without an mpf wrapper or a precision block per term.
 
 The far tail has the opposite trouble.  The exp-sinh map also probes
 t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
@@ -124,7 +127,8 @@ class PowerSeries:
         n = table.terms(abs(z_fixed) + 1)
         if n < 0:
             raise ArithmeticError(f"power series diverges at z = {mpmath.nstr(z, 5)}")
-        return mpf((_horner(table.fixed, n, z_fixed, table.width), -table.width))
+        return mp.make_mpf(from_man_exp(_horner(table.fixed, n, z_fixed, table.width), -table.width,
+                                        mp.prec, round_nearest))
 
     def to_turn(self, z: mpf, n: int | None = None) -> tuple[mpf, mpf, int]:
         """(sum, bound of the first omitted term, n), the sum of the first
@@ -137,8 +141,8 @@ class PowerSeries:
             table._extend()
         width = table.width
         log2_z = log2(abs(z_fixed) + 1) - width       # term n < |c_n| |z|^n
-        return (mpf((_horner(table.fixed, n, z_fixed, width), -width)),
-                mpf(2) ** (table.bits[n] - width + n * log2_z), n)
+        value = from_man_exp(_horner(table.fixed, n, z_fixed, width), -width, mp.prec, round_nearest)
+        return mp.make_mpf(value), mpf(2) ** (table.bits[n] - width + n * log2_z), n
 
     def _frame(self, z: mpf) -> tuple[_FixedCoefficients, int]:
         """This precision's coefficient table, and z on its frame."""
@@ -384,7 +388,7 @@ def fixed_quotient(num: int, den: int, exponent: int = 0) -> mpf:
         exponent -= drop
     shift = bits + den.bit_length() - num.bit_length()
     q = (num << shift if shift >= 0 else num >> -shift) // den
-    return mpf((q, exponent - shift))
+    return mp.make_mpf(from_man_exp(q, exponent - shift, mp.prec, round_nearest))
 
 
 def far(t: mpf) -> bool:

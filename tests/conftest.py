@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 from glaisher import (
+    ComputeContext,
     make_context,
     route_feaux,
     route_kummer,
@@ -59,6 +60,20 @@ def consensus50(ctx50):
     from glaisher import consensus_log_a
 
     return consensus_log_a(ctx50)
+
+
+@pytest.fixture
+def workdps_blocks(monkeypatch):
+    """The ``extra`` of each ``ComputeContext.workdps`` block entered, in order."""
+    entered = []
+    original = ComputeContext.workdps
+
+    def counted(self, extra=0):
+        entered.append(extra)
+        return original(self, extra)
+
+    monkeypatch.setattr(ComputeContext, "workdps", counted)
+    return entered
 
 
 def rel_diff(a, b, dps=80):

@@ -405,6 +405,26 @@ class TestFlagSurface:
         assert code == EXIT_CONFIG
         assert "precision too low" in err
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "--routes", "feaux"],
+        ["verify"],
+        ["convergence", "--route", "limit", "--grid", "16"],
+    ], ids=["compute", "verify", "convergence"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_digits_above_ceiling_is_config_error(self, capsys, monkeypatch, command, source):
+        # 400, the sweep's top case, is the accepted edge.
+        if source == "env":
+            monkeypatch.setenv("GLAISHER_DIGITS", "401")
+            code, out, err = run_cli(capsys, *command)
+            name = "GLAISHER_DIGITS"
+        else:
+            code, out, err = run_cli(capsys, *command[:1], "--digits", "401", *command[1:])
+            name = "--digits"
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == (f"error: {name} 401 is above the ceiling of 400 digits: "
+                       "the error contract is audited from 20 to 400 digits\n")
+
 
 class TestProcessExitCodes:
     """The exit codes a shell sees, from ``python -m glaisher.cli``."""

@@ -204,6 +204,17 @@ class TestEndSeries:
             expected = mpmath.loggamma(1 + x)
             assert abs(got - expected) / abs(expected) <= mpf(10) ** -(digits + 5)
 
+    def test_series_enters_no_precision_block(self, workdps_blocks):
+        # The series takes its P + 15 digit precision once, as bits, and
+        # rounds on libmp: a call changes no precision.
+        ctx = make_context(50)
+        ctx.constants
+        workdps_blocks.clear()
+        with shared_work():
+            for x in (mpf(1) / 8, mpf(3) / 8):
+                loggamma._log_gamma1p_series(x, ctx)
+        assert workdps_blocks == []
+
     def test_identity_pass_calls_no_external_zeta_or_loggamma(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the package called an external oracle")

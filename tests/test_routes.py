@@ -499,6 +499,17 @@ class TestHasseRoute:
         est = route_hasse(make_context(digits), n_terms)
         assert (est.value._mpf_, est.error_estimate._mpf_) == _HASSE_PINS[digits, n_terms]
 
+    def test_precision_blocks_do_not_grow_with_n(self, workdps_blocks):
+        # The outer loop sums on libmp at one precision: no step opens a
+        # block of its own, so N = 800 enters as many as N = 80.
+        ctx = make_context(262)
+        counts = []
+        for n_terms in (80, 800):
+            workdps_blocks.clear()
+            route_hasse(ctx, n_terms)
+            counts.append(len(workdps_blocks))
+        assert counts[0] == counts[1]
+
     def test_determinism(self, ctx50):
         a = route_hasse(ctx50, n_terms=40)
         b = route_hasse(ctx50, n_terms=40)
