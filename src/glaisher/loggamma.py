@@ -55,11 +55,11 @@ from math import factorial, log2
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_mul, round_nearest, to_fixed
+from mpmath.libmp import dps_to_prec, to_fixed
 
 from .context import ComputeContext, Real
 from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf, shared_values
-from .smallt import PowerSeries, _horner, bernoulli, cancellation_guard, far
+from .smallt import PowerSeries, _horner, _round, bernoulli, cancellation_guard, far
 
 
 class DomainError(ValueError):
@@ -229,8 +229,9 @@ def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
     m = max(2, width - log2(abs(z) + 1))
     acc = _horner(at_zero if near_zero else at_half, int(width / m) + 1, z, width)
     if near_zero:
-        return mp.make_mpf(mpf_mul(x._mpf_, from_man_exp(acc, -width), prec, round_nearest))
-    return mp.make_mpf(from_man_exp(acc, -width, prec, round_nearest))
+        sign, man, exp, _ = x._mpf_     # x acc, exact, rounded once
+        return mp.make_mpf(_round(-man * acc if sign else man * acc, exp - width, prec))
+    return mp.make_mpf(_round(acc, -width, prec))
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,10 @@ from typing import Callable, Hashable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_man_exp, mpf_add, mpf_div, mpf_neg, mpf_pi, mpf_shift, mpf_sub,
-                          round_nearest, to_fixed)
+from mpmath.libmp import fone, mpf_add, mpf_neg, mpf_pi, mpf_shift, mpf_sub, round_nearest, to_fixed
 
 from .context import ComputeContext, Real
-from .smallt import _exp, _Lazy
+from .smallt import _exp, _Lazy, _quotient, _round
 
 _NEAR_ZERO_LOG2 = -8
 DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** _NEAR_ZERO_LOG2
@@ -231,8 +230,7 @@ def _scaled_sinh_cosh(h, step, count):
     b = quarter_pi * down >> width        # (pi/4) e^-u
     prec = mp.prec
     for _ in range(count):
-        yield (from_man_exp(a - b, -width, prec, round_nearest),
-               from_man_exp(a + b, -width, prec, round_nearest))
+        yield _round(a - b, -width, prec), _round(a + b, -width, prec)
         a = a * step_up >> width
         b = b * step_down >> width
 
@@ -512,9 +510,9 @@ def _exp_sinh_nodes(skip_below):
 
     def pair(s, w):
         t = _exp(s, prec)
-        t_neg = mpf_div(fone, t, prec, round_nearest)
-        _, w_man, w_exp, _ = w
         _, man, exp, _ = t
+        t_neg = _quotient(1, man, -exp, prec)
+        _, w_man, w_exp, _ = w
         _, neg_man, neg_exp, _ = t_neg
         w_neg = (neg_man * w_man, neg_exp + w_exp)
         if skip[1] and _below(*w_neg, skip):
@@ -538,16 +536,18 @@ def _tanh_sinh_nodes(a, b):
     """
     half = (b - a) / 2
     mid = (a + b) / 2
-    length, a, b = (2 * half)._mpf_, a._mpf_, b._mpf_
+    _, length, length_exp, _ = (2 * half)._mpf_     # b - a > 0
+    a, b = a._mpf_, b._mpf_
     prec = mp.prec
 
     def pair(s, w):
         big = _exp(mpf_shift(s, 1), prec)
-        den = mpf_add(big, fone, prec, round_nearest)
-        offset = mpf_div(length, den, prec, round_nearest)
+        _, d_man, d_exp, _ = mpf_add(big, fone, prec, round_nearest)
+        offset = _quotient(length, d_man, length_exp - d_exp, prec)
         _, o_man, o_exp, _ = offset
         _, w_man, w_exp, _ = w
-        _, q_man, q_exp, _ = mpf_div(big, den, prec, round_nearest)
+        _, b_man, b_exp, _ = big
+        _, q_man, q_exp, _ = _quotient(b_man, d_man, b_exp - d_exp, prec)
         weight = (o_man * w_man * q_man, o_exp + w_exp + q_exp + 1)
         return (mp.make_mpf(mpf_sub(b, offset, prec, round_nearest)), weight,
                 mp.make_mpf(mpf_add(a, offset, prec, round_nearest)), weight)

@@ -85,8 +85,8 @@ from typing import Callable, Literal
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_log,
-                          mpf_mul, mpf_sin, mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_log, mpf_mul, mpf_sin, mpf_sub,
+                          round_nearest, to_fixed)
 
 from .context import (
     MIN_PRECISION_DIGITS,
@@ -107,6 +107,8 @@ from .quadrature import (
 from .smallt import (
     PowerSeries,
     _Lazy,
+    _quotient,
+    _round,
     bernoulli,
     exp_neg,
     far,
@@ -275,7 +277,7 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
         width, T = raw_frame(t, 3)
         two = 2 << width
         U = (1 << width) + T
-        L = to_fixed(mpmath.ln(mp.make_mpf(from_man_exp(U, -width)), prec=width)._mpf_, width)
+        L = to_fixed(mpf_log(from_man_exp(U, -width), width, round_nearest), width)
         R = isqrt(U << width)
         G = 0
         if not far(t):
@@ -309,8 +311,9 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
     def raw(t):
         if far(t):
             _, man, exp, _ = t._mpf_          # 1/t^2 or 1/t, t = man 2^exp
-            den = from_man_exp(man * man, 2 * exp) if over_t else t._mpf_
-            return mp.make_mpf(mpf_div(fone, den, mp.prec, round_nearest))
+            if over_t:
+                return mp.make_mpf(_quotient(1, man * man, -2 * exp, mp.prec))
+            return mp.make_mpf(_quotient(1, man, -exp, mp.prec))
         width, T = raw_frame(t, 2)
         one = 1 << width
         q = to_fixed(_exp_half(t), width)
@@ -353,8 +356,8 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
         if far(x):
             _, man, exp, _ = x._mpf_          # (x - 2)/x^3, x = man 2^exp
             low = min(exp, 0)
-            num = from_man_exp((man << exp - low) - (2 << -low), low)
-            return mp.make_mpf(mpf_div(num, from_man_exp(man ** 3, 3 * exp), mp.prec, round_nearest))
+            num = (man << exp - low) - (2 << -low)
+            return mp.make_mpf(_quotient(num, man ** 3, low - 3 * exp, mp.prec))
         width, X = raw_frame(x, 2)
         one = 1 << width
         E = to_fixed(_exp_half(x), width)
@@ -702,8 +705,8 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
     total = fzero
     for n in range(n_max + 1):
         head = -row[0] if n % 2 else row[0]
-        outer = mpf_div(from_man_exp(head, -width, prec, round_nearest), from_int(n + 1),
-                        prec, round_nearest)
+        sign, man, exp, _ = _round(head, -width, prec)
+        outer = _quotient(-man if sign else man, n + 1, exp, prec)
         total = mpf_add(total, outer, prec, round_nearest)
         yield n, mp.make_mpf(outer), mp.make_mpf(total)
         row = list(map(sub, row[1:], row))

@@ -52,7 +52,12 @@ representations' raw forms compute with the extra digits of
 :func:`cancellation_guard` and round once, on return.  Hot loops, here
 and in the routes and the engine, call libmp at an explicit precision
 with ``round_nearest``, mpmath's own rounding, so they keep its bits
-without an mpf wrapper or a precision block per term.
+without an mpf wrapper or a precision block per term.  Each rounding of
+an integer mantissa goes through :func:`_round`, and each division
+through :func:`_quotient`, which repeats ``mpf_div``'s steps: both hand
+libmp's ``normalize`` the exact ``int.bit_length()``, which
+``from_man_exp`` and ``mpf_div`` would count again on mpmath's Python
+backend by a bisect over powers of two and a ``math.log``.
 
 The far tail has the opposite trouble.  The exp-sinh map also probes
 t up to 10^(P+12) and beyond, where several raw forms subtract e^-t from
@@ -97,8 +102,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, ln2_fixed, mpf_exp, mpf_neg, mpf_shift,
-                          round_nearest, to_fixed)
+from mpmath.libmp import ln2_fixed, mpf_exp, normalize, round_nearest, to_fixed
 
 # Guard bits of the fixed-point sum beyond the working precision.
 _GUARD_BITS = 16
@@ -127,8 +131,7 @@ class PowerSeries:
         n = table.terms(abs(z_fixed) + 1)
         if n < 0:
             raise ArithmeticError(f"power series diverges at z = {mpmath.nstr(z, 5)}")
-        return mp.make_mpf(from_man_exp(_horner(table.fixed, n, z_fixed, table.width), -table.width,
-                                        mp.prec, round_nearest))
+        return mp.make_mpf(_round(_horner(table.fixed, n, z_fixed, table.width), -table.width, mp.prec))
 
     def to_turn(self, z: mpf, n: int | None = None) -> tuple[mpf, mpf, int]:
         """(sum, bound of the first omitted term, n), the sum of the first
@@ -141,7 +144,7 @@ class PowerSeries:
             table._extend()
         width = table.width
         log2_z = log2(abs(z_fixed) + 1) - width       # term n < |c_n| |z|^n
-        value = from_man_exp(_horner(table.fixed, n, z_fixed, width), -width, mp.prec, round_nearest)
+        value = _round(_horner(table.fixed, n, z_fixed, width), -width, mp.prec)
         return mp.make_mpf(value), mpf(2) ** (table.bits[n] - width + n * log2_z), n
 
     def _frame(self, z: mpf) -> tuple[_FixedCoefficients, int]:
@@ -293,12 +296,14 @@ def cancellation_guard(t, digits_per_decade: int) -> int:
     sum); the constant 10 covers the O(1) bookkeeping losses.
 
     The decade count is ceil(-log10 t) bounded from above in integers:
-    with m = mag(t), t >= 2^(m-1), so -log10 t <= (1 - m) log10 2 <
-    (1 - m) 0.30103.  It is never below the exact count and at most one
-    decade above it, and it costs no logarithm; t >= 1 exactly when
-    m >= 1, so it costs no mpf comparison either.
+    with m = mag(t), read off the mpf t > 0 as its exponent plus bit
+    count, t >= 2^(m-1), so -log10 t <= (1 - m) log10 2 < (1 - m) 0.30103.
+    It is never below the exact count and at most one decade above it,
+    and it costs no logarithm; t >= 1 exactly when m >= 1, so it costs
+    no mpf comparison either.
     """
-    bits = 1 - mpmath.mag(t)
+    _, _, exp, bc = t._mpf_
+    bits = 1 - exp - bc
     if bits <= 0:
         return 10
     return 10 + digits_per_decade * -(-bits * 30103 // 100000)
@@ -323,7 +328,8 @@ def exp_neg(t: mpf) -> tuple:
     bits, W that of ``raw_frame(t, 3)``, the widest route frame: cut to
     W' <= W bits E is off by under 2^-W' (1 + 2^-4), and E^2 by about
     2^-(W+3) relative."""
-    return _exp(mpf_neg(mpf_shift(t._mpf_, -1)), raw_frame(t, 3)[0] + 4)
+    _, man, exp, bc = t._mpf_
+    return _exp((1, man, exp - 1, bc), raw_frame(t, 3)[0] + 4)
 
 
 _EXP_TABLES: list = [0, []]     # [width, [T_1, ..., T_5]]: one set per process
@@ -363,7 +369,7 @@ def _exp(x: tuple, prec: int) -> tuple:
     half = 1 << (f.bit_length() - prec - 1)
     if abs((f & (2 * half - 1)) - half) < half >> 6:
         return mpf_exp(x, prec, round_nearest)
-    return from_man_exp(f, n - wp, prec, round_nearest)
+    return _round(f, n - wp, prec)
 
 
 def _exp_tables(width: int) -> list[list[int]]:
@@ -388,7 +394,33 @@ def fixed_quotient(num: int, den: int, exponent: int = 0) -> mpf:
         exponent -= drop
     shift = bits + den.bit_length() - num.bit_length()
     q = (num << shift if shift >= 0 else num >> -shift) // den
-    return mp.make_mpf(from_man_exp(q, exponent - shift, mp.prec, round_nearest))
+    return mp.make_mpf(_round(q, exponent - shift, mp.prec))
+
+
+def _round(man: int, exp: int, prec: int) -> tuple:
+    """``from_man_exp(man, exp, prec, round_nearest)`` of a signed integer
+    mantissa: libmp's ``normalize``, handed the exact bit length."""
+    if man < 0:
+        man = -man
+        return normalize(1, man, exp, man.bit_length(), prec, round_nearest)
+    return normalize(0, man, exp, man.bit_length(), prec, round_nearest)
+
+
+def _quotient(p: int, q: int, exp: int, prec: int) -> tuple:
+    """(p / q) 2^exp, q > 0, rounded to nearest at ``prec`` bits by
+    ``mpf_div``'s own steps: a quotient of prec + 5 or more bits, a sticky
+    bit for a remainder, and ``normalize`` on the exact bit length."""
+    sign = 0
+    if p < 0:
+        sign, p = 1, -p
+    extra = prec - p.bit_length() + q.bit_length() + 5
+    if extra < 5:
+        extra = 5
+    quot, rem = divmod(p << extra, q)
+    if rem:
+        quot = quot << 1 | 1
+        extra += 1
+    return normalize(sign, quot, exp - extra, quot.bit_length(), prec, round_nearest)
 
 
 def far(t: mpf) -> bool:

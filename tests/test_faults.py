@@ -9,9 +9,12 @@ faulted table reaches a later test.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 import glaisher.routes
+import glaisher.smallt
 from glaisher import make_context, run_all
 from glaisher.report import EXIT_DISAGREE
 
@@ -73,3 +76,31 @@ def test_moved_route_near_zero_series(series, route_id, monkeypatch):
     others = set(DE_ROUTES + ("fourier_series",)) - {route_id}
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
     assert pairs == {frozenset((route_id, rid)) for rid in others}
+
+
+def test_moved_exp_table_entry(monkeypatch):
+    # T_1[75] = e^(75/256), which at 50 digits six exp-sinh and tanh-sinh
+    # node pairs read and no raw form's E does.  Moved, it moves every DE
+    # route by 2e-34 to 2e-33 against estimates of 3e-41 and 7e-41, and
+    # every pair of the five full-precision routes disagrees.  The
+    # identity residuals move too (gla2's from 3e-54 to 3e-50) but stay
+    # under their 1e-40 tolerance, and the limit, Fourier and Hasse values
+    # keep their bits.  The faulted set, built wider than any 50-digit call
+    # asks (328 bits), replaces the process's tables for this row only.
+    good = run_all(make_context(50))
+    width = 400
+    tables = glaisher.smallt._exp_tables(width)
+    tables[0][75] = tables[0][75] * (10**30 + 1) // 10**30
+    monkeypatch.setattr(glaisher.smallt, "_EXP_TABLES", [width, tables])
+    doc = run_all(make_context(50))
+
+    for e, before in zip(doc.estimates, good.estimates):
+        if e.route_id in DE_ROUTES:
+            assert abs(e.value - before.value) > 10 * e.error_estimate, e.route_id
+        else:
+            assert e.value == before.value, e.route_id
+    assert doc.exit_code == EXIT_DISAGREE
+    assert not doc.failures
+    assert not doc.failed_residuals
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    assert pairs == {frozenset(p) for p in combinations(DE_ROUTES + ("fourier_series",), 2)}

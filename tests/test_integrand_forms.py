@@ -265,9 +265,10 @@ def test_integrand_values_carry_the_working_precision(digits):
 
 def _count_transcendentals(monkeypatch):
     # The mpmath transcendentals, the integer square root res1's raw form
-    # takes in place of mpmath.sqrt, and the route raw forms' E, which
-    # smallt.exp_neg takes on mpmath's libmp (counted as an exp).
-    calls = {fn: 0 for fn in TRANSCENDENTALS + ("isqrt",)}
+    # takes in place of mpmath.sqrt, the libmp log it takes in place of
+    # mpmath.ln, and the route raw forms' E, which smallt.exp_neg takes on
+    # mpmath's libmp (counted as an exp).
+    calls = {fn: 0 for fn in TRANSCENDENTALS + ("isqrt", "mpf_log")}
 
     def counting(fn, original):
         def counted(*args, **kwargs):
@@ -278,6 +279,7 @@ def _count_transcendentals(monkeypatch):
     for fn in TRANSCENDENTALS:
         monkeypatch.setattr(mpmath, fn, counting(fn, getattr(mpmath, fn)))
     monkeypatch.setattr(routes, "isqrt", counting("isqrt", routes.isqrt))
+    monkeypatch.setattr(routes, "mpf_log", counting("mpf_log", routes.mpf_log))
     monkeypatch.setattr(routes, "exp_neg", counting("exp", routes.exp_neg))
     return calls
 
@@ -305,7 +307,7 @@ def test_res1_raw_form_takes_one_log_one_sqrt_and_at_most_one_exp(monkeypatch):
             calls[fn] = 0
         with ctx.workdps(20):
             integrand.eval(mpf(text))
-        assert calls["ln"] == calls["isqrt"] == 1, f"t = {text}: {calls}"
+        assert calls["mpf_log"] == calls["isqrt"] == 1, f"t = {text}: {calls}"
         assert calls["exp"] <= 1, f"t = {text}: {calls}"
         assert sum(calls.values()) == 2 + calls["exp"], f"t = {text}: {calls}"
 

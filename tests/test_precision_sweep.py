@@ -1,6 +1,9 @@
 """Every route and identity check across the precisions the CLI is used at.
 
-At 20, 50, 100, 200 and 400 digits, ``glaisher compute`` (all seven routes and
+At 20, 50, 100, 200 and 400 digits, and on each side of the two
+precision switches that fall between them (245/246, where
+``fourier_default_terms`` leaves 100, and 256/257, where the quadrature
+level cap goes from 12 to 13), ``glaisher compute`` (all seven routes and
 the four identity checks, as JSON) and ``glaisher verify`` must finish
 without a traceback and exit 0, or 1 when a route refuses the precision
 by name (hasse at its default N = 80 needs 45 digits).  Each estimate's
@@ -11,8 +14,8 @@ Fourier series route, at its default N (100 up to 245 digits, 158 at
 400), must also be at full precision: estimate within 10^-(P-10) at
 every digit count, 400 included.  Its value is the log A of the identity
 residuals, so both commands judge them against an engine-free log A.
-The four integral routes' evaluation counts are pinned at 20, 200 and
-400 digits.
+The four integral routes' evaluation counts are pinned at 20, 200,
+245, 246, 256, 257 and 400 digits.
 On a 2-vCPU VM (mpmath on its Python backend) the 400-digit case takes
 24-36 s, of which ``verify`` is 7-8 s: it integrates no route.
 """
@@ -33,12 +36,16 @@ from glaisher.routes import IDENTITY_IDS, ROUTE_IDS
 EVALUATIONS = {
     20: {"pain1": 89, "pain2": 120, "feaux": 163, "kummer": 89},
     200: {"pain1": 6627, "pain2": 4397, "feaux": 6618, "kummer": 6628},
+    245: {"pain1": 6825, "pain2": 4511, "feaux": 6818, "kummer": 6826},
+    246: {"pain1": 6829, "pain2": 4514, "feaux": 6822, "kummer": 6830},
+    256: {"pain1": 6867, "pain2": 4536, "feaux": 6860, "kummer": 6868},
+    257: {"pain1": 6871, "pain2": 4538, "feaux": 6864, "kummer": 6872},
     400: {"pain1": 14580, "pain2": 9542, "feaux": 14571, "kummer": 14581},
 }
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("digits", [20, 50, 100, 200, 400])
+@pytest.mark.parametrize("digits", [20, 50, 100, 200, 245, 246, 256, 257, 400])
 def test_compute_and_verify_hold_their_contracts(digits, capsys, tmp_path):
     report = tmp_path / "report.json"
     code = main(["compute", "--digits", str(digits), "--output", "json", "--out", str(report)])
