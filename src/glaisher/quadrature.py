@@ -16,7 +16,13 @@ multiples of the new step.  Convergence is declared when successive levels
 differ by less than the context's target tolerance, or one level earlier, when
 the Borwein-Bailey-Girgensohn extrapolation of the last two differences
 (D1^2/D2 in log10 terms) puts the current level a digit below it while the
-digits still grow at least 1.5-fold per level.  The reported error
+digits still grow at least 1.5-fold per level.  D1, D2 and log10 tol are
+doubles read off each mpf's mantissa and exponent, and the scan cap
+(how far in u a side may go) is a double too: the rule is a prediction
+with a one-digit margin, so a log good to 10^-13 decides as one good to
+P digits, and the term cap is the floor of the cap times a power of two,
+exact in a double and the same integer as from the cap in mpfs (see
+:func:`_extrapolated_below` and :func:`_scan_cap`).  The reported error
 estimate is the last inter-level difference plus the
 (double-exponentially small) truncation bound of the two scan tails,
 floored at one digit above the working precision so it can never
@@ -97,6 +103,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import starmap
+from math import asinh, inf, log, log10, pi
 from typing import Callable, Hashable
 
 import mpmath
@@ -110,6 +117,8 @@ _NEAR_ZERO_LOG2 = -8
 DEFAULT_NEAR_ZERO_THRESHOLD = 2.0 ** _NEAR_ZERO_LOG2
 
 _FRAME_GUARD = 16       # bits of the level loop's frame beyond mp.prec
+
+_LOG10_2 = log10(2)
 
 
 class QuadratureError(RuntimeError):
@@ -207,9 +216,9 @@ class ErrorModelReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _scaled_sinh_cosh(h, step, count):
+def _scaled_sinh_cosh(level, step, count):
     """Yield ((pi/2) sinh u, (pi/2) cosh u) for u = h, h + step h, ...,
-    as raw mpfs at the working precision.
+    h = 2^-level, as raw mpfs at the working precision.
 
     ``count`` pairs in all.  (pi/4) e^u and (pi/4) e^-u are carried as
     W-bit fixed-point integers and stepped by one multiplication each with
@@ -224,8 +233,9 @@ def _scaled_sinh_cosh(h, step, count):
     """
     width = mp.prec + count.bit_length() + 4
     quarter_pi = to_fixed(mpf_pi(width + 10, round_nearest), width - 2)
-    up, down, step_up, step_down = (to_fixed(_exp(x._mpf_, width + 10), width)
-                                    for x in (h, -h, step * h, -step * h))
+    stride = step.bit_length() - 1 - level      # step h = 2^stride, step 1 or 2
+    up, down, step_up, step_down = (to_fixed(_exp((sign, 1, exp, 1), width + 10), width)
+                                    for sign, exp in ((0, -level), (1, -level), (0, stride), (1, stride)))
     a = quarter_pi * up >> width          # (pi/4) e^u
     b = quarter_pi * down >> width        # (pi/4) e^-u
     prec = mp.prec
@@ -323,10 +333,10 @@ def _level_nodes(table, transform, pair, level, u_cap):
     level), where ``transform`` names the map and its interval.  Each is
     a :class:`~glaisher.smallt._Lazy` made on the table's first miss.
     """
-    h = mpmath.ldexp(1, -level)
+    h = 2.0 ** -level
     step = 1 if level == 0 else 2
-    max_terms = int(u_cap / (step * h))
-    scaled = _scaled_sinh_cosh(h, step, max_terms + 1)     # runs only when read
+    max_terms = int(u_cap / (step * h))         # floor(u_cap 2^level / step), exactly
+    scaled = _scaled_sinh_cosh(level, step, max_terms + 1)     # runs only when read
     if table is None:
         return h, max_terms, starmap(pair, scaled)
     key = (transform, mp.prec, level)
@@ -339,8 +349,16 @@ def _level_nodes(table, transform, pair, level, u_cap):
 
 def _scan_cap(ctx):
     """|u| such that the double-exponential factor alone is below the
-    cutoff, plus margin: where a scan can possibly need to reach."""
-    return mpmath.asinh((ctx.precision_digits + 30) * mpmath.log(10) / (mpmath.pi / 2)) + 3
+    cutoff, plus margin: where a scan can possibly need to reach.
+
+    A double.  The cap only bounds the scans; what it decides is each
+    level's term cap floor(u_cap 2^L / step), and scaling a double by a
+    power of two is exact, so that floor is exact for the double.  For
+    every P from 20 to 1440 and every level up to ``_max_level(P)`` it is
+    also the floor of the cap taken in mpfs at the working precision
+    (tests hold it at the sweep's precisions and at 800 and 1440
+    digits), so every scan and count is unchanged."""
+    return asinh((ctx.precision_digits + 30) * log(10) / (pi / 2)) + 3
 
 
 def _max_level(precision_digits):
@@ -392,7 +410,7 @@ def _run_levels(f, centre, level_nodes, ctx, cutoff):
 
     tol = ctx.target_tolerance
     u_cap = _scan_cap(ctx)
-    log_tol = mpmath.log10(tol)
+    log_tol = _log10(mpf(tol)._mpf_)
     small = -to_fixed(mpf_neg(cutoff._mpf_), frame)    # ceil(cutoff 2^F)
     total = term(*centre)       # weighted f at every multiple of h so far
     evaluations = 1
@@ -436,12 +454,29 @@ def _extrapolated_below(delta1, delta2, log_tol):
     prediction must clear tol by one digit: it is an estimate, not a
     bound (log_sin at 400 digits predicted 10^-390.7 and landed at
     1.4e-390 against tol 1e-390).
+
+    D1, D2 and log10 tol are doubles read off the mpfs' mantissas and
+    exponents (:func:`_log10`), within about 10^-13 of the exact logs at
+    1000 digits.  That is enough: the rule is a prediction with a
+    one-digit margin, not a bound, and no decision in ``run_all`` from 20
+    to 400 digits comes within 10^-4 digits of a threshold (tests hold
+    every one to the rule taken in mpfs at the working precision).  A
+    zero delta1 has D1 = -inf and stops; a zero delta2 (D1/D2 = 0) does
+    not.
     """
-    d1 = mpmath.log10(delta1)
-    d2 = mpmath.log10(delta2)
+    d1 = _log10(delta1._mpf_)
+    d2 = _log10(delta2._mpf_)
     if not (d2 < 0 and d1 / d2 >= 1.5):
         return False
     return max(d1 * d1 / d2, 2 * d1) <= log_tol - 1
+
+
+def _log10(x):
+    """log10 of a raw mpf x >= 0 as a double, log10(man) + exp log10(2),
+    -inf for 0: finite for any exponent, where the value as a double
+    would underflow."""
+    _, man, exp, _ = x
+    return log10(man) + exp * _LOG10_2 if man else -inf
 
 
 def _integrate(f, ctx, transform, nodes):

@@ -83,13 +83,15 @@ width asked, shifted down for narrower calls (0.20 MB at 200 digits).
 Sums of integer logarithms -- the Hasse forward-difference table, the
 limit route's log G(n+1) and the Fourier partial sum -- read one table,
 :func:`fixed_logs`: log 0..log N as W-bit fixed-point integers, W =
-mp.prec + 10.  Only a prime calls ``mpmath.log`` (rounded at mp.prec and
-taken to W bits); a composite m is the exact integer sum of the entries
-of its least prime factor p and of m/p, from a least-factor sieve.  So
-every entry is within 2^-prec log m + Omega(m) 2^-W of log m, Omega(m)
-its prime factors counted with multiplicity, and a sum over the table is
-exact integer arithmetic rounded once.  The table is built per call and
-kept by nobody.
+mp.prec + 10.  Only a prime takes a logarithm, libmp's
+``mpf_log(from_int(p), mp.prec, round_nearest)`` (the bits of
+``mpmath.log(p)`` without its wrapper) taken to W bits; a composite m is
+the exact integer sum of the entries of its least prime factor p and of
+m/p, from a least-factor sieve.  So every entry is within
+2^-prec log m + Omega(m) 2^-W of log m, Omega(m) its prime factors
+counted with multiplicity, and a sum over the table is exact integer
+arithmetic rounded once.  The table is built per call and kept by
+nobody.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import ln2_fixed, mpf_exp, normalize, round_nearest, to_fixed
+from mpmath.libmp import from_int, ln2_fixed, mpf_exp, mpf_log, normalize, round_nearest, to_fixed
 
 # Guard bits of the fixed-point sum beyond the working precision.
 _GUARD_BITS = 16
@@ -457,11 +459,13 @@ def fixed_logs(n: int) -> tuple[int, list[int]]:
     """(W, [log 0, log 1, ..., log n]) with each log m as the W-bit
     fixed-point integer of log m, W = mp.prec + 10; log 0 stands as 0.
 
-    Primes take ``mpmath.log`` at the working precision; a composite adds
-    the entries of its least prime factor and of the cofactor (see the
-    module docstring for the error).
+    A prime takes ``mpf_log`` at ``mp.prec`` with ``round_nearest`` (the
+    bits of ``mpmath.log``); a composite adds the entries of its least
+    prime factor and of the cofactor (see the module docstring for the
+    error).
     """
-    width = mp.prec + 10
+    prec = mp.prec
+    width = prec + 10
     # least[m] ends as the least prime factor of m: each d overwrites its
     # multiples from d^2 on, and the smaller d come last.
     least = list(range(n + 1))
@@ -470,6 +474,6 @@ def fixed_logs(n: int) -> tuple[int, list[int]]:
     logs = [0] * (n + 1)
     for m in range(2, n + 1):
         p = least[m]
-        logs[m] = (to_fixed(mpmath.log(m)._mpf_, width) if p == m
+        logs[m] = (to_fixed(mpf_log(from_int(m), prec, round_nearest), width) if p == m
                    else logs[p] + logs[m // p])
     return width, logs

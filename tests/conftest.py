@@ -1,4 +1,5 @@
-"""Shared fixtures: contexts and once-per-session route results.
+"""Shared fixtures: contexts, once-per-session route results, and the
+arguments the package hands its kernels and its stop rule, captured once.
 
 Independent test oracles come from mpmath's own implementations
 (loggamma, euler, zeta) -- a separate code path from everything in the
@@ -7,18 +8,28 @@ package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
+import glaisher.loggamma
+import glaisher.quadrature
+import glaisher.routes
+import glaisher.smallt
 from glaisher import (
     ComputeContext,
     make_context,
     route_feaux,
+    route_hasse,
     route_kummer,
     route_pain1,
     route_pain2,
+    run_all,
 )
+
+KERNEL_MODULES = (glaisher.quadrature, glaisher.smallt, glaisher.routes, glaisher.loggamma)
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +71,83 @@ def consensus50(ctx50):
     from glaisher import consensus_log_a
 
     return consensus_log_a(ctx50)
+
+
+@dataclass
+class KernelArguments:
+    """What the package hands its kernels in one pass: run_all at 20, 50,
+    100 and 200 digits, then route_pain1 and route_hasse at 400."""
+
+    exps: list = field(default_factory=list)        # (x, prec) of smallt._exp, run_all only
+    rounds: list = field(default_factory=list)      # (man, exp, prec) of smallt._round
+    quotients: list = field(default_factory=list)   # (p, q, exp, prec) of smallt._quotient
+    stops: list = field(default_factory=list)       # see record_stops
+
+
+def _recording(kernel, into):
+    def recording(*args):
+        into.append(args)
+        return kernel(*args)
+
+    return recording
+
+
+def reference_stop(delta1, delta2, tol, prec):
+    """The extrapolated-stop rule taken in mpfs, as the level loop took it
+    before it went to doubles: D1, D2 and log10 tol by ``mpmath.log10``
+    at ``prec`` bits, the same comparisons."""
+    with mp.workprec(prec):
+        d1 = mpmath.log10(delta1)
+        d2 = mpmath.log10(delta2)
+        if not (d2 < 0 and d1 / d2 >= 1.5):
+            return False
+        return max(d1 * d1 / d2, 2 * d1) <= mpmath.log10(tol) - 1
+
+
+def record_stops(patch, into):
+    """Make each extrapolated-stop test of the level loop append (delta1,
+    delta2, tol, prec, decision) to ``into``, tol the integral's
+    tolerance and prec the working precision."""
+    quadrature = glaisher.quadrature
+    run_levels, below = quadrature._run_levels, quadrature._extrapolated_below
+    tol = None
+
+    def running(f, centre, level_nodes, ctx, cutoff):
+        nonlocal tol
+        tol = ctx.target_tolerance
+        return run_levels(f, centre, level_nodes, ctx, cutoff)
+
+    def deciding(delta1, delta2, log_tol):
+        decision = below(delta1, delta2, log_tol)
+        into.append((delta1, delta2, tol, mp.prec, decision))
+        return decision
+
+    patch.setattr(quadrature, "_run_levels", running)
+    patch.setattr(quadrature, "_extrapolated_below", deciding)
+
+
+@pytest.fixture(scope="session")
+def kernel_arguments():
+    """Every argument of the exp kernel, the two rounding helpers and the
+    stop rule in one pass (:class:`KernelArguments`); the exp kernel's
+    are those of the run_all calls."""
+    found = KernelArguments()
+    exp = glaisher.smallt._exp
+    with pytest.MonkeyPatch.context() as patch:
+        for module in KERNEL_MODULES:
+            for name, into in (("_exp", found.exps), ("_round", found.rounds), ("_quotient", found.quotients)):
+                if hasattr(module, name):
+                    patch.setattr(module, name, _recording(getattr(module, name), into))
+        record_stops(patch, found.stops)
+        for digits in (20, 50, 100, 200):
+            run_all(make_context(digits))
+        for module in KERNEL_MODULES:
+            if hasattr(module, "_exp"):
+                patch.setattr(module, "_exp", exp)
+        ctx = make_context(400)
+        route_pain1(ctx)
+        route_hasse(ctx)
+    return found
 
 
 @pytest.fixture

@@ -36,25 +36,10 @@ def _random_arguments(prec, rng, count=40):
     return found
 
 
-@pytest.fixture(scope="module")
-def captured():
-    """Every (argument, precision) the package hands the kernel in run_all
-    at 20, 50, 100 and 200 digits: the node pairs and the raw forms' E."""
-    calls = []
-
-    def recording(x, prec):
-        calls.append((x, prec))
-        return _exp(x, prec)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(glaisher.smallt, "_exp", recording)
-        patch.setattr(glaisher.quadrature, "_exp", recording)
-        for digits in (20, 50, 100, 200):
-            run_all(make_context(digits))
-    return calls
-
-
-def test_every_captured_argument(captured, monkeypatch):
+def test_every_captured_argument(kernel_arguments, monkeypatch):
+    # every (argument, precision) the package hands the kernel in run_all
+    # at 20, 50, 100 and 200 digits: the node pairs and the raw forms' E
+    captured = kernel_arguments.exps
     assert len(captured) > 9000
     fallbacks = [0]
 

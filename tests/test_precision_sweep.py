@@ -15,7 +15,9 @@ Fourier series route, at its default N (100 up to 245 digits, 158 at
 every digit count, 400 included.  Its value is the log A of the identity
 residuals, so both commands judge them against an engine-free log A.
 The four integral routes' evaluation counts are pinned at 20, 200,
-245, 246, 256, 257 and 400 digits.
+245, 246, 256, 257 and 400 digits, and every extrapolated-stop decision
+the two commands' level loops take, with D1, D2 and log10 tol in doubles,
+must be the one the same rule takes in mpfs at the working precision.
 On a 2-vCPU VM (mpmath on its Python backend) the 400-digit case takes
 24-36 s, of which ``verify`` is 7-8 s: it integrates no route.
 """
@@ -29,6 +31,8 @@ from mpmath import mp, mpf
 from glaisher import deserialize_report, make_context
 from glaisher.cli import EXIT_CONFIG, EXIT_OK, main
 from glaisher.routes import IDENTITY_IDS, ROUTE_IDS
+
+from conftest import record_stops, reference_stop
 
 # Evaluations of the four integral routes.  They depend only on where each
 # side's scan stops, so a change to the level loop or the nodes must leave
@@ -46,7 +50,9 @@ EVALUATIONS = {
 
 @pytest.mark.slow
 @pytest.mark.parametrize("digits", [20, 50, 100, 200, 245, 246, 256, 257, 400])
-def test_compute_and_verify_hold_their_contracts(digits, capsys, tmp_path):
+def test_compute_and_verify_hold_their_contracts(digits, capsys, tmp_path, monkeypatch):
+    stops = []
+    record_stops(monkeypatch, stops)
     report = tmp_path / "report.json"
     code = main(["compute", "--digits", str(digits), "--output", "json", "--out", str(report)])
     assert "Traceback" not in capsys.readouterr().err
@@ -87,3 +93,4 @@ def test_compute_and_verify_hold_their_contracts(digits, capsys, tmp_path):
     assert code == EXIT_OK, out
     rows = [line.split() for line in out.splitlines() if "residual =" in line]
     assert [row[-1] for row in rows] == ["ok", "ok", "ok"], out
+    assert stops and [s for s in stops if reference_stop(*s[:4]) != s[4]] == []

@@ -30,7 +30,9 @@ from glaisher.quadrature import (
     DEFAULT_NEAR_ZERO_THRESHOLD,
     _below,
     _exp_sinh_nodes,
+    _extrapolated_below,
     _level_nodes,
+    _log10,
     _max_level,
     _scan_cap,
     _tanh_sinh_nodes,
@@ -42,7 +44,7 @@ from glaisher.routes import (
     res2_integrand,
 )
 
-from conftest import abs_diff
+from conftest import abs_diff, reference_stop
 
 
 def exp_decay():
@@ -337,6 +339,64 @@ class TestStopRule:
         assert r.converged
         with ctx.workdps(20):
             assert abs(r.value - mpf(3) / 8) <= 10 * r.error_estimate
+
+
+class TestStopRuleInDoubles:
+    """The extrapolated stop takes D1, D2 and log10 tol as doubles, and the
+    term cap comes from a double scan cap: both decide exactly as the same
+    formulas taken in mpfs at the working precision (``reference_stop``)."""
+
+    def test_every_decision_of_run_all_and_pain1_at_400(self, kernel_arguments):
+        stops = kernel_arguments.stops
+        assert len(stops) > 120 and sum(s[-1] for s in stops) > 25
+        assert max(prec for *_, prec, _ in stops) > 1390      # 400 + 20 digits
+        assert [s for s in stops if reference_stop(*s[:4]) != s[4]] == []
+
+    # (delta1, delta2, tol, decision), each delta and tol a decimal string
+    # or (man, exp) for man 2^exp
+    EDGES = {
+        "delta1 zero stops": ("0", "1e-10", "1e-20", True),
+        "delta2 zero does not stop": ("1e-30", "0", "1e-20", False),
+        "delta2 one does not stop": ("1e-30", "1", "1e-20", False),
+        "delta2 above one does not stop": ("1e-30", "3", "1e-20", False),
+        "digits grow under 1.5-fold": ("1e-20", "1e-14", "1e-10", False),
+        # D1^2/D2 = -31.5: a digit and more below tol 1e-30, not below 1e-31 by one
+        "a digit clear stops": ("1e-21", "1e-14", "1e-30", True),
+        "inside the margin does not stop": ("1e-21", "1e-14", "1e-31", False),
+        "far below 1e-400 stops": ("1e-100000", "1e-40000", "1e-150000", True),
+        "far below 1e-400 grows slowly": ("1e-50000", "1e-40000", "1e-10", False),
+        "exponents past any double": ((3, -2 ** 41), (5, -2 ** 40), (1, -2 ** 41 + 10), True),
+        # D1^2/D2 ~ 4 log10(2) 2^40 + 0.95, log10 tol = that + 0.25
+        "past any double, in the margin": ((3, -2 ** 41), (5, -2 ** 40), (1, -2 ** 42 + 4), False),
+    }
+
+    @pytest.mark.parametrize("case", list(EDGES))
+    def test_edge_rows(self, case):
+        *values, decision = self.EDGES[case]
+        with mp.workprec(200):
+            delta1, delta2, tol = (mpf(x) if isinstance(x, str) else mpmath.ldexp(*x) for x in values)
+            assert reference_stop(delta1, delta2, tol, 200) is decision
+            assert _extrapolated_below(delta1, delta2, _log10(tol._mpf_)) is decision
+
+    def test_log10_of_zero_and_of_huge_exponents(self):
+        assert _log10(mpf(0)._mpf_) == -float("inf")
+        assert _log10((0, 1, -2 ** 60, 1)) == pytest.approx(-2 ** 60 * 0.30102999566398120)
+        with mp.workprec(3000):
+            x = mpf(10) ** -900 / 7
+            assert abs(_log10(x._mpf_) - float(mpmath.log10(x))) < 1e-12
+
+    @pytest.mark.parametrize("digits", [20, 50, 100, 200, 245, 246, 256, 257, 400, 800, 1440])
+    def test_term_cap_is_that_of_the_mpf_scan_cap(self, digits):
+        ctx = make_context(digits)
+        u_cap = _scan_cap(ctx)
+        with ctx.workdps(20):
+            reference = mpmath.asinh((digits + 30) * mpmath.log(10) / (mpmath.pi / 2)) + 3
+            assert abs(u_cap - reference) < 1e-14
+            for level in range(_max_level(digits) + 1):
+                h, max_terms, _ = _level_nodes(None, None, None, level, u_cap)
+                step = 1 if level == 0 else 2
+                assert h == 2.0 ** -level
+                assert max_terms == int(reference / (step * mpmath.ldexp(1, -level))), level
 
 
 PROJECT_INTEGRANDS = [

@@ -4,7 +4,8 @@ those of ``mpf_div`` on the same operands, on signed, exact, trailing-zero
 and random operands from 16 to 2700 bits and on every argument the package
 hands them in run_all at 20 to 200 digits (and two routes at 400).  A scan
 of the sources keeps the libmp calls they replace off the package's
-per-evaluation paths."""
+per-evaluation paths, and mpmath's function wrappers out of the engine
+and the kernels."""
 
 from __future__ import annotations
 
@@ -15,17 +16,14 @@ from pathlib import Path
 import pytest
 from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
-import glaisher.loggamma
-import glaisher.quadrature
-import glaisher.routes
 import glaisher.smallt
-from glaisher import make_context, route_hasse, route_pain1, run_all
 from glaisher.smallt import _quotient, _round
+
+from conftest import KERNEL_MODULES
 
 PRECS = [16, 17, 53, 100, 233, 400, 700, 1000, 2000, 2700]
 
 SOURCES = Path(glaisher.smallt.__file__).parent
-MODULES = (glaisher.quadrature, glaisher.smallt, glaisher.routes, glaisher.loggamma)
 
 
 def _reference_round(man, exp, prec):
@@ -88,36 +86,10 @@ def test_quotient_remainder_breaks_a_tie():
     assert _quotient(-p, 2 * q, 0, 60) == _reference_quotient(-p, 2 * q, 0, 60) == from_int(-(1 << 59) - 1)
 
 
-@pytest.fixture(scope="module")
-def captured():
-    """Every argument the package hands the helpers in run_all at 20, 50,
-    100 and 200 digits, and in route_pain1 and route_hasse at 400."""
-    rounds, quotients = [], []
-
-    def round_recording(*args):
-        rounds.append(args)
-        return _round(*args)
-
-    def quotient_recording(*args):
-        quotients.append(args)
-        return _quotient(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        for module in MODULES:
-            if hasattr(module, "_round"):
-                patch.setattr(module, "_round", round_recording)
-            if hasattr(module, "_quotient"):
-                patch.setattr(module, "_quotient", quotient_recording)
-        for digits in (20, 50, 100, 200):
-            run_all(make_context(digits))
-        ctx = make_context(400)
-        route_pain1(ctx)
-        route_hasse(ctx)
-    return rounds, quotients
-
-
-def test_every_captured_argument(captured):
-    rounds, quotients = captured
+def test_every_captured_argument(kernel_arguments):
+    # every argument the package hands the helpers in run_all at 20, 50,
+    # 100 and 200 digits, and in route_pain1 and route_hasse at 400
+    rounds, quotients = kernel_arguments.rounds, kernel_arguments.quotients
     assert len(rounds) > 30000 and len(quotients) > 10000
     assert max(prec for *_, prec in rounds) > 1332 > min(prec for *_, prec in rounds)
     assert [c for c in rounds if _round(*c) != _reference_round(*c)] == []
@@ -144,7 +116,7 @@ def _calls(tree):
     return found
 
 
-@pytest.mark.parametrize("module", [m.__name__.rsplit(".", 1)[1] for m in MODULES])
+@pytest.mark.parametrize("module", [m.__name__.rsplit(".", 1)[1] for m in KERNEL_MODULES])
 def test_hot_modules_round_only_through_the_helpers(module):
     # mpf_div and mpmath.ln take the bit count again on the Python
     # backend, and so does a rounding from_man_exp (one with a precision);
@@ -161,4 +133,28 @@ def test_hot_modules_round_only_through_the_helpers(module):
             misses.append(line)
         elif last == "mpf_exp" and function not in ("_exp", "_exp_tables"):
             misses.append(line)
+    assert misses == []
+
+
+# mpmath functions that convert their argument and make an mpf on every
+# call (log, log10 and asinh through mpmath's libmp-function wrapper) for
+# what a double or one libmp call gives; mpmath.nstr in error messages
+# and mpmath.bernfrac are not among them.
+WRAPPED = {"log", "log10", "asinh", "ldexp"}
+
+
+@pytest.mark.parametrize("module", ["quadrature", "smallt"])
+def test_engine_and_kernels_call_no_mpmath_wrapper(module):
+    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+    misses = [
+        f"{module}.py:{call.lineno} in {function}: {name}"
+        for name, call, function in _calls(tree)
+        if str(name).rpartition(".")[0] in ("mpmath", "mp") and name.rpartition(".")[2] in WRAPPED
+    ]
+    misses += [
+        f"{module}.py:{node.lineno}: from mpmath import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mpmath"
+        for alias in node.names if alias.name in WRAPPED
+    ]
     assert misses == []
