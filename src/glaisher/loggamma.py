@@ -9,8 +9,9 @@ product runs in Python integers in fixed point, two factors at a time,
 (z + j)(z + n - j) = z(z + n) + j(n - j), so it takes about n/2
 multiplies.  The Stirling tail is a power series in 1/z^2 summed on the
 fixed-point Horner kernel of :mod:`glaisher.smallt`, which keeps its
-coefficients as integers per working precision; (log 2pi)/2 is cached
-per working precision too.
+coefficients as integers per working precision; (log 2pi)/2 is a
+``functools.cache`` function of the working precision, as
+:func:`~glaisher.smallt.bernoulli` is of n.
 
 The identity pass integrates log Gamma(1+x) over [0, 1/2] by its Taylor
 series, :func:`_log_gamma1p_series`: x times a series in zeta(k) x^(k-1)
@@ -51,14 +52,15 @@ cross-check of the context's reference gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import factorial, log2
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, to_fixed
+from mpmath.libmp import dps_to_prec, mpf_log, mpf_pi, mpf_shift, round_nearest, to_fixed
 
 from .context import ComputeContext, Real
-from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf, shared_values
+from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf, shared
 from .smallt import PowerSeries, _horner, _round, bernoulli, cancellation_guard, far
 
 
@@ -70,8 +72,11 @@ class DomainError(ValueError):
 # Stirling oracle
 # ---------------------------------------------------------------------------
 
-# (log 2pi)/2 per working precision (mp.prec).
-_STIRLING: dict[int, mpf] = {}
+@cache
+def _half_log_2pi(prec: int) -> mpf:
+    """(log 2pi)/2 at ``prec`` bits, the bits of ``mpmath.log(2 * mpmath.pi) / 2``."""
+    log_2pi = mpf_log(mpf_shift(mpf_pi(prec, round_nearest), 1), prec, round_nearest)
+    return mp.make_mpf(mpf_shift(log_2pi, -1))
 
 
 def _stirling_coefficient(k: int) -> tuple[int, int]:
@@ -126,12 +131,9 @@ def log_gamma_ref(x: Real, ctx: ComputeContext) -> Real:
                 exponent += drop - width
             shift = mpmath.log(z * mpf((product, exponent)))
             z += n
-        half_log_2pi = _STIRLING.get(mp.prec)
-        if half_log_2pi is None:
-            half_log_2pi = _STIRLING[mp.prec] = mpmath.log(2 * mpmath.pi) / 2
         inv_z = 1 / z
         tail = inv_z * _STIRLING_SERIES(inv_z * inv_z)
-        return +((z - mpf(1) / 2) * mpmath.log(z) - z + half_log_2pi + tail - shift)
+        return +((z - mpf(1) / 2) * mpmath.log(z) - z + _half_log_2pi(mp.prec) + tail - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +178,7 @@ def _zeta_fixed(width: int, count: int) -> list[int]:
 def _end_coefficients(ctx: ComputeContext, width: int) -> tuple[list[int], list[int]]:
     """The ``width``-bit Taylor coefficients a_j of log Gamma(1+x) / x at
     x = 0 and b_j of log Gamma(3/2+y) at y = 0, j <= width // 2, from one
-    zeta table kept in the computation's shared table, if any."""
-    memo = shared_values(("log-gamma1p-ends", width))
-    if memo:
-        return memo["coefficients"]
+    zeta table."""
     consts = ctx.constants
     gamma, log2, log_pi = (to_fixed(c._mpf_, width)
                            for c in (consts.euler_gamma, consts.log2, consts.log_pi))
@@ -193,8 +192,6 @@ def _end_coefficients(ctx: ComputeContext, width: int) -> tuple[list[int], list[
         (-1) ** k * (((1 << k) - 1) * zk - (one << k)) // k
         for k, zk in enumerate(zeta[:-1], 2)
     ]
-    if memo is not None:
-        memo["coefficients"] = at_zero, at_half
     return at_zero, at_half
 
 
@@ -220,7 +217,7 @@ def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
     """
     prec = dps_to_prec(ctx.precision_digits + 15)
     width = prec + 20
-    at_zero, at_half = _end_coefficients(ctx, width)
+    at_zero, at_half = shared(("log-gamma1p-ends", width), _end_coefficients, ctx, width)
     z = to_fixed(x._mpf_, width)
     near_zero = z < 1 << (width - 2)
     if not near_zero:

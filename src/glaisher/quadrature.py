@@ -62,25 +62,21 @@ on the same frame, and only a level's value is rounded to an mpf.  N
 terms are off by under N 2^-(F+1): below 2^-(prec+2) for N < 2^15, ten
 digits under the cutoff.  The sum is exact, so its order does not matter.
 
-Nodes are shared within one computation and never beyond it.  Inside a
+Work is shared within one computation and never beyond it.  Inside a
 ``shared_work()`` block (``report.run_all`` and
-``routes.identity_residuals`` hold one for each whole call) every
-integral reads its node pairs from one table keyed by (transform and
-interval, ``mp.prec``, level), and the (pi/2) sinh u, (pi/2) cosh u
-stream of a level is shared by both transforms.  Each stream is one
-:class:`~glaisher.smallt._Lazy`, made on the table's first miss, so a
-node has the same value whichever integral reached it first, and every
-value, estimate and count is bit-identical to an integral run alone; in
-``run_all`` at 50 digits the engine makes 548 exp calls, against 1893
-with a node scan per integral (500 pairs, and four seed exps per level
-stream).  The route raw forms keep their E = e^(-t/2) in the same
-table: 362 exps, against 1139.
-The block drops the table on exit.  An integral outside any block
-streams its nodes and keeps none (only the current pair is alive): a
-table that outlived one computation would make every call after the
-first look cheap in a long-lived process and hide the cost of the first,
-and one private to a single integral would hold all its nodes for no
-reuse (6.6 MB at 200 digits).
+``routes.identity_residuals`` hold one per call) every value several
+integrals compute alike is read through :func:`shared`, computed on the
+table's first miss: a level's node pairs per transform and its
+(pi/2) sinh u, (pi/2) cosh u stream, read by both transforms (each a
+:class:`~glaisher.smallt._Lazy`); the raw forms' E = e^(-t/2) and
+log Gamma(1+x) per abscissa; the zeta table of that series.  So every
+value, estimate and count is bit-identical to an integral run alone;
+``run_all`` at 50 digits makes 548 node exps, against 1893 with a scan
+per integral, and 362 E exps, against 1139.  The block drops the table
+on exit.  Outside any block nothing is kept and an integral streams its
+nodes: a table that outlived one computation would hide the cost of the
+first call in a long-lived process, and one private to a single integral
+would hold all its nodes for no reuse (6.6 MB at 200 digits).
 
 Offsets from a finite endpoint are computed as 1 - tanh(s) =
 2/(e^{2s} + 1), never by subtraction; otherwise endpoint-singular
@@ -288,13 +284,14 @@ _SHARED: ContextVar[dict | None] = ContextVar("glaisher_shared_work", default=No
 
 @contextmanager
 def shared_work():
-    """The table of work shared by the integrals of one computation.
+    """The table of work shared by the integrals of one computation,
+    which :func:`shared` reads and fills.
 
     The outermost block makes the table and drops it on exit, restoring
     what was there before, also when the block raises; a nested block
-    yields the same table.  Integrals outside any block share nothing and
-    keep nothing.  As a decorator, ``@shared_work()`` holds a table for
-    each whole call.
+    yields the same table.  Outside any block :func:`shared` computes
+    and keeps nothing.  As a decorator, ``@shared_work()`` holds a table
+    for each whole call.
     """
     table = _SHARED.get()
     if table is not None:
@@ -308,15 +305,24 @@ def shared_work():
         _SHARED.reset(token)
 
 
-def shared_values(key: Hashable) -> dict | None:
-    """The dict under ``key`` in the current computation's table, for
-    values several integrals compute alike; None outside any
-    ``shared_work`` block, where the caller computes and keeps nothing."""
+def shared(key: Hashable, compute: Callable, *args):
+    """``compute(*args)``, once per ``key`` in a :func:`shared_work`
+    block (stored on the first miss unless ``compute`` raises), on every
+    call outside one.  Keys are (family name, ``mp.prec`` or a table's
+    width, argument), the argument a level or a raw ``_mpf_``, which
+    hashes as a tuple and not through ``mpf.__hash__``."""
     table = _SHARED.get()
-    return None if table is None else table.setdefault(key, {})
+    if table is None:
+        return compute(*args)
+    try:
+        return table[key]
+    except KeyError:
+        pass
+    value = table[key] = compute(*args)
+    return value
 
 
-def _level_nodes(table, transform, pair, level, u_cap):
+def _level_nodes(transform, pair, level, u_cap):
     """Node pairs of one level, lazily, and the per-side term cap.
 
     Level 0 takes u = 1, 2, 3, ... at h = 1; level L >= 1 takes the odd
@@ -326,25 +332,21 @@ def _level_nodes(table, transform, pair, level, u_cap):
     The cap counts strides, so a side that hits it (after ``max_terms``
     + 1 terms) has gone no further than u_cap plus one stride.
 
-    With ``table`` None (no computation in progress) the pairs stream
-    past and none is kept.  Otherwise both streams come from the table:
-    the scaled (sinh, cosh) values under (mp.prec, level), shared by
-    every transform, and the node pairs under (``transform``, mp.prec,
-    level), where ``transform`` names the map and its interval.  Each is
-    a :class:`~glaisher.smallt._Lazy` made on the table's first miss.
+    Outside a :func:`shared_work` block the pairs stream past and none
+    is kept; inside one the scaled (sinh, cosh) stream of the level and
+    the node pairs of ``transform`` (the map's name and interval) are
+    :func:`shared`, each a :class:`~glaisher.smallt._Lazy`.
     """
     h = 2.0 ** -level
     step = 1 if level == 0 else 2
     max_terms = int(u_cap / (step * h))         # floor(u_cap 2^level / step), exactly
     scaled = _scaled_sinh_cosh(level, step, max_terms + 1)     # runs only when read
-    if table is None:
+    if _SHARED.get() is None:
         return h, max_terms, starmap(pair, scaled)
-    key = (transform, mp.prec, level)
-    if key not in table:
-        if key[1:] not in table:
-            table[key[1:]] = _Lazy(scaled)
-        table[key] = _Lazy(starmap(pair, table[key[1:]]))
-    return h, max_terms, table[key]
+    name, *interval = transform
+    prec = mp.prec
+    scaled = shared(("sinh-cosh", prec, level), _Lazy, scaled)
+    return h, max_terms, shared((name, prec, level, *interval), _Lazy, starmap(pair, scaled))
 
 
 def _scan_cap(ctx):
@@ -482,20 +484,19 @@ def _log10(x):
 def _integrate(f, ctx, transform, nodes):
     """The body of both entry points: check the context's tolerance, run
     the level loop on ``nodes(cutoff)`` (centre and ``pair``) at 20 guard
-    digits, with the node pairs of ``transform`` from the table of the
-    computation in progress, if any (:func:`shared_work`), and state the
-    estimate."""
+    digits, with the node pairs of ``transform`` (its name and interval)
+    shared in the computation in progress, if any (:func:`_level_nodes`),
+    and state the estimate."""
     tol = ctx.target_tolerance
     if not tol > 0:
         raise ValueError("tolerance must be positive")
 
-    table = _SHARED.get()
     with ctx.workdps(20):
         cutoff = mpf(10) ** (-(ctx.precision_digits + 10))
         centre, pair = nodes(cutoff)
         value, delta, evaluations, levels, converged = _run_levels(
             f, centre,
-            lambda level, u_cap: _level_nodes(table, transform, pair, level, u_cap),
+            lambda level, u_cap: _level_nodes(transform, pair, level, u_cap),
             ctx, cutoff,
         )
         # Tail truncation of the scans: each side stopped once terms fell
@@ -594,7 +595,7 @@ def integrate_zero_to_inf(f: Integrand, ctx: ComputeContext) -> QuadratureResult
     """Integrate f over (0, inf) with the exp-sinh transform.  Every project
     integrand has a finite limit at t = 0, so a vanishing weight on that
     side alone kills the term, and it is not evaluated."""
-    return _integrate(f, ctx, "exp-sinh", lambda cutoff: _exp_sinh_nodes(skip_below=cutoff / 8))
+    return _integrate(f, ctx, ("exp-sinh",), lambda cutoff: _exp_sinh_nodes(skip_below=cutoff / 8))
 
 
 def integrate_finite(f: Integrand, a: Real, b: Real, ctx: ComputeContext) -> QuadratureResult:

@@ -101,7 +101,7 @@ from .quadrature import (
     Integrand,
     integrate_finite,
     integrate_zero_to_inf,
-    shared_values,
+    shared,
     shared_work,
 )
 from .smallt import (
@@ -249,13 +249,7 @@ _PAIN2 = quotient_series(_pain2_numerator, _pain2_denominator)
 
 def _exp_half(t: mpf) -> tuple:
     """``exp_neg(t)``, once per abscissa in one computation."""
-    memo = shared_values(("exp-half", mp.prec))
-    if memo is None:
-        return exp_neg(t)
-    E = memo.get(t._mpf_)
-    if E is None:
-        E = memo[t._mpf_] = exp_neg(t)
-    return E
+    return shared(("exp-half", mp.prec, t._mpf_), exp_neg, t)
 
 
 def res1_integrand(ctx: ComputeContext) -> Integrand:
@@ -825,13 +819,7 @@ def _log_gamma1p(x: Real, ctx: ComputeContext) -> Real:
     """log Gamma(1+x), once per abscissa in one computation: glaisher_half
     and gla2 integrate it on the same nodes.  It is a Taylor series in
     zeta(k) at 0 or at 1/2, whichever is nearer (:func:`_log_gamma1p_series`)."""
-    memo = shared_values(("log_gamma1p", ctx.precision_digits))
-    if memo is None:
-        return _log_gamma1p_series(x, ctx)
-    value = memo.get(x)
-    if value is None:
-        value = memo[x] = _log_gamma1p_series(x, ctx)
-    return value
+    return shared(("log-gamma1p", mp.prec, x._mpf_), _log_gamma1p_series, x, ctx)
 
 
 def glaisher_identity_residual(

@@ -92,6 +92,17 @@ m/p, from a least-factor sieve.  So every entry is within
 counted with multiplicity, and a sum over the table is exact integer
 arithmetic rounded once.  The table is built per call and kept by
 nobody.
+
+What lives as long as the process is a constant of a precision or of
+nothing: each ``PowerSeries._cache`` (coefficients and term ``counts``
+per working precision), the exp tables ``_EXP_TABLES``,
+:func:`bernoulli`, and the module-level :class:`_Lazy` sequences (such
+as ``routes._RES1_PAIRS``).  Only ``counts`` hits just across
+computations: one computation's near-zero abscissae almost never repeat
+a key (863 of 864 miss in ``run_all`` at 50 digits), the next one's at
+the same precision all do (4573 per pain1 + kummer at 200 digits), and
+a process that computes many times reads those hits.  Work shared within
+one computation alone goes through ``quadrature.shared``.
 """
 
 from __future__ import annotations

@@ -13,10 +13,13 @@ from itertools import combinations
 
 import pytest
 
+from mpmath.libmp import from_man_exp
+
+import glaisher.loggamma
 import glaisher.routes
 import glaisher.smallt
 from glaisher import make_context, run_all
-from glaisher.report import EXIT_DISAGREE
+from glaisher.report import EXIT_DISAGREE, identity_report
 
 DE_ROUTES = ("pain1", "pain2", "feaux", "kummer")
 
@@ -104,3 +107,61 @@ def test_moved_exp_table_entry(monkeypatch):
     assert not doc.failed_residuals
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
     assert pairs == {frozenset(p) for p in combinations(DE_ROUTES + ("fourier_series",), 2)}
+
+
+def test_moved_shared_exp_half(monkeypatch):
+    # E = e^(-t/2), which the four route raw forms read from one shared
+    # value per abscissa.  Moved, it stalls pain1 and pain2, whose raw
+    # forms subtract E-terms that cancel to far below E: neither
+    # converges within its 13 levels.  feaux and kummer converge, 8e-31
+    # and 4e-29 away against estimates near 5e-41, and disagree with each
+    # other and with the Fourier value.  The identities and the other
+    # full-precision routes read no E and keep their bits.
+    good = run_all(make_context(50))
+    original = glaisher.routes.exp_neg
+
+    def moved(t):
+        _, man, exp, _ = original(t)
+        return from_man_exp(man * (10**30 + 1) // 10**30, exp)
+
+    monkeypatch.setattr(glaisher.routes, "exp_neg", moved)
+    doc = run_all(make_context(50))
+
+    assert doc.exit_code == EXIT_DISAGREE
+    assert sorted(f.route_id for f in doc.failures) == ["pain1", "pain2"]
+    assert all("did not converge" in f.error and not f.refused for f in doc.failures)
+    before = {e.route_id: e for e in good.estimates}
+    for e in doc.estimates:
+        if e.route_id in ("feaux", "kummer"):
+            assert abs(e.value - before[e.route_id].value) > 10 * e.error_estimate, e.route_id
+        else:
+            assert e.value == before[e.route_id].value, e.route_id
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    assert pairs == {frozenset(p) for p in combinations(("feaux", "kummer", "fourier_series"), 2)}
+    assert not doc.failed_residuals
+    for r, g in zip(doc.residuals[:3], good.residuals):
+        assert r.residual == g.residual, r.identity_id
+
+
+def test_identities_catch_a_bad_zeta_table(monkeypatch):
+    # zeta(2) moved by d = 2^-80 moves the x^2 and y^2 coefficients by
+    # d/2 and 3d/2, so glaisher_half, over x < 1/4 and y in [-1/4, 0],
+    # by (1/2 + 3/2) d 4^-3 / 3 = d/96, about 9e-27, far above its
+    # 10^-40 tolerance at 50 digits.
+    good = identity_report(make_context(50))
+    original = glaisher.loggamma._zeta_fixed
+
+    def perturbed(width, count):
+        table = original(width, count)
+        table[0] += 1 << (width - 80)
+        return table
+
+    monkeypatch.setattr(glaisher.loggamma, "_zeta_fixed", perturbed)
+    bad = identity_report(make_context(50))
+    assert not bad.failures
+    residuals = {r.identity_id: r for r in bad.residuals}
+    for iid in ("glaisher_half", "gla2"):
+        assert abs(residuals[iid].residual) > 10 * residuals[iid].tolerance_used, iid
+    assert [r.identity_id for r in bad.failed_residuals] == ["glaisher_half", "gla2"]
+    # log sin(pi x) reads no zeta value.
+    assert residuals["log_sin"].residual._mpf_ == good.residuals[2].residual._mpf_

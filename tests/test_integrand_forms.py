@@ -19,7 +19,7 @@ from glaisher.loggamma import (
     fourier_a_n_integrand,
     kummer_integrand,
 )
-from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD, shared_values, shared_work
+from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD, shared_work
 from glaisher.routes import pain1_integrand, pain2_integrand, res1_integrand, res2_integrand
 from glaisher.smallt import cancellation_guard, exp_neg, far
 
@@ -97,9 +97,9 @@ def test_raw_form_matches_literal_expression(name, digits):
         with ctx.workdps(20):
             got = integrand.eval(t)
             if not far(t):                      # where every raw form takes E
-                with shared_work():
+                with shared_work() as table:
                     other.eval(t)
-                    stored = shared_values(("exp-half", mp.prec))[t._mpf_]
+                    stored = table["exp-half", mp.prec, t._mpf_]
                     assert stored == exp_neg(t), mpmath.nstr(t, 8)
                     assert integrand.eval(t)._mpf_ == got._mpf_, mpmath.nstr(t, 8)
         with ctx.workdps(40):

@@ -207,7 +207,7 @@ class TestScanCap:
         with ctx.workdps(20):
             u_cap = _scan_cap(ctx)
             for level in range(11):
-                h, max_terms, scaled = _level_nodes(None, None, lambda s, w: s, level, u_cap)
+                h, max_terms, scaled = _level_nodes(None, lambda s, w: s, level, u_cap)
                 stride = 1 if level == 0 else 2 * h
                 pairs = sum(1 for _ in scaled)
                 # a side that hits the cap has taken max_terms + 1 terms
@@ -393,7 +393,7 @@ class TestStopRuleInDoubles:
             reference = mpmath.asinh((digits + 30) * mpmath.log(10) / (mpmath.pi / 2)) + 3
             assert abs(u_cap - reference) < 1e-14
             for level in range(_max_level(digits) + 1):
-                h, max_terms, _ = _level_nodes(None, None, None, level, u_cap)
+                h, max_terms, _ = _level_nodes(None, None, level, u_cap)
                 step = 1 if level == 0 else 2
                 assert h == 2.0 ** -level
                 assert max_terms == int(reference / (step * mpmath.ldexp(1, -level))), level
@@ -534,7 +534,7 @@ class TestPairNodes:
             u_cap = _scan_cap(ctx)
             stepped = []
             for level in range(11):
-                h, _, scaled = _level_nodes(None, None, lambda s, w: (s, w), level, u_cap)
+                h, _, scaled = _level_nodes(None, lambda s, w: (s, w), level, u_cap)
                 step = 1 if level == 0 else 2
                 for i, (s, w) in enumerate(scaled):
                     u = (1 + step * i) * h

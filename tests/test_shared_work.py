@@ -12,6 +12,7 @@ so ``verify`` integrates no route at all.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 
@@ -23,6 +24,7 @@ import glaisher.loggamma
 import glaisher.quadrature
 import glaisher.report
 import glaisher.routes
+import glaisher.smallt
 from glaisher import make_context, run_all
 from glaisher.cli import EXIT_OK, main
 from glaisher.context import real_to_decimal
@@ -326,6 +328,22 @@ class TestSharingIsScoped:
         route_pain1(ctx)
         assert engine_exp_calls[0] == 2 * first
 
+    def test_nodes_stream_outside_a_block(self):
+        # Outside a computation a level's nodes pass once and none is
+        # kept (at 200 digits a kept level would hold megabytes); inside
+        # one, every integral reads the same compute-once sequence.
+        def level(transform):
+            return glaisher.quadrature._level_nodes(transform, lambda s, w: s, 3, 4.0)[2]
+
+        with mpmath.workdps(50):
+            nodes = level(("exp-sinh",))
+            assert iter(nodes) is nodes
+            with glaisher.quadrature.shared_work():
+                nodes = level(("exp-sinh",))
+                assert isinstance(nodes, glaisher.smallt._Lazy)
+                assert level(("exp-sinh",)) is nodes
+                assert level(("tanh-sinh", 0, 1)) is not nodes
+
     def test_table_is_dropped_when_the_computation_raises(self, monkeypatch):
         def broken(*args):
             assert glaisher.quadrature._SHARED.get() is not None
@@ -342,3 +360,117 @@ class TestSharingIsScoped:
                 assert inner is outer
             assert glaisher.quadrature._SHARED.get() is outer
         assert glaisher.quadrature._SHARED.get() is None
+
+
+class TestSharedHelper:
+    """``quadrature.shared(key, compute, *args)``: one value per key in a
+    computation, nothing kept outside one."""
+
+    @staticmethod
+    def counting():
+        calls = []
+
+        def compute(*args):
+            calls.append(args)
+            return len(calls)
+
+        return calls, compute
+
+    def test_outside_a_block_computes_every_call(self):
+        calls, compute = self.counting()
+        assert glaisher.quadrature.shared("k", compute, 1) == 1
+        assert glaisher.quadrature.shared("k", compute, 1) == 2
+        assert calls == [(1,), (1,)]
+        assert glaisher.quadrature._SHARED.get() is None
+
+    def test_inside_a_block_computes_once_per_key(self):
+        calls, compute = self.counting()
+        shared = glaisher.quadrature.shared
+        with glaisher.quadrature.shared_work() as table:
+            assert [shared("a", compute, 1), shared("b", compute, 2), shared("a", compute, 3)] == [1, 2, 1]
+        assert calls == [(1,), (2,)]
+        assert table == {"a": 1, "b": 2}
+
+    def test_a_nested_block_reads_the_same_table(self):
+        calls, compute = self.counting()
+        shared = glaisher.quadrature.shared
+        with glaisher.quadrature.shared_work():
+            shared("a", compute)
+            with glaisher.quadrature.shared_work():
+                assert shared("a", compute) == 1
+                shared("b", compute)
+            assert shared("b", compute) == 2
+        assert len(calls) == 2
+
+    def test_a_compute_that_raises_stores_nothing(self):
+        def broken():
+            raise ArithmeticError("no value")
+
+        calls, compute = self.counting()
+        shared = glaisher.quadrature.shared
+        with glaisher.quadrature.shared_work() as table:
+            with pytest.raises(ArithmeticError):
+                shared("a", broken)
+            assert table == {}
+            assert shared("a", compute) == 1
+
+    def test_the_table_is_dropped_when_the_block_raises(self):
+        calls, compute = self.counting()
+        shared = glaisher.quadrature.shared
+        with pytest.raises(RuntimeError):
+            with glaisher.quadrature.shared_work():
+                shared("a", compute)
+                raise RuntimeError("computation failed")
+        assert glaisher.quadrature._SHARED.get() is None
+        with glaisher.quadrature.shared_work():
+            assert shared("a", compute) == 2
+
+
+class TestNothingSharedIsComputedTwice:
+    """Each shared value -- E = e^(-t/2), log Gamma(1+x), the zeta table
+    and the (sinh, cosh) stream of a level -- is computed once per key in
+    a computation, counted at the functions that compute it."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counted(module, name, key):
+            original = getattr(module, name)
+
+            def call(*args):
+                counts[name, key(*args)] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(glaisher.routes, "exp_neg", lambda t: (mpmath.mp.prec, t._mpf_))
+        counted(glaisher.routes, "_log_gamma1p_series", lambda x, ctx: (mpmath.mp.prec, x._mpf_))
+        counted(glaisher.loggamma, "_zeta_fixed", lambda width, count: (width, count))
+        original = glaisher.quadrature._scaled_sinh_cosh
+
+        def stream(level, step, count):
+            pairs = original(level, step, count)
+            first = next(pairs, None)       # runs only when the level loop reads it
+            counts["_scaled_sinh_cosh", (mpmath.mp.prec, level)] += 1
+            if first is not None:
+                yield first
+                yield from pairs
+
+        monkeypatch.setattr(glaisher.quadrature, "_scaled_sinh_cosh", stream)
+        return counts
+
+    @staticmethod
+    def families(counts):
+        assert set(counts.values()) == {1}, [key for key, n in counts.items() if n > 1]
+        return collections.Counter(name for name, _ in counts)
+
+    def test_run_all(self, computed):
+        run_all(make_context(50))
+        assert self.families(computed) == {
+            "exp_neg": 362, "_log_gamma1p_series": 158, "_zeta_fixed": 1, "_scaled_sinh_cosh": 12}
+
+    def test_identity_report(self, computed):
+        identity_report(make_context(100))
+        assert self.families(computed) == {
+            "_log_gamma1p_series": 342, "_zeta_fixed": 1, "_scaled_sinh_cosh": 6}
