@@ -12,7 +12,7 @@ import mpmath
 from mpmath import mpf
 
 from glaisher import Integrand, error_model_check, euler_gamma_ref, make_context
-from glaisher.loggamma import dirichlet_integrand
+from glaisher.loggamma import DIRICHLET_INTEGRAND
 
 ctx = make_context(50)
 
@@ -25,7 +25,7 @@ corpus = [
     # algebraic decay
     (Integrand(eval=lambda t: 1 / (1 + t) ** 2, label="1/(1+t)^2"), mpf(1)),
     # cancellation near zero, handled by its series form
-    (dirichlet_integrand(ctx), euler_gamma_ref(ctx)),
+    (DIRICHLET_INTEGRAND, euler_gamma_ref(ctx)),
     # integrable log singularity at the left endpoint
     (Integrand(eval=lambda x: mpmath.log(mpmath.sin(mpmath.pi * x)), label="log sin(pi x)"),
      log_sin_exact, (mpf(0), mpf(1) / 2)),

@@ -474,26 +474,24 @@ def _dirichlet_coefficient(k: int) -> tuple[int, int]:
 _DIRICHLET_SERIES = PowerSeries(_dirichlet_coefficient)
 
 
-def dirichlet_integrand(ctx: ComputeContext) -> Integrand:
-    """(1/(1+t) - e^-t)/t, summed near zero as one power series in t."""
+def _dirichlet_raw(t: mpf) -> mpf:
+    """(1/(1+t) - e^-t)/t, with the guard digits of its cancellation."""
+    with mp.extradps(cancellation_guard(t, 2)):
+        value = (1 / (1 + t) - (0 if far(t) else mpmath.exp(-t))) / t
+    return +value
 
-    def raw(t):
-        with mp.extradps(cancellation_guard(t, 2)):
-            value = (1 / (1 + t) - (0 if far(t) else mpmath.exp(-t))) / t
-        return +value
 
-    def series(t):
-        return t * _DIRICHLET_SERIES(t)
+def _dirichlet_series(t: mpf) -> mpf:
+    return t * _DIRICHLET_SERIES(t)
 
-    return Integrand(
-        eval=raw,
-        near_zero=series,
-        label="dirichlet_gamma",
-    )
+
+# (1/(1+t) - e^-t)/t, summed near zero as one power series in t.
+DIRICHLET_INTEGRAND = Integrand(eval=_dirichlet_raw, near_zero=_dirichlet_series,
+                                label="dirichlet_gamma")
 
 
 def dirichlet_gamma(ctx: ComputeContext) -> QuadratureResult:
     """Euler's constant by the Dirichlet integral (cross-checks the reference)."""
-    return integrate_zero_to_inf(dirichlet_integrand(ctx), ctx=ctx).require_converged(
+    return integrate_zero_to_inf(DIRICHLET_INTEGRAND, ctx=ctx).require_converged(
         "dirichlet_gamma"
     )

@@ -52,8 +52,12 @@ one fixed-point table, :func:`~glaisher.smallt.fixed_logs`, built per call.
 
 Integrand evaluation
 --------------------
-Each integral route's integrand has a raw form, used from t = 2^-8 on,
-and a near-zero power series below it.  A raw form runs in fixed point
+Each integral route's integrand is a fixed function of t, one
+module-level :class:`~glaisher.quadrature.Integrand` built at import:
+``PAIN1_INTEGRAND``, ``PAIN2_INTEGRAND``, ``RES1_INTEGRAND`` (feaux),
+``RES2_INTEGRAND`` (kummer) and ``RES2_DT_INTEGRAND`` (the dt control).
+Each has a raw form, used from t = 2^-8 on, and a near-zero power series
+below it.  A raw form runs in fixed point
 (:func:`~glaisher.smallt.raw_frame`) on E = e^{-t/2}, one exp per
 abscissa in one computation: pain1 uses coth(x/2) = (1+E^2)/(1-E^2);
 kummer tanh(t/4) = (1-E)/(1+E) and e^-t = E^2; pain2 e^-x = E^2; feaux
@@ -78,6 +82,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from math import ceil, comb, factorial, gcd, isqrt
 from operator import sub
@@ -252,7 +257,7 @@ def _exp_half(t: mpf) -> tuple:
     return shared(("exp-half", mp.prec, t._mpf_), exp_neg, t)
 
 
-def res1_integrand(ctx: ComputeContext) -> Integrand:
+def _res1_raw(t: mpf) -> mpf:
     """Feaux-route integrand; three terms of size t^-2 cancelling to O(t).
 
     The raw form takes one log and one integer sqrt in fixed point, and
@@ -266,29 +271,21 @@ def res1_integrand(ctx: ComputeContext) -> Integrand:
     Decay at infinity is only 1/(t^2 log t); the exp-sinh transform still
     wins because the transformed tail dies double-exponentially.
     """
-
-    def raw(t):
-        width, T = raw_frame(t, 3)
-        two = 2 << width
-        U = (1 << width) + T
-        L = to_fixed(mpf_log(from_man_exp(U, -width), width, round_nearest), width)
-        R = isqrt(U << width)
-        G = 0
-        if not far(t):
-            E = _exp_half(t)
-            G = to_fixed(mpf_mul(E, E), width)
-        urL2 = (U * R >> width) * (L * L >> width) >> width
-        num = (G * urL2 >> width) - ((two + ((L - two) * R >> width)) << 2)
-        return fixed_quotient(num, (urL2 * T >> width) << 3)
-
-    return Integrand(
-        eval=raw,
-        near_zero=_RES1,
-        label="res1",
-    )
+    width, T = raw_frame(t, 3)
+    two = 2 << width
+    U = (1 << width) + T
+    L = to_fixed(mpf_log(from_man_exp(U, -width), width, round_nearest), width)
+    R = isqrt(U << width)
+    G = 0
+    if not far(t):
+        E = _exp_half(t)
+        G = to_fixed(mpf_mul(E, E), width)
+    urL2 = (U * R >> width) * (L * L >> width) >> width
+    num = (G * urL2 >> width) - ((two + ((L - two) * R >> width)) << 2)
+    return fixed_quotient(num, (urL2 * T >> width) << 3)
 
 
-def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Integrand:
+def _res2_raw(over_t: bool, t: mpf) -> mpf:
     """Kummer-route integrand [tanh(t/4)/t - e^-t/4] / t (or without /t).
 
     The raw form reads the shared q = e^{-t/2} in fixed point:
@@ -300,39 +297,22 @@ def res2_integrand(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> I
     t e^-t exactly (the O(t) parts are equal), summed on the shared
     :class:`~glaisher.smallt.PowerSeries` kernel.
     """
-    over_t = measure == "dt_over_t"
-
-    def raw(t):
-        if far(t):
-            _, man, exp, _ = t._mpf_          # 1/t^2 or 1/t, t = man 2^exp
-            if over_t:
-                return mp.make_mpf(_quotient(1, man * man, -2 * exp, mp.prec))
-            return mp.make_mpf(_quotient(1, man, -exp, mp.prec))
-        width, T = raw_frame(t, 2)
-        one = 1 << width
-        q = to_fixed(_exp_half(t), width)
-        num = ((one - q) << 2) - (((q * q >> width) * T >> width) * (one + q) >> width)
-        den = T * (one + q) >> (width - 2)
-        return fixed_quotient(num, den * T >> width if over_t else den)
-
-    if over_t:
-        series = _RES2_BRACKET_OVER_T2
-        label = "res2[dt/t]"
-    else:
-
-        def series(t):
-            return t * _RES2_BRACKET_OVER_T2(t)
-
-        label = "res2[dt]"
-
-    return Integrand(
-        eval=raw,
-        near_zero=series,
-        label=label,
-    )
+    if far(t):
+        _, man, exp, _ = t._mpf_          # 1/t^2 or 1/t, t = man 2^exp
+        return fixed_quotient(1, man * man, -2 * exp) if over_t else fixed_quotient(1, man, -exp)
+    width, T = raw_frame(t, 2)
+    one = 1 << width
+    q = to_fixed(_exp_half(t), width)
+    num = ((one - q) << 2) - (((q * q >> width) * T >> width) * (one + q) >> width)
+    den = T * (one + q) >> (width - 2)
+    return fixed_quotient(num, den * T >> width if over_t else den)
 
 
-def pain1_integrand(ctx: ComputeContext) -> Integrand:
+def _res2_dt_series(t: mpf) -> mpf:
+    return t * _RES2_BRACKET_OVER_T2(t)
+
+
+def _pain1_raw(x: mpf) -> mpf:
     """(1 - e^{-x/2}) (x coth(x/2) - 2) / x^3; limit 1/12 at zero.
 
     The shared E = e^{-x/2} gives coth(x/2) = (1+E^2)/(1-E^2), and the
@@ -345,28 +325,19 @@ def pain1_integrand(ctx: ComputeContext) -> Integrand:
     (:func:`~glaisher.smallt.quotient_series`); no subtraction survives
     and no transcendental is called.
     """
-
-    def raw(x):
-        if far(x):
-            _, man, exp, _ = x._mpf_          # (x - 2)/x^3, x = man 2^exp
-            low = min(exp, 0)
-            num = (man << exp - low) - (2 << -low)
-            return mp.make_mpf(_quotient(num, man ** 3, low - 3 * exp, mp.prec))
-        width, X = raw_frame(x, 2)
-        one = 1 << width
-        E = to_fixed(_exp_half(x), width)
-        E2 = E * E >> width
-        num = (X * (one + E2) >> width) - ((one - E2) << 1)
-        return fixed_quotient(num, ((X * X >> width) * X >> width) * (one + E) >> width)
-
-    return Integrand(
-        eval=raw,
-        near_zero=_PAIN1,
-        label="pain1",
-    )
+    if far(x):
+        _, man, exp, _ = x._mpf_          # (x - 2)/x^3, x = man 2^exp
+        low = min(exp, 0)
+        return fixed_quotient((man << exp - low) - (2 << -low), man ** 3, low - 3 * exp)
+    width, X = raw_frame(x, 2)
+    one = 1 << width
+    E = to_fixed(_exp_half(x), width)
+    E2 = E * E >> width
+    num = (X * (one + E2) >> width) - ((one - E2) << 1)
+    return fixed_quotient(num, ((X * X >> width) * X >> width) * (one + E) >> width)
 
 
-def pain2_integrand(ctx: ComputeContext) -> Integrand:
+def _pain2_raw(x: mpf) -> mpf:
     """((8-3x) e^x - 8 e^{x/2} - x) / (4 x^2 e^x (e^x - 1)); limit -1/12.
 
     The raw form reads the shared E = e^{-x/2}: it is e^-x ((8-3x) - 8E -
@@ -380,23 +351,27 @@ def pain2_integrand(ctx: ComputeContext) -> Integrand:
     with exact rational coefficients
     (:func:`~glaisher.smallt.quotient_series`) and no transcendental.
     """
+    width, X = raw_frame(x, 3)
+    one = 1 << width
+    half = _exp_half(x)
+    E = to_fixed(half, width)
+    E2 = E * E >> width
+    num = (8 << width) - 3 * X - 8 * E - (X * E2 >> width)
+    den = (X * X >> width) * (one - E2) >> (width - 2)
+    _, man, e, _ = half             # e^-x = (man 2^e)^2
+    return fixed_quotient(num * man * man, den, 2 * e)
 
-    def raw(x):
-        width, X = raw_frame(x, 3)
-        one = 1 << width
-        half = _exp_half(x)
-        E = to_fixed(half, width)
-        E2 = E * E >> width
-        num = (8 << width) - 3 * X - 8 * E - (X * E2 >> width)
-        den = (X * X >> width) * (one - E2) >> (width - 2)
-        _, man, e, _ = half             # e^-x = (man 2^e)^2
-        return fixed_quotient(num * man * man, den, 2 * e)
 
-    return Integrand(
-        eval=raw,
-        near_zero=_PAIN2,
-        label="pain2",
-    )
+# The four integral routes' integrands, fixed functions of t: each is its
+# raw form above and its near-zero series, built once.  res2's two
+# measures share one raw body, bound without a Python frame.
+RES1_INTEGRAND = Integrand(eval=_res1_raw, near_zero=_RES1, label="res1")
+RES2_INTEGRAND = Integrand(eval=partial(_res2_raw, True), near_zero=_RES2_BRACKET_OVER_T2,
+                           label="res2[dt/t]")
+RES2_DT_INTEGRAND = Integrand(eval=partial(_res2_raw, False), near_zero=_res2_dt_series,
+                              label="res2[dt]")
+PAIN1_INTEGRAND = Integrand(eval=_pain1_raw, near_zero=_PAIN1, label="pain1")
+PAIN2_INTEGRAND = Integrand(eval=_pain2_raw, near_zero=_PAIN2, label="pain2")
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +413,7 @@ def _integral_route(
 def route_feaux(ctx: ComputeContext) -> RouteEstimate:
     """log A from the Feaux-derived integral (first main identity)."""
     return _integral_route(
-        ctx, "feaux", res1_integrand(ctx),
+        ctx, "feaux", RES1_INTEGRAND,
         lambda I, err, c: (mpf(1) / 3 + mpf(7) / 36 * c.log2 - c.log_pi / 6
                            + mpf(2) / 3 * I, mpf(2) / 3 * err),
     )
@@ -458,12 +433,12 @@ def route_kummer(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Rou
     """
     if measure == "dt_over_t":
         return _integral_route(
-            ctx, "kummer", res2_integrand(ctx, measure), _kummer_log_a,
+            ctx, "kummer", RES2_INTEGRAND, _kummer_log_a,
             parameters={"measure": "dt_over_t"},
         )
     if measure == "dt":
         return _integral_route(
-            ctx, "kummer", res2_integrand(ctx, measure), _kummer_log_a,
+            ctx, "kummer", RES2_DT_INTEGRAND, _kummer_log_a,
             interval=(mpf(0), mpf(DT_CONTROL_UPPER)),
             label="kummer[dt control]",
             parameters={"measure": "dt", "truncation": DT_CONTROL_UPPER},
@@ -474,7 +449,7 @@ def route_kummer(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Rou
 def route_pain1(ctx: ComputeContext) -> RouteEstimate:
     """log A from the cotanh integral identity."""
     return _integral_route(
-        ctx, "pain1", pain1_integrand(ctx),
+        ctx, "pain1", PAIN1_INTEGRAND,
         lambda I, err, c: ((I + c.log2 / 3 + mpf(1) / 8) / 3, err / 3),
     )
 
@@ -482,7 +457,7 @@ def route_pain1(ctx: ComputeContext) -> RouteEstimate:
 def route_pain2(ctx: ComputeContext) -> RouteEstimate:
     """log A from the exponential-kernel integral identity."""
     return _integral_route(
-        ctx, "pain2", pain2_integrand(ctx),
+        ctx, "pain2", PAIN2_INTEGRAND,
         lambda I, err, c: ((I + mpf(7) / 12 * c.log2 - c.log_pi / 2 + 1) / 3, err / 3),
     )
 

@@ -47,7 +47,8 @@ consecutive nonzero coefficients: a call raises ArithmeticError there,
 and :meth:`PowerSeries.to_turn` sums through the smallest term.
 
 The route integrands' raw forms run in the fixed-point frame of
-:func:`raw_frame` and round once in :func:`fixed_quotient`; the log Gamma
+:func:`raw_frame` and round once in :func:`fixed_quotient`, which divides
+by :func:`_quotient`, the package's one rounding division; the log Gamma
 representations' raw forms compute with the extra digits of
 :func:`cancellation_guard` and round once, on return.  Hot loops, here
 and in the routes and the engine, call libmp at an explicit precision
@@ -396,18 +397,9 @@ def _exp_tables(width: int) -> list[list[int]]:
 
 
 def fixed_quotient(num: int, den: int, exponent: int = 0) -> mpf:
-    """(num / den) 2^exponent, den > 0, rounded once at the working
-    precision: the integer quotient carries prec + 16 bits (den cut to
-    as many), off by under 3 units of 2^-(prec+15) relative before the
-    rounding."""
-    bits = mp.prec + _GUARD_BITS
-    drop = den.bit_length() - bits
-    if drop > 0:
-        den >>= drop
-        exponent -= drop
-    shift = bits + den.bit_length() - num.bit_length()
-    q = (num << shift if shift >= 0 else num >> -shift) // den
-    return mp.make_mpf(_round(q, exponent - shift, mp.prec))
+    """(num / den) 2^exponent, den > 0, as an mpf rounded once at the
+    working precision by :func:`_quotient`."""
+    return mp.make_mpf(_quotient(num, den, exponent, mp.prec))
 
 
 def _round(man: int, exp: int, prec: int) -> tuple:

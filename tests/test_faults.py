@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_int, from_man_exp
 
 import glaisher.loggamma
 import glaisher.routes
@@ -141,6 +141,43 @@ def test_moved_shared_exp_half(monkeypatch):
     assert not doc.failed_residuals
     for r, g in zip(doc.residuals[:3], good.residuals):
         assert r.residual == g.residual, r.identity_id
+
+
+def test_moved_log_three(monkeypatch):
+    # The fixed_logs entry for log 3, moved through smallt.mpf_log (its one
+    # caller there is fixed_logs), so every composite built from 3 moves
+    # with it.  Three routes read the table.  Fourier moves by 1.2e-32
+    # against an estimate of 1e-51 and disagrees with each DE route, whose
+    # bits are unchanged, and the two identities that take their log A
+    # from it fail.  The limit (9e-26 against 1.6e-21) and Hasse (5.8e-7
+    # against 6.9e-5) move too, but stay inside their estimates.
+    good = run_all(make_context(50))
+    original, three = glaisher.smallt.mpf_log, from_int(3)
+
+    def moved(x, prec, rounding):
+        value = original(x, prec, rounding)
+        if x != three:
+            return value
+        _, man, exp, _ = value
+        return from_man_exp(man * (10**30 + 1) // 10**30, exp)
+
+    monkeypatch.setattr(glaisher.smallt, "mpf_log", moved)
+    doc = run_all(make_context(50))
+
+    assert doc.exit_code == EXIT_DISAGREE
+    assert not doc.failures
+    before = {e.route_id: e for e in good.estimates}
+    for e in doc.estimates:
+        shift = abs(e.value - before[e.route_id].value)
+        if e.route_id in DE_ROUTES:
+            assert e.value == before[e.route_id].value, e.route_id
+        elif e.route_id == "fourier_series":
+            assert shift > 10 * e.error_estimate
+        else:
+            assert 0 < shift < e.error_estimate, e.route_id
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    assert pairs == {frozenset((rid, "fourier_series")) for rid in DE_ROUTES}
+    assert [r.identity_id for r in doc.failed_residuals] == ["glaisher_half", "gla2"]
 
 
 def test_identities_catch_a_bad_zeta_table(monkeypatch):

@@ -14,13 +14,19 @@ from mpmath import mp, mpf
 
 from glaisher import make_context, routes
 from glaisher.loggamma import (
-    dirichlet_integrand,
+    DIRICHLET_INTEGRAND,
     feaux_integrand,
     fourier_a_n_integrand,
     kummer_integrand,
 )
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD, shared_work
-from glaisher.routes import pain1_integrand, pain2_integrand, res1_integrand, res2_integrand
+from glaisher.routes import (
+    PAIN1_INTEGRAND,
+    PAIN2_INTEGRAND,
+    RES1_INTEGRAND,
+    RES2_DT_INTEGRAND,
+    RES2_INTEGRAND,
+)
 from glaisher.smallt import cancellation_guard, exp_neg, far
 
 
@@ -44,14 +50,13 @@ def _res1_literal(t):
             - (L - 2) / (2 * (1 + t) * L ** 2)) / t
 
 
-# name -> (integrand factory, the paper's literal expression)
+# name -> (integrand, the paper's literal expression)
 LITERAL_FORMS = {
-    "pain1": (pain1_integrand, _pain1_literal),
-    "pain2": (pain2_integrand, _pain2_literal),
-    "res1": (res1_integrand, _res1_literal),
-    "res2_dt_over_t": (lambda ctx: res2_integrand(ctx, "dt_over_t"),
-                       lambda t: _res2_bracket_literal(t) / t),
-    "res2_dt": (lambda ctx: res2_integrand(ctx, "dt"), _res2_bracket_literal),
+    "pain1": (PAIN1_INTEGRAND, _pain1_literal),
+    "pain2": (PAIN2_INTEGRAND, _pain2_literal),
+    "res1": (RES1_INTEGRAND, _res1_literal),
+    "res2_dt_over_t": (RES2_INTEGRAND, lambda t: _res2_bracket_literal(t) / t),
+    "res2_dt": (RES2_DT_INTEGRAND, _res2_bracket_literal),
 }
 
 # t in [2^-8, 10^3]: the raw forms' whole range short of the far tail.
@@ -86,9 +91,8 @@ def test_raw_form_matches_literal_expression(name, digits):
     # the one ``exp_neg`` gives whichever form takes it, and the form's
     # bits those it gives alone.
     ctx = make_context(digits)
-    factory, literal = LITERAL_FORMS[name]
-    integrand = factory(ctx)
-    other = LITERAL_FORMS[STORED_BY[name]][0](ctx)
+    integrand, literal = LITERAL_FORMS[name]
+    other = LITERAL_FORMS[STORED_BY[name]][0]
     bound = mpf(10) ** (-(digits + 10))
     misses = []
     with ctx.workdps(20):
@@ -210,12 +214,12 @@ TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log", "ln", 
 
 def _near_zero_forms(ctx):
     return {
-        "pain1": pain1_integrand(ctx),
-        "pain2": pain2_integrand(ctx),
-        "res1": res1_integrand(ctx),
-        "res2_dt_over_t": res2_integrand(ctx, "dt_over_t"),
-        "res2_dt": res2_integrand(ctx, "dt"),
-        "dirichlet": dirichlet_integrand(ctx),
+        "pain1": PAIN1_INTEGRAND,
+        "pain2": PAIN2_INTEGRAND,
+        "res1": RES1_INTEGRAND,
+        "res2_dt_over_t": RES2_INTEGRAND,
+        "res2_dt": RES2_DT_INTEGRAND,
+        "dirichlet": DIRICHLET_INTEGRAND,
         "kummer(x=1/4)": kummer_integrand(mpf(1) / 4, ctx),
         "fourier_a_n(n=3)": fourier_a_n_integrand(3, ctx),
     }
@@ -287,7 +291,7 @@ def _count_transcendentals(monkeypatch):
 @pytest.mark.parametrize("name", [name for name in LITERAL_FORMS if name != "res1"])
 def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
     ctx = make_context(50)
-    integrand = LITERAL_FORMS[name][0](ctx)
+    integrand = LITERAL_FORMS[name][0]
     calls = _count_transcendentals(monkeypatch)
     for text in RAW_GRID + ["1e6"]:
         for fn in calls:
@@ -300,7 +304,7 @@ def test_raw_forms_take_at_most_one_exp(name, monkeypatch):
 
 def test_res1_raw_form_takes_one_log_one_sqrt_and_at_most_one_exp(monkeypatch):
     ctx = make_context(50)
-    integrand = res1_integrand(ctx)
+    integrand = RES1_INTEGRAND
     calls = _count_transcendentals(monkeypatch)
     for text in RAW_GRID + ["1e6"]:
         for fn in calls:

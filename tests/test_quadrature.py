@@ -21,7 +21,7 @@ from glaisher import (
     make_context,
 )
 from glaisher.loggamma import (
-    dirichlet_integrand,
+    DIRICHLET_INTEGRAND,
     feaux_integrand,
     fourier_a_n_integrand,
     kummer_integrand,
@@ -38,10 +38,11 @@ from glaisher.quadrature import (
     _tanh_sinh_nodes,
 )
 from glaisher.routes import (
-    pain1_integrand,
-    pain2_integrand,
-    res1_integrand,
-    res2_integrand,
+    PAIN1_INTEGRAND,
+    PAIN2_INTEGRAND,
+    RES1_INTEGRAND,
+    RES2_DT_INTEGRAND,
+    RES2_INTEGRAND,
 )
 
 from conftest import abs_diff, reference_stop
@@ -77,7 +78,7 @@ class TestKnownIntegrals:
         assert abs_diff(r.value, 1) < mpf(10) ** -40
 
     def test_dirichlet_integral_is_euler_gamma(self, ctx50):
-        r = integrate_zero_to_inf(dirichlet_integrand(ctx50), ctx=ctx50)
+        r = integrate_zero_to_inf(DIRICHLET_INTEGRAND, ctx=ctx50)
         assert r.converged
         assert abs_diff(r.value, euler_gamma_ref(ctx50)) < mpf(10) ** -40
 
@@ -226,7 +227,7 @@ class TestErrorModel:
         return [
             (exp_decay(), mpf(1)),
             (inv_square(), mpf(1)),
-            (dirichlet_integrand(ctx), euler_gamma_ref(ctx)),
+            (DIRICHLET_INTEGRAND, euler_gamma_ref(ctx)),
             (log_sin_integrand(), log_sin_exact, (mpf(0), mpf(1) / 2)),
             (inv_sqrt(), mpf(2), (mpf(0), mpf(1))),
         ]
@@ -415,19 +416,19 @@ PROJECT_INTEGRANDS = [
 ]
 
 
+PARAMETER_FREE = {
+    "res1": RES1_INTEGRAND,
+    "res2_dt_over_t": RES2_INTEGRAND,
+    "res2_dt": RES2_DT_INTEGRAND,
+    "pain1": PAIN1_INTEGRAND,
+    "pain2": PAIN2_INTEGRAND,
+    "dirichlet": DIRICHLET_INTEGRAND,
+}
+
+
 def build_integrand(name, ctx):
-    if name == "res1":
-        return res1_integrand(ctx)
-    if name == "res2_dt_over_t":
-        return res2_integrand(ctx, "dt_over_t")
-    if name == "res2_dt":
-        return res2_integrand(ctx, "dt")
-    if name == "pain1":
-        return pain1_integrand(ctx)
-    if name == "pain2":
-        return pain2_integrand(ctx)
-    if name == "dirichlet":
-        return dirichlet_integrand(ctx)
+    if name in PARAMETER_FREE:
+        return PARAMETER_FREE[name]
     if name == "feaux_quarter":
         return feaux_integrand(mpf(1) / 4, ctx)
     if name == "feaux_zero_plus":
@@ -475,7 +476,7 @@ class TestNearZeroConsistency:
         # the raw form at t = 1e-6 loses ~18 digits to cancellation; at 100
         # working digits it still has > 40 true digits to compare against
         ctx100 = make_context(100)
-        integrand = res1_integrand(ctx100)
+        integrand = RES1_INTEGRAND
         with ctx100.workdps():
             t = mpf("1e-6")
             raw = integrand.eval(t)
@@ -483,13 +484,13 @@ class TestNearZeroConsistency:
             assert abs(raw - series) < mpf(10) ** -40 * max(1, abs(series))
 
     def test_res2_integrand_limit_is_quarter(self, ctx50):
-        integrand = res2_integrand(ctx50, "dt_over_t")
+        integrand = RES2_INTEGRAND
         with ctx50.workdps(20):
             value = integrand.near_zero(mpf("1e-8"))
             assert abs(value - mpf(1) / 4) < mpf("1e-7")
 
     def test_res1_integrand_limit_is_one_48th(self, ctx50):
-        integrand = res1_integrand(ctx50)
+        integrand = RES1_INTEGRAND
         with ctx50.workdps(20):
             value = integrand.near_zero(mpf("1e-20"))
             assert abs(value - mpf(1) / 48) < mpf("1e-19")
@@ -503,8 +504,8 @@ class TestNearZeroConsistency:
 
     def test_pain_integrand_limits(self, ctx50):
         with ctx50.workdps(20):
-            p1 = pain1_integrand(ctx50).near_zero(mpf("1e-20"))
-            p2 = pain2_integrand(ctx50).near_zero(mpf("1e-20"))
+            p1 = PAIN1_INTEGRAND.near_zero(mpf("1e-20"))
+            p2 = PAIN2_INTEGRAND.near_zero(mpf("1e-20"))
             assert abs(p1 - mpf(1) / 12) < mpf("1e-19")
             assert abs(p2 + mpf(1) / 12) < mpf("1e-19")
 

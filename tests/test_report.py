@@ -128,13 +128,16 @@ class TestDisagreements:
         # Every identity check, the dt control included, takes the Fourier
         # series' log A, so no route runs unless it is requested.
         calls = []
-        original = glaisher.routes.res1_integrand
+        integrand = glaisher.routes.RES1_INTEGRAND
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(form):
+            def counted(t):
+                calls.append(t)
+                return form(t)
+            return counted
 
-        monkeypatch.setattr(glaisher.routes, "res1_integrand", counting)
+        monkeypatch.setattr(integrand, "eval", counting(integrand.eval))
+        monkeypatch.setattr(integrand, "near_zero", counting(integrand.near_zero))
         run_all(ctx, ["kummer"])
         assert calls == []
 

@@ -35,11 +35,11 @@ from glaisher import (
 )
 from glaisher.quadrature import integrate_finite, integrate_zero_to_inf
 from glaisher.routes import (
+    PAIN1_INTEGRAND,
+    PAIN2_INTEGRAND,
     _hasse_partial_sums,
     _log_barnes_g,
     fourier_default_terms,
-    pain1_integrand,
-    pain2_integrand,
 )
 
 from conftest import abs_diff, rel_diff
@@ -96,14 +96,14 @@ class TestIntegralRoutes:
             assert mpmath.isfinite(est.value)
 
     def test_pain1_integral_satisfies_printed_identity(self, ctx50, consensus50):
-        result = integrate_zero_to_inf(pain1_integrand(ctx50), ctx=ctx50)
+        result = integrate_zero_to_inf(PAIN1_INTEGRAND, ctx=ctx50)
         with ctx50.workdps(10):
             c = ctx50.constants
             rhs = 3 * consensus50 - c.log2 / 3 - mpf(1) / 8
             assert abs(result.value - rhs) < mpf(10) ** -38
 
     def test_pain2_integral_satisfies_printed_identity(self, ctx50, consensus50):
-        result = integrate_zero_to_inf(pain2_integrand(ctx50), ctx=ctx50)
+        result = integrate_zero_to_inf(PAIN2_INTEGRAND, ctx=ctx50)
         with ctx50.workdps(10):
             c = ctx50.constants
             rhs = 3 * consensus50 - mpf(7) / 12 * c.log2 + c.log_pi / 2 - 1
