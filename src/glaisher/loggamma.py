@@ -33,14 +33,15 @@ The representations:
   with a_n = (gamma + log(2 pi) + log n) / (2 n pi), equal to the integral
   int_0^inf [2 n pi/(t^2 + 4 n^2 pi^2) - e^-t/(2 n pi)] dt/t.
 
-Each improper integrand cancels near t = 0, so each carries a
-``near_zero`` form summed from module-level power series on the
-:mod:`glaisher.smallt` kernel, with no transcendental of t (Feaux's, for
-x up to 128; Kummer's a = 1/2 - x multiplies its series from outside).
-The raw form computes with guard digits scaled to the cancellation and
-rounds once, on return; past :func:`~glaisher.smallt.far` the Feaux, a_n
-and Dirichlet forms drop e^-t.  These are the route integrands' rules.
-Kummer's raw form reads sinh(t/2) and e^-t off one q = e^(-t/2).
+Each improper integrand cancels near t = 0.  It has one form, the raw
+one, at every t: it computes with guard digits scaled to the
+cancellation (:func:`~glaisher.smallt.cancellation_guard`) and rounds
+once, on return, so it keeps the working precision down to the smallest
+t the exp-sinh map probes.  No near-zero series: these are cross-checks
+that no workload integrates, and a series would only be a second, faster
+path.  Past :func:`~glaisher.smallt.far` the Feaux, a_n and Dirichlet
+forms drop e^-t.  Kummer's raw form reads sinh(t/2) and e^-t off one
+q = e^(-t/2).
 
 Each integral representation returns its ``QuadratureResult``, with the
 represented quantity's value and estimate (Kummer's: half the integral's).
@@ -53,11 +54,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from math import factorial, log2
+from math import log2
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, mpf_log, mpf_pi, mpf_shift, round_nearest, to_fixed
+from mpmath.libmp import dps_to_prec, mpf_log, mpf_mul, mpf_pi, mpf_shift, round_nearest, to_fixed
 
 from .context import ComputeContext, Real
 from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf, shared
@@ -235,32 +236,14 @@ def _log_gamma1p_series(x: mpf, ctx: ComputeContext) -> Real:
 # Feaux representation of log Gamma(x+1)
 # ---------------------------------------------------------------------------
 
-# (t - log(1+t)) / t^2 = sum_k (-1)^k t^k / (k+2)
-_LOG1P_TAIL = PowerSeries(lambda k: ((-1) ** k, k + 2))
-
-# (expm1(z) - z) / z^2 = sum_k z^k / (k+2)!
-_EXPM1_TAIL = PowerSeries(lambda k: (1, factorial(k + 2)))
-
-
-def one_plus_em1z_over_z(z: mpf) -> mpf:
-    """1 + expm1(-z)/z = z/2 - z^2/6 + ..., where the Feaux integrand's
-    expm1(-x L)/L cancels its x e^-t: on the kernel for |z| <= 1/2, in
-    closed form above (x L passes 1/2 once x > 128)."""
-    if abs(z) > 0.5:
-        return 1 + mpmath.expm1(-z) / z
-    return z * _EXPM1_TAIL(-z)
-
-
 def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     """Integrand of the Feaux formula at parameter x.
 
-    Near-zero form: the bracket equals x e^{-L} [expm1(L-t) + (1 + expm1(-xL)/L)]
-    with L = log(1+t); both pieces are O(t^2) and O(t) series with no
-    subtractive cancellation.  It calls no transcendental: e^{-L} is
-    exactly 1/(1+t), and with lmt = t - L = t^2 (log1p tail)(t),
-    expm1(L-t) = -lmt + lmt^2 (expm1 tail)(-lmt) on the kernel.  Note the
-    log(1+t) denominator (the literature form with a bare 1+t is a known
-    typo).
+    The bracket's terms approach x and -x at t = 0, and the difference of
+    powers in the second cancels too, so the form loses two decades per
+    decade of t below 1, which its guard digits pay for.
+    Note the log(1+t) denominator (the literature form with a bare 1+t is
+    a known typo).
     """
     with ctx.workdps(20):
         x = mpf(x)
@@ -272,17 +255,7 @@ def feaux_integrand(x: Real, ctx: ComputeContext) -> Integrand:
             value = (x * e + ((1 + t) ** (-x - 1) - 1 / (1 + t)) / L) / t
         return +value
 
-    def series(t):
-        lmt = t * t * _LOG1P_TAIL(t)    # t - log(1+t) = O(t^2)
-        L = t - lmt
-        inner = lmt * lmt * _EXPM1_TAIL(-lmt) - lmt + one_plus_em1z_over_z(x * L)
-        return x * inner / ((1 + t) * t)
-
-    return Integrand(
-        eval=raw,
-        near_zero=series,
-        label=f"feaux(x={mpmath.nstr(x, 8)})",
-    )
+    return Integrand(eval=raw, label=f"feaux(x={mpmath.nstr(x, 8)})")
 
 
 def feaux_log_gamma1p(x: Real, ctx: ComputeContext) -> QuadratureResult:
@@ -296,48 +269,26 @@ def feaux_log_gamma1p(x: Real, ctx: ComputeContext) -> QuadratureResult:
 # Kummer representation of log Gamma(x), 0 < x < 1
 # ---------------------------------------------------------------------------
 
-def _t_over_sinh_half_coefficient(k: int) -> tuple[int, int]:
-    # t/sinh(t/2) = sum_k c_k t^2k, from x/sinh x = sum_k (2 - 4^k) B_2k x^2k/(2k)!
-    p, q = bernoulli(2 * k)
-    return 2 * (2 - 4 ** k) * p, q * factorial(2 * k) * 4 ** k
-
-
-def _kummer_g_coefficient(k: int) -> tuple[int, int]:
-    # [t - e^(-t/2) + e^(-3t/2)] / t^2: with j = k + 2, ((-3)^j - (-1)^j) / (2^j j!);
-    # the j = 1 term of the exponentials cancels the t.
-    j = k + 2
-    return (-3) ** j - (-1) ** j, 2 ** j * factorial(j)
-
-
-# (sinh(u) - u) / u^3 = S(u^2), S(y) = sum_m y^m / (2m+3)!
-_SINH_TAIL = PowerSeries(lambda m: (1, factorial(2 * m + 3)))
-_KUMMER_G = PowerSeries(_kummer_g_coefficient)
-_T_OVER_SINH_HALF = PowerSeries(_t_over_sinh_half_coefficient)
-
-
 def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
     """Integrand of the Kummer formula at parameter x.
 
-    Both bracket terms approach 1-2x at t = 0.  Near zero, with a = 1/2 - x,
-    N(t) = sinh(at) - 2a e^-t sinh(t/2) has N(t)/t^2 = a (a^2 t S(a^2 t^2)
-    + G(t)), S(y) = sum_m y^m/(2m+3)! and G(t) = [t - e^(-t/2) +
-    e^(-3t/2)]/t^2 (the O(t) terms cancel exactly), and the form is that
-    times the series of t/sinh(t/2) in t^2.  S and G serve every x, and a
-    stays outside them: near x = 1/2 the form keeps full relative
-    precision, and at x = 1/2 it is an exact 0.
+    Both bracket terms approach 1-2x at t = 0.  Near x = 1/2 both are
+    about 2a, a = 1/2 - x, and sinh(at) = (p - 1/p)/2 loses the decades of
+    1/|a| on top of those of 1/t; the guard digits pay for both, so the
+    form keeps full relative precision at any a, and at x = 1/2 it is an
+    exact 0.
     """
     with ctx.workdps(20):
         x = mpf(x)
         a = +(mpf(1) / 2 - x)
-        a2 = a * a
 
     # The decades of 1/|a| that p - 1/p below loses on top of those of 1/t.
     a_guard = cancellation_guard(abs(a), 1) - 10 if a else 0
 
     def raw(t):
-        # 1 - 2x is written as 2a so both evaluation paths share the one
-        # stored parameter; recomputing it would introduce a rounding
-        # mismatch that 1/t amplifies near the origin.  With q = e^(-t/2)
+        # 1 - 2x is written as 2a, the one stored parameter; recomputing
+        # it would introduce a rounding that 1/t amplifies near the
+        # origin.  With q = e^(-t/2)
         # and p = e^(at), sinh(t/2) = (1 - q^2)/(2q), sinh(at) = (p - 1/p)/2
         # and e^-t = q^2: two exps in all.  In the far tail the sinh ratio
         # is the whole value, so neither exp may be cut to 0 there.  The
@@ -350,15 +301,7 @@ def kummer_integrand(x: Real, ctx: ComputeContext) -> Integrand:
             value = (q * (p - 1 / p) / (1 - q2) - 2 * a * q2) / t
         return +value
 
-    def series(t):
-        t2 = t * t
-        return a * (a2 * t * _SINH_TAIL(a2 * t2) + _KUMMER_G(t)) * _T_OVER_SINH_HALF(t2)
-
-    return Integrand(
-        eval=raw,
-        near_zero=series,
-        label=f"kummer(x={mpmath.nstr(x, 8)})",
-    )
+    return Integrand(eval=raw, label=f"kummer(x={mpmath.nstr(x, 8)})")
 
 
 def kummer_log_gamma(x: Real, ctx: ComputeContext) -> QuadratureResult:
@@ -393,14 +336,14 @@ class FourierCoefficient:
 def fourier_a_n_integrand(n: int, ctx: ComputeContext) -> Integrand:
     """Integrand of the a_n integral form.
 
-    Near zero the two bracket terms both approach 1/(2 n pi); the rewrite
-    -t/(2 n pi (t^2 + 4 n^2 pi^2)) - expm1(-t)/(2 n pi t) subtracts them
-    analytically, -expm1(-t)/t = 1 - t (expm1 tail)(-t) on the kernel.
-    (That split cancels for large t, so it is used only near zero.)
+    The two bracket terms both approach 1/(2 n pi) at t = 0, so the form
+    loses a decade per decade of t below 1, which its guard digits pay for.
     """
     with ctx.workdps(10):
         two_n_pi = 2 * n * ctx.constants.pi
-        four_n2_pi2 = two_n_pi ** 2
+    # Squared exactly: a rounded square leaves the bracket off by its
+    # rounding, which 1/t lifts to the whole value at t ~ 10^-(P+10).
+    four_n2_pi2 = mp.make_mpf(mpf_mul(two_n_pi._mpf_, two_n_pi._mpf_))
 
     def raw(t):
         with mp.extradps(cancellation_guard(t, 1)):
@@ -408,14 +351,7 @@ def fourier_a_n_integrand(n: int, ctx: ComputeContext) -> Integrand:
             value = (two_n_pi / (t * t + four_n2_pi2) - e / two_n_pi) / t
         return +value
 
-    def series(t):
-        return (1 - t * _EXPM1_TAIL(-t) - t / (t * t + four_n2_pi2)) / two_n_pi
-
-    return Integrand(
-        eval=raw,
-        near_zero=series,
-        label=f"fourier_a_n(n={n})",
-    )
+    return Integrand(eval=raw, label=f"fourier_a_n(n={n})")
 
 
 def fourier_a_n(n: int, ctx: ComputeContext) -> FourierCoefficient:
@@ -465,15 +401,6 @@ def kummer_fourier_log_gamma(x: Real, n_terms: int, ctx: ComputeContext) -> Real
 # Dirichlet integral for Euler's constant
 # ---------------------------------------------------------------------------
 
-def _dirichlet_coefficient(k: int) -> tuple[int, int]:
-    # 1/(1+t) - e^-t = sum_j (-1)^j (1 - 1/j!) t^j; the j = 0, 1 terms
-    # vanish, so (1/(1+t) - e^-t)/t = t sum_k (-1)^k (1 - 1/(k+2)!) t^k.
-    return (-1) ** k * (factorial(k + 2) - 1), factorial(k + 2)
-
-
-_DIRICHLET_SERIES = PowerSeries(_dirichlet_coefficient)
-
-
 def _dirichlet_raw(t: mpf) -> mpf:
     """(1/(1+t) - e^-t)/t, with the guard digits of its cancellation."""
     with mp.extradps(cancellation_guard(t, 2)):
@@ -481,13 +408,7 @@ def _dirichlet_raw(t: mpf) -> mpf:
     return +value
 
 
-def _dirichlet_series(t: mpf) -> mpf:
-    return t * _DIRICHLET_SERIES(t)
-
-
-# (1/(1+t) - e^-t)/t, summed near zero as one power series in t.
-DIRICHLET_INTEGRAND = Integrand(eval=_dirichlet_raw, near_zero=_dirichlet_series,
-                                label="dirichlet_gamma")
+DIRICHLET_INTEGRAND = Integrand(eval=_dirichlet_raw, label="dirichlet_gamma")
 
 
 def dirichlet_gamma(ctx: ComputeContext) -> QuadratureResult:

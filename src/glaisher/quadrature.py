@@ -86,11 +86,14 @@ precision, which rounds to the endpoint itself once the offset is below
 half an ulp of it (at b, and at a unless a = 0; see
 :func:`integrate_finite`).
 
-Integrands declare an optional ``near_zero`` evaluation (an analytic
-small-t series) for t below ``DEFAULT_NEAR_ZERO_THRESHOLD``; the engine
-switches to it automatically.  That is essential here: the exp-sinh map probes abscissae
-down to t ~ 10^-(P+12), where the raw forms of the route integrands lose
-hundreds of digits to cancellation.
+Integrands may declare a ``near_zero`` evaluation (an analytic small-t
+series) for t below ``DEFAULT_NEAR_ZERO_THRESHOLD``; the engine switches
+to it automatically.  The exp-sinh map probes abscissae down to
+t ~ 10^-(P+12), where a cancelling raw form loses hundreds of digits;
+its guard digits pay for them, so the series is not needed for accuracy.
+It is a fast path, kept only where a workload spends time below the
+threshold: the route integrands have one, the log Gamma representations
+do not.
 """
 
 from __future__ import annotations
@@ -156,8 +159,8 @@ class Integrand:
     analytically rewritten evaluation valid for t below
     ``DEFAULT_NEAR_ZERO_THRESHOLD``, used by the engine in place of ``eval``
     there.  The two must agree to 10^-(P-8) on (0, threshold]; tests
-    enforce that for every project integrand (it is the check that the
-    series algebra matches the formula).
+    enforce that for every integrand that has one (it is the check that
+    the series algebra matches the formula).
     """
 
     eval: Callable[[Real], Real]

@@ -2,21 +2,24 @@
 
 Every improper integrand in this project is a difference of terms that
 agree to several orders at t = 0; evaluated literally they lose
-O(log10(1/t)) digits per cancelled order.  The route and log-Gamma modules
-rebuild each integrand near zero from power series whose coefficients
-already hold the cancelled differences, so the subtraction is done
-exactly in the coefficients instead of in floating point.  Each series
-lives with the integrand that sums it; this module holds what they share.
+O(log10(1/t)) digits per cancelled order.  Each raw form pays for them
+with the guard digits of :func:`cancellation_guard`.  The route module
+also rebuilds each of its integrands near zero from a power series whose
+coefficients already hold the cancelled differences, so the subtraction
+is done exactly in the coefficients instead of in floating point: a
+faster path where the workloads spend their time.  Each series lives
+with the integrand that sums it; this module holds what they share.
 
-All of those series run on one kernel, :class:`PowerSeries`.  It takes a
-coefficient function k -> c_k, exact as an integer pair (p, q), q > 0,
-and sums sum_{k>=0} c_k z^k in fixed point: per working precision
-(``mp.prec``) it keeps each c_k once as the W-bit integer nearest to
-p 2^W / q, takes z once as a W-bit integer, and sums by Horner's rule,
-acc = c_k + (acc z >> W), from the last term down (:func:`_horner`, which
-the log Gamma Taylor series calls too); only the final sum is rounded to
-an mpf.  A term costs one integer multiply and one shift instead of a
-few pure-Python mpf operations.  A near-zero form that is a quotient of
+Those series and the Stirling tail run on one kernel,
+:class:`PowerSeries`.  It takes a coefficient function k -> c_k, exact
+as an integer pair (p, q), q > 0, and sums sum_{k>=0} c_k z^k in fixed
+point: per working precision (``mp.prec``) it keeps each c_k once as
+the W-bit integer nearest to p 2^W / q, takes z once as a W-bit
+integer, and sums by Horner's rule, acc = c_k + (acc z >> W), from the
+last term down (:func:`_horner`, which the log Gamma Taylor series calls
+too); only the final sum is rounded to an mpf.  A term costs one
+integer multiply and one shift instead of a few pure-Python mpf
+operations.  A near-zero form that is a quotient of
 two known series (pain1's, pain2's, res1's) becomes one series by
 :func:`quotient_series`.  Sequences grown term by term (such c_k, node
 streams) are :class:`_Lazy`.
@@ -25,8 +28,7 @@ The W budget.  W = prec + 16 bits.  Each Horner step truncates by under
 one unit of 2^-W and each stored c_k is off by at most half a unit; the
 later steps multiply those errors by |z| <= 1/2, so the sum is off by a
 few units of 2^-W in all, under a hundredth of 2^-prec relative to any
-c_0 down to 1/48 (res1's, the smallest here).  Kummer's a = 1/2 - x,
-which can be tiny, stands outside its sums.  Horner and not forward
+c_0 down to 1/48 (res1's, the smallest here).  Horner and not forward
 powers: a forward sum truncates z^k before multiplying it by c_k, so the
 error of a term grows with |c_k|, and the Stirling coefficients grow
 factorially (summed forward, the Stirling tail was off by 2e8 units of

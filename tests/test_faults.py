@@ -1,10 +1,12 @@
 """A fault in a shared component must turn the report red.
 
-Each row moves one shared piece by a relative 10^-30 and runs ``run_all``
-at 50 digits.  Where the fault moves a reported value by more than ten
-times its estimate, the report must fail and name what fired.  Each row
-empties the caches the fault would otherwise miss or leave behind, so no
-faulted table reaches a later test.
+Each row moves one shared piece by a relative 10^-30, unless it says
+otherwise, and runs ``run_all`` at 50 digits.  Where the fault moves a
+reported value by more than ten times its estimate, the report must fail
+and name what fired; a control row moves a value by less than its
+estimate, and the report must stay green.  Each row empties the caches
+the fault would otherwise miss or leave behind, so no faulted table
+reaches a later test.
 """
 
 from __future__ import annotations
@@ -19,20 +21,20 @@ import glaisher.loggamma
 import glaisher.routes
 import glaisher.smallt
 from glaisher import make_context, run_all
-from glaisher.report import EXIT_DISAGREE, identity_report
+from glaisher.report import EXIT_DISAGREE, EXIT_OK, identity_report
 
 DE_ROUTES = ("pain1", "pain2", "feaux", "kummer")
 
 
-def _move_first_coefficient(series, monkeypatch):
+def _move_first_coefficient(series, monkeypatch, digits=30):
     """Move c_0 of the ``routes`` series named ``series`` by a relative
-    10^-30, with its coefficient tables emptied for the fault."""
+    10^-digits, with its coefficient tables emptied for the fault."""
     target = getattr(glaisher.routes, series)
     original = target._coefficient
 
     def moved(k):
         p, q = original(k)
-        return (p * (10**30 + 1), q * 10**30) if k == 0 else (p, q)
+        return (p * (10**digits + 1), q * 10**digits) if k == 0 else (p, q)
 
     monkeypatch.setattr(target, "_coefficient", moved)
     monkeypatch.setattr(target, "_cache", {})
@@ -79,6 +81,67 @@ def test_moved_route_near_zero_series(series, route_id, monkeypatch):
     others = set(DE_ROUTES + ("fourier_series",)) - {route_id}
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
     assert pairs == {frozenset((route_id, rid)) for rid in others}
+
+
+def test_moved_series_below_the_estimate_stays_green(monkeypatch):
+    # The control row: res1's c_0 moved by a relative 10^-45 moves feaux
+    # by 5.3e-50 against an estimate of 6.7e-41, so nothing may fire, and
+    # every other value and residual keeps its bits.
+    good = run_all(make_context(50))
+    _move_first_coefficient("_RES1", monkeypatch, digits=45)
+    doc = run_all(make_context(50))
+
+    assert doc.exit_code == EXIT_OK
+    assert not doc.failures and not doc.disagreements and not doc.failed_residuals
+    for e, before in zip(doc.estimates, good.estimates):
+        if e.route_id == "feaux":
+            assert 0 < abs(e.value - before.value) < e.error_estimate / 1000
+        else:
+            assert e.value == before.value, e.route_id
+    for r, g in zip(doc.residuals, good.residuals):
+        assert r.residual == g.residual, r.identity_id
+
+
+def test_moved_bernoulli_number(monkeypatch):
+    # B_4 moved through routes.bernoulli reaches the res2 bracket's c_1
+    # and S_B's and S_H's c_1 in the Euler-Maclaurin tail.  kummer moves
+    # by 1.3e-38 against an estimate of 3.3e-41 and disagrees with each
+    # of the other four full-precision routes.  fourier_series moves by
+    # 2.3e-43, 2e8 times its 1e-51 estimate, yet disagrees with nothing
+    # else: the pair allowance is set by the DE routes' estimates.  The
+    # identities that take their log A from it move from -4.7e-54 and
+    # -3.1e-54 to 3.5e-43 and 2.3e-43, under their 1e-40 tolerance.
+    good = run_all(make_context(50))
+    original = glaisher.routes.bernoulli
+
+    def moved(n):
+        p, q = original(n)
+        return (p * (10**30 + 1), q * 10**30) if n == 4 else (p, q)
+
+    monkeypatch.setattr(glaisher.routes, "bernoulli", moved)
+    for series in ("_RES2_BRACKET_OVER_T2", "_EM_BERNOULLI", "_EM_HARMONIC"):
+        monkeypatch.setattr(getattr(glaisher.routes, series), "_cache", {})
+    doc = run_all(make_context(50))
+
+    assert doc.exit_code == EXIT_DISAGREE
+    assert not doc.failures
+    before = {e.route_id: e for e in good.estimates}
+    for e in doc.estimates:
+        if e.route_id in ("kummer", "fourier_series"):
+            assert abs(e.value - before[e.route_id].value) > 10 * e.error_estimate, e.route_id
+        else:
+            assert e.value == before[e.route_id].value, e.route_id
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    others = ("pain1", "pain2", "feaux", "fourier_series")
+    assert pairs == {frozenset(("kummer", rid)) for rid in others}
+    assert not doc.failed_residuals
+    residuals = {r.identity_id: r for r in doc.residuals}
+    for g in good.residuals[:3]:
+        r = residuals[g.identity_id]
+        if g.identity_id == "log_sin":
+            assert r.residual == g.residual
+        else:
+            assert abs(g.residual) < 1e-50 and 1e-44 < abs(r.residual) < 1e-42, g.identity_id
 
 
 def test_moved_exp_table_entry(monkeypatch):

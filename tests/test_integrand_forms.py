@@ -1,6 +1,6 @@
 """The one-exp fixed-point raw forms and the transcendental-free near-zero
 forms of the integral routes' integrands, against the paper's literal
-expressions."""
+expressions, and the guarded raw forms of the log Gamma representations."""
 
 from __future__ import annotations
 
@@ -212,22 +212,12 @@ def test_quotient_series_pairs_match_fraction_convolution(name):
 TRANSCENDENTALS = ("exp", "expm1", "sinh", "cosh", "tanh", "coth", "log", "ln", "sqrt")
 
 
-def _near_zero_forms(ctx):
-    return {
-        "pain1": PAIN1_INTEGRAND,
-        "pain2": PAIN2_INTEGRAND,
-        "res1": RES1_INTEGRAND,
-        "res2_dt_over_t": RES2_INTEGRAND,
-        "res2_dt": RES2_DT_INTEGRAND,
-        "dirichlet": DIRICHLET_INTEGRAND,
-        "kummer(x=1/4)": kummer_integrand(mpf(1) / 4, ctx),
-        "fourier_a_n(n=3)": fourier_a_n_integrand(3, ctx),
-    }
+# The integrands with a near-zero form: the route integrands.
+NEAR_ZERO_FORMS = {name: integrand for name, (integrand, _) in LITERAL_FORMS.items()}
 
 
 def test_near_zero_forms_call_no_transcendental(monkeypatch):
     ctx = make_context(60)        # a precision the other tests leave cold
-    forms = _near_zero_forms(ctx)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("near-zero form called an mpmath transcendental")
@@ -238,7 +228,7 @@ def test_near_zero_forms_call_no_transcendental(monkeypatch):
     with ctx.workdps(20):
         ts = [mpf(DEFAULT_NEAR_ZERO_THRESHOLD) * mpf(s) for s in ("0.99", "1e-3")]
         ts.append(mpf(2) ** -200)
-        for name, integrand in forms.items():
+        for name, integrand in NEAR_ZERO_FORMS.items():
             for t in ts:
                 assert mpmath.isfinite(integrand.near_zero(t)), name
 
@@ -248,16 +238,20 @@ def test_integrand_values_carry_the_working_precision(digits):
     # Every form rounds once, to the engine's working precision: a raw
     # form's guard digits must not reach the value the engine multiplies
     # by every weight.  The near-zero forms are asked below the threshold
-    # only, where the engine calls them.
+    # only, where the engine calls them; the log Gamma representations
+    # have their raw form alone.
     ctx = make_context(digits)
-    forms = _near_zero_forms(ctx)
+    forms = dict(NEAR_ZERO_FORMS)
+    forms["dirichlet"] = DIRICHLET_INTEGRAND
     forms["feaux(x=1/4)"] = feaux_integrand(mpf(1) / 4, ctx)
+    forms["kummer(x=1/4)"] = kummer_integrand(mpf(1) / 4, ctx)
+    forms["fourier_a_n(n=3)"] = fourier_a_n_integrand(3, ctx)
     wide = []
     with ctx.workdps(20):
         for t in (mpf(2) ** -9, mpf(1) / 3, mpf(409), mpf(10) ** 40):
             for name, integrand in forms.items():
                 paths = {"raw": integrand.eval}
-                if t < DEFAULT_NEAR_ZERO_THRESHOLD:
+                if integrand.near_zero and t < DEFAULT_NEAR_ZERO_THRESHOLD:
                     paths["near_zero"] = integrand.near_zero
                 for path, form in paths.items():
                     bits = form(t)._mpf_[1].bit_length()
@@ -332,11 +326,12 @@ def test_kummer_raw_form_takes_two_exps_and_no_sinh(x, monkeypatch):
 
 @pytest.mark.parametrize("digits", [30, 70, 220])
 @pytest.mark.parametrize("sign, bits", [(1, 60), (-1, 90)], ids=["half-2^-60", "half+2^-90"])
-def test_kummer_near_zero_form_near_half(sign, bits, digits):
-    # x = 1/2 - a with a = +-2^-bits: both bracket terms are ~2a and the
-    # near-zero form keeps a outside its shared series, so a tiny a costs
-    # it no relative accuracy.  Against the literal bracket
-    # [sinh(at)/sinh(t/2) - 2a e^-t]/t at 3P + 200 digits.
+def test_kummer_raw_form_near_half(sign, bits, digits):
+    # x = 1/2 - a with a = +-2^-bits: both bracket terms are ~2a, and the
+    # raw form's guard covers the decades of 1/|a| on top of those of
+    # 1/t, so a tiny a costs it no relative accuracy below 2^-8.  Against
+    # the literal bracket [sinh(at)/sinh(t/2) - 2a e^-t]/t at 3P + 200
+    # digits.
     ctx = make_context(digits)
     with mp.workdps(400):
         a = sign * mpf(2) ** -bits
@@ -345,7 +340,7 @@ def test_kummer_near_zero_form_near_half(sign, bits, digits):
     for e in (9, 40, 300):
         with ctx.workdps(20):
             t = mpf(2) ** -e
-            got = integrand.near_zero(t)
+            got = integrand(t)
         with mp.workdps(3 * digits + 200):
             want = (mpmath.sinh(a * t) / mpmath.sinh(t / 2) - 2 * a * mpmath.exp(-t)) / t
             rel = abs(got - want) / abs(want)

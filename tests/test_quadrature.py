@@ -44,6 +44,7 @@ from glaisher.routes import (
     RES2_DT_INTEGRAND,
     RES2_INTEGRAND,
 )
+from glaisher.smallt import cancellation_guard
 
 from conftest import abs_diff, reference_stop
 
@@ -400,12 +401,10 @@ class TestStopRuleInDoubles:
                 assert max_terms == int(reference / (step * mpmath.ldexp(1, -level))), level
 
 
-PROJECT_INTEGRANDS = [
-    "res1",
-    "res2_dt_over_t",
-    "res2_dt",
-    "pain1",
-    "pain2",
+# The route integrands, which sum a near-zero series below 2^-8, and the
+# log Gamma representations, which evaluate their raw form at every t.
+SERIES_INTEGRANDS = ["res1", "res2_dt_over_t", "res2_dt", "pain1", "pain2"]
+RAW_ONLY_INTEGRANDS = [
     "dirichlet",
     "feaux_quarter",
     "feaux_zero_plus",
@@ -444,17 +443,39 @@ def build_integrand(name, ctx):
     raise AssertionError(name)
 
 
-class TestNearZeroConsistency:
-    """Mandatory raw-vs-series agreement below the stated threshold.
+def literal_form(name, ctx):
+    """The bracket of a raw-only integrand as written, with a plain exp, on
+    the parameter ``build_integrand`` gives it (made here the same way, at
+    the caller's precision)."""
+    if name == "dirichlet":
+        return lambda t: (1 / (1 + t) - mpmath.exp(-t)) / t
+    if name.startswith("a_"):
+        with ctx.workdps(10):
+            two_n_pi = 2 * int(name[2:]) * ctx.constants.pi
+        return lambda t: (two_n_pi / (t * t + two_n_pi ** 2) - mpmath.exp(-t) / two_n_pi) / t
+    x = {"feaux_quarter": mpf(1) / 4, "feaux_zero_plus": mpf("0.001"),
+         "kummer_quarter": mpf(1) / 4, "kummer_tenth": mpf(1) / 10}[name]
+    if name.startswith("feaux"):
+        return lambda t: (x * mpmath.exp(-t)
+                          + ((1 + t) ** (-x - 1) - 1 / (1 + t)) / mpmath.log(1 + t)) / t
+    return lambda t: (mpmath.sinh((mpf(1) / 2 - x) * t) / mpmath.sinh(t / 2)
+                      - (1 - 2 * x) * mpmath.exp(-t)) / t
 
-    This is the check that the hand-derived series algebra reproduces the
-    literal formulas: 10^-(P-8) absolute-ish agreement on (0, t0].
+
+class TestNearZeroConsistency:
+    """Mandatory accuracy below the stated threshold.
+
+    A route integrand's series must agree with its raw form to 10^-(P-8)
+    absolute-ish on (0, t0]: the check that the hand-derived series
+    algebra reproduces the literal formula.  A raw-only integrand's form
+    must match the literal expression at far higher precision: the check
+    that its guard digits pay for the cancellation there.
     """
 
     @pytest.mark.parametrize(
         "name, digits",
-        [pytest.param(name, 50, id=name) for name in PROJECT_INTEGRANDS]
-        + [pytest.param(name, 400, id=f"{name}-400") for name in PROJECT_INTEGRANDS],
+        [pytest.param(name, 50, id=name) for name in SERIES_INTEGRANDS]
+        + [pytest.param(name, 400, id=f"{name}-400") for name in SERIES_INTEGRANDS],
     )
     def test_eval_matches_near_zero_below_threshold(self, name, digits):
         ctx = make_context(digits)
@@ -471,6 +492,35 @@ class TestNearZeroConsistency:
                     f"{name} at t={mpmath.nstr(t, 6)}: raw={mpmath.nstr(raw, 25)} "
                     f"series={mpmath.nstr(series, 25)}"
                 )
+
+    @pytest.mark.parametrize(
+        "name, digits",
+        [pytest.param(name, 50, id=name) for name in RAW_ONLY_INTEGRANDS]
+        + [pytest.param(name, 400, id=f"{name}-400") for name in RAW_ONLY_INTEGRANDS],
+    )
+    def test_raw_form_below_threshold(self, name, digits):
+        # What the engine evaluates below 2^-8, at its P+20 digits, against
+        # the literal expression with three digits per decade of t more
+        # than the cancellation costs it, to 10^-(P+10) relative: on the
+        # consistency grid and at the smallest abscissa exp-sinh probes.
+        ctx = make_context(digits)
+        integrand = build_integrand(name, ctx)
+        assert integrand.near_zero is None
+        literal = literal_form(name, ctx)
+        misses = []
+        with ctx.workdps(20):
+            t0 = mpf(DEFAULT_NEAR_ZERO_THRESHOLD)
+            grid = [t0 * mpf(s) for s in ("0.99", "0.5", "0.1", "1e-3", "1e-6")]
+            grid.append(mpf(10) ** -(digits + 12))
+        for t in grid:
+            with ctx.workdps(20):
+                got = integrand(t)
+            with ctx.workdps(40), mp.extradps(cancellation_guard(t, 3)):
+                want = literal(t)
+                rel = abs(got - want) / abs(want)
+            if rel > mpf(10) ** -(digits + 10):
+                misses.append(f"t = {mpmath.nstr(t, 5)}: {mpmath.nstr(rel, 3)}")
+        assert not misses, f"{name} at {digits} digits: {misses}"
 
     def test_res1_series_vs_raw_at_hundred_digits(self):
         # the raw form at t = 1e-6 loses ~18 digits to cancellation; at 100
@@ -499,7 +549,7 @@ class TestNearZeroConsistency:
         x = mpf(1) / 4
         integrand = kummer_integrand(x, ctx50)
         with ctx50.workdps(20):
-            value = integrand.near_zero(mpf("1e-20"))
+            value = integrand(mpf("1e-20"))
             assert abs(value - (1 - 2 * x)) < mpf("1e-19")
 
     def test_pain_integrand_limits(self, ctx50):

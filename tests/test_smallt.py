@@ -1,10 +1,11 @@
 """The small-argument series: the fixed-point kernel against the same sums
-in mpf, helpers against their closed forms, and the per-precision
-coefficient cache of the shared power-series kernel."""
+in mpf and against closed forms, and the per-precision coefficient cache
+of the shared power-series kernel."""
 
 from __future__ import annotations
 
 import time
+from math import factorial
 
 import mpmath
 import pytest
@@ -13,31 +14,54 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from glaisher import loggamma, make_context, routes
-from glaisher.loggamma import kummer_integrand, one_plus_em1z_over_z
+from glaisher.loggamma import kummer_integrand
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
-from glaisher.smallt import PowerSeries, _Lazy, cancellation_guard, far, fixed_logs
+from glaisher.smallt import PowerSeries, _Lazy, bernoulli, cancellation_guard, far, fixed_logs
 
-from test_quadrature import PROJECT_INTEGRANDS, build_integrand, threshold_points
+from test_quadrature import SERIES_INTEGRANDS, build_integrand, threshold_points
 
-# Every series the project sums on the kernel, and whether it is held out
-# to |z| = 1/2 (one_plus_em1z_over_z passes the expm1 tail up to 1/2;
-# Feaux's near-zero form passes both tails at most 2^-8).
-# "res1_psi", "pain1_S" and "pain2_numerator" keep their test ids but now
-# name each integrand's whole near-zero quotient series.  Kummer's
-# near-zero form is a (a^2 t S(a^2 t^2) + G(t)) times t/sinh(t/2), from
-# three series shared by every x.
+
+def _t_over_sinh_half_coefficient(k):
+    # t/sinh(t/2) = sum_k c_k t^2k, from x/sinh x = sum_k (2 - 4^k) B_2k x^2k/(2k)!
+    p, q = bernoulli(2 * k)
+    return 2 * (2 - 4 ** k) * p, q * factorial(2 * k) * 4 ** k
+
+
+def _kummer_g_coefficient(k):
+    # [t - e^(-t/2) + e^(-3t/2)] / t^2: with j = k + 2, ((-3)^j - (-1)^j) / (2^j j!)
+    j = k + 2
+    return (-3) ** j - (-1) ** j, 2 ** j * factorial(j)
+
+
+def _dirichlet_coefficient(k):
+    # (1/(1+t) - e^-t)/t^2 = sum_k (-1)^k (1 - 1/(k+2)!) t^k
+    return (-1) ** k * (factorial(k + 2) - 1), factorial(k + 2)
+
+
+# Test-only series, which widen the kernel's contract cases beyond what
+# the package sums: coefficients that do not decay (log1p, dirichlet),
+# factorial and Bernoulli ones, and, for the two tails, negative z and
+# |z| = 1/2, where the term count needs the top bits of z and not its
+# bit length alone.
+LOG1P_TAIL = PowerSeries(lambda k: ((-1) ** k, k + 2))             # (t - log(1+t))/t^2
+EXPM1_TAIL = PowerSeries(lambda k: (1, factorial(k + 2)))          # (expm1(z) - z)/z^2
+
+# Every series the project sums on the kernel, then the test-only ones,
+# and whether each is held out to |z| = 1/2.  "res1_psi", "pain1_S" and
+# "pain2_numerator" keep their test ids but name each integrand's whole
+# near-zero quotient series.
 KERNEL_SERIES = {
     "res1_psi": (routes._RES1, False),
     "res2_bracket": (routes._RES2_BRACKET_OVER_T2, False),
     "pain1_S": (routes._PAIN1, False),
     "pain2_numerator": (routes._PAIN2, False),
-    "log1p_tail": (loggamma._LOG1P_TAIL, True),
-    "expm1_tail": (loggamma._EXPM1_TAIL, True),
-    "kummer_sinh_tail": (loggamma._SINH_TAIL, False),
-    "kummer_g": (loggamma._KUMMER_G, False),
-    "t_over_sinh_half": (loggamma._T_OVER_SINH_HALF, False),
-    "dirichlet": (loggamma._DIRICHLET_SERIES, False),
     "stirling": (loggamma._STIRLING_SERIES, False),
+    "log1p_tail": (LOG1P_TAIL, True),
+    "expm1_tail": (EXPM1_TAIL, True),
+    "kummer_sinh_tail": (PowerSeries(lambda m: (1, factorial(2 * m + 3))), False),
+    "kummer_g": (PowerSeries(_kummer_g_coefficient), False),
+    "t_over_sinh_half": (PowerSeries(_t_over_sinh_half_coefficient), False),
+    "dirichlet": (PowerSeries(_dirichlet_coefficient), False),
 }
 
 
@@ -111,19 +135,18 @@ def test_coefficients_are_exact_pairs_rounded_once(name, digits):
 
 
 def log1p_tail_form(t):
-    # t - log(1+t), as the Feaux near-zero form sums it
-    return t * t * loggamma._LOG1P_TAIL(t)
+    # t - log(1+t), summed on the kernel
+    return t * t * LOG1P_TAIL(t)
 
 
 def expm1_tail_form(z):
-    # expm1(z) - z, as the Feaux near-zero form sums it
-    return z * z * loggamma._EXPM1_TAIL(z)
+    # expm1(z) - z, summed on the kernel
+    return z * z * EXPM1_TAIL(z)
 
 
 CLOSED_FORMS = {
     log1p_tail_form: lambda t: t - mpmath.log1p(t),
     expm1_tail_form: lambda z: mpmath.expm1(z) - z,
-    one_plus_em1z_over_z: lambda z: 1 + mpmath.expm1(-z) / z,
 }
 
 
@@ -165,7 +188,7 @@ def test_series_cache_is_per_precision():
     # sum 70-digit coefficients and miss the raw form by ~1e-70.
     low, high = make_context(50), make_context(400)
     bound = mpf(10) ** (-(high.precision_digits - 8))
-    for name in PROJECT_INTEGRANDS:
+    for name in SERIES_INTEGRANDS:
         integrand = build_integrand(name, high)
         with high.workdps(20):
             ts = [mpf(DEFAULT_NEAR_ZERO_THRESHOLD) * mpf(s) for s in ("0.5", "1e-3")]
@@ -302,12 +325,11 @@ def test_fixed_logs_short_tables():
         assert logs[4] == 2 * logs[2] > 0
 
 
-def test_kummer_series_vanishes_at_half(ctx50):
-    # a = 1/2 - x = 0 makes every coefficient 0; the sum must stop at 0.
+def test_kummer_integrand_vanishes_at_half(ctx50):
+    # a = 1/2 - x = 0 makes p = e^(at) exactly 1 and both bracket terms 0.
     integrand = kummer_integrand(mpf(1) / 2, ctx50)
     with ctx50.workdps(20):
-        assert integrand.near_zero(mpf("1e-3")) == 0
-        assert integrand.eval(mpf("1e-3")) == 0
+        assert integrand(mpf("1e-3")) == 0
 
 
 def _res1_unguarded(t):
@@ -338,7 +360,8 @@ def _feaux_unguarded(x):
 def _fourier_unguarded(n, ctx):
     with ctx.workdps(10):
         two_n_pi = 2 * n * (+mpmath.pi)
-        four_n2_pi2 = two_n_pi ** 2
+        with mp.workprec(2 * mp.prec):
+            four_n2_pi2 = two_n_pi ** 2    # exact, as the integrand squares it
     return lambda t: (two_n_pi / (t * t + four_n2_pi2) - mpmath.exp(-t) / two_n_pi) / t
 
 
