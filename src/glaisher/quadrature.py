@@ -39,7 +39,7 @@ digits, and the cap stays two levels above that.  An integral that
 reaches the cap is reported as not converged.
 
 Nodes come in +-u pairs, one exp per pair, by :func:`~glaisher.smallt._exp`
-(``mpf_exp``'s bits in half its time at 200 digits).  A level walks
+(``mpf_exp``'s bits in 1/2.9 of its time at 200 digits).  A level walks
 u = k h once, stepping (pi/4) e^{kh} and (pi/4) e^{-kh} by one
 fixed-point multiplication each, so (pi/2) sinh u and (pi/2) cosh u cost
 no transcendental call (mpmath's ``TanhSinh.calc_nodes`` does the same).

@@ -11,19 +11,36 @@ reaches a later test.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp
 
+import glaisher.context
 import glaisher.loggamma
+import glaisher.quadrature
 import glaisher.routes
 import glaisher.smallt
 from glaisher import make_context, run_all
 from glaisher.report import EXIT_DISAGREE, EXIT_OK, identity_report
 
 DE_ROUTES = ("pain1", "pain2", "feaux", "kummer")
+FULL_ROUTES = DE_ROUTES + ("fourier_series",)
+
+
+@pytest.fixture(scope="module")
+def good():
+    """The report at 50 digits with nothing moved."""
+    return run_all(make_context(50))
+
+
+def _moved(value):
+    """A raw mpf moved by a relative 10^-30."""
+    _, man, exp, _ = value
+    return from_man_exp(man * (10**30 + 1) // 10**30, exp)
 
 
 def _move_first_coefficient(series, monkeypatch, digits=30):
@@ -83,11 +100,10 @@ def test_moved_route_near_zero_series(series, route_id, monkeypatch):
     assert pairs == {frozenset((route_id, rid)) for rid in others}
 
 
-def test_moved_series_below_the_estimate_stays_green(monkeypatch):
+def test_moved_series_below_the_estimate_stays_green(good, monkeypatch):
     # The control row: res1's c_0 moved by a relative 10^-45 moves feaux
     # by 5.3e-50 against an estimate of 6.7e-41, so nothing may fire, and
     # every other value and residual keeps its bits.
-    good = run_all(make_context(50))
     _move_first_coefficient("_RES1", monkeypatch, digits=45)
     doc = run_all(make_context(50))
 
@@ -102,7 +118,43 @@ def test_moved_series_below_the_estimate_stays_green(monkeypatch):
         assert r.residual == g.residual, r.identity_id
 
 
-def test_moved_bernoulli_number(monkeypatch):
+def test_moved_late_bernoulli_number_stays_green(good, monkeypatch):
+    # The second control row: B_20 moved by a relative 10^-30.  It is read
+    # as the res2 bracket's coefficient of t^17 and the Euler-Maclaurin
+    # tail's of w^9, whose moved parts round away at 50 digits, so nothing
+    # may fire and every value and residual keeps its bits.
+    reads = _move_bernoulli(20, monkeypatch)
+    doc = run_all(make_context(50))
+
+    assert reads
+    assert doc.exit_code == EXIT_OK
+    assert not doc.failures and not doc.disagreements and not doc.failed_residuals
+    for e, before in zip(doc.estimates, good.estimates):
+        assert e.value == before.value, e.route_id
+    for r, g in zip(doc.residuals, good.residuals):
+        assert r.residual == g.residual, r.identity_id
+
+
+def _move_bernoulli(n, monkeypatch):
+    """Move B_n, as ``routes.bernoulli`` hands it out, by a relative 10^-30,
+    with the tables of the three series that read it emptied; returns the
+    list that each read of B_n appends to."""
+    original, reads = glaisher.routes.bernoulli, []
+
+    def moved(m):
+        p, q = original(m)
+        if m != n:
+            return p, q
+        reads.append(m)
+        return p * (10**30 + 1), q * 10**30
+
+    monkeypatch.setattr(glaisher.routes, "bernoulli", moved)
+    for series in ("_RES2_BRACKET_OVER_T2", "_EM_BERNOULLI", "_EM_HARMONIC"):
+        monkeypatch.setattr(getattr(glaisher.routes, series), "_cache", {})
+    return reads
+
+
+def test_moved_bernoulli_number(good, monkeypatch):
     # B_4 moved through routes.bernoulli reaches the res2 bracket's c_1
     # and S_B's and S_H's c_1 in the Euler-Maclaurin tail.  kummer moves
     # by 1.3e-38 against an estimate of 3.3e-41 and disagrees with each
@@ -111,16 +163,7 @@ def test_moved_bernoulli_number(monkeypatch):
     # else: the pair allowance is set by the DE routes' estimates.  The
     # identities that take their log A from it move from -4.7e-54 and
     # -3.1e-54 to 3.5e-43 and 2.3e-43, under their 1e-40 tolerance.
-    good = run_all(make_context(50))
-    original = glaisher.routes.bernoulli
-
-    def moved(n):
-        p, q = original(n)
-        return (p * (10**30 + 1), q * 10**30) if n == 4 else (p, q)
-
-    monkeypatch.setattr(glaisher.routes, "bernoulli", moved)
-    for series in ("_RES2_BRACKET_OVER_T2", "_EM_BERNOULLI", "_EM_HARMONIC"):
-        monkeypatch.setattr(getattr(glaisher.routes, series), "_cache", {})
+    _move_bernoulli(4, monkeypatch)
     doc = run_all(make_context(50))
 
     assert doc.exit_code == EXIT_DISAGREE
@@ -144,19 +187,18 @@ def test_moved_bernoulli_number(monkeypatch):
             assert abs(g.residual) < 1e-50 and 1e-44 < abs(r.residual) < 1e-42, g.identity_id
 
 
-def test_moved_exp_table_entry(monkeypatch):
-    # T_1[75] = e^(75/256), which at 50 digits six exp-sinh and tanh-sinh
-    # node pairs read and no raw form's E does.  Moved, it moves every DE
-    # route by 2e-34 to 2e-33 against estimates of 3e-41 and 7e-41, and
-    # every pair of the five full-precision routes disagrees.  The
-    # identity residuals move too (gla2's from 3e-54 to 3e-50) but stay
-    # under their 1e-40 tolerance, and the limit, Fourier and Hasse values
-    # keep their bits.  The faulted set, built wider than any 50-digit call
-    # asks (328 bits), replaces the process's tables for this row only.
-    good = run_all(make_context(50))
+def test_moved_exp_table_entry(good, monkeypatch):
+    # L_1[105] = log(1 + 105/256), which at 50 digits three exp-sinh node
+    # pairs of the routes read, and neither a raw form's E nor an identity
+    # integral does.  Moved, it moves every DE route by 6e-35 to 6e-34
+    # against estimates of 3e-41 and 7e-41, and every pair of the five
+    # full-precision routes disagrees.  The identity residuals, the limit,
+    # Fourier and Hasse values keep their bits.  The faulted set, built
+    # wider than any 50-digit call asks (328 bits), replaces the process's
+    # tables for this row only.
     width = 400
-    tables = glaisher.smallt._exp_tables(width)
-    tables[0][75] = tables[0][75] * (10**30 + 1) // 10**30
+    tables = glaisher.smallt._log_tables(width, glaisher.smallt._stages(width))
+    tables[0][105] = tables[0][105] * (10**30 + 1) // 10**30
     monkeypatch.setattr(glaisher.smallt, "_EXP_TABLES", [width, tables])
     doc = run_all(make_context(50))
 
@@ -167,12 +209,97 @@ def test_moved_exp_table_entry(monkeypatch):
             assert e.value == before.value, e.route_id
     assert doc.exit_code == EXIT_DISAGREE
     assert not doc.failures
-    assert not doc.failed_residuals
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
-    assert pairs == {frozenset(p) for p in combinations(DE_ROUTES + ("fourier_series",), 2)}
+    assert pairs == {frozenset(p) for p in combinations(FULL_ROUTES, 2)}
+    for r, g in zip(doc.residuals, good.residuals):
+        assert r.residual == g.residual, r.identity_id
 
 
-def test_moved_shared_exp_half(monkeypatch):
+def test_moved_node_stream(good, monkeypatch):
+    # Both scaled values of every node, (pi/2) sinh u and (pi/2) cosh u,
+    # as quadrature._scaled_sinh_cosh steps them.  Every DE route moves,
+    # by 1.6e-34 to 1.3e-33 against estimates of 3e-41 and 7e-41, and
+    # every pair of the five full-precision routes disagrees.  The three
+    # integral identities run on the same nodes and fail (residuals near
+    # 1e-32 against their 1e-40 tolerance); the limit, Fourier and Hasse
+    # values keep their bits.
+    original = glaisher.quadrature._scaled_sinh_cosh
+
+    def moved(level, step, count):
+        for s, w in original(level, step, count):
+            yield _moved(s), _moved(w)
+
+    monkeypatch.setattr(glaisher.quadrature, "_scaled_sinh_cosh", moved)
+    doc = run_all(make_context(50))
+
+    for e, before in zip(doc.estimates, good.estimates):
+        if e.route_id in DE_ROUTES:
+            assert abs(e.value - before.value) > 10 * e.error_estimate, e.route_id
+        else:
+            assert e.value == before.value, e.route_id
+    assert doc.exit_code == EXIT_DISAGREE
+    assert not doc.failures
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    assert pairs == {frozenset(p) for p in combinations(FULL_ROUTES, 2)}
+    assert [r.identity_id for r in doc.failed_residuals] == ["glaisher_half", "gla2", "log_sin"]
+
+
+def _move_constant(name, monkeypatch):
+    """Move one field of every context's constant set by a relative 10^-30."""
+    original = glaisher.context.compute_constants
+
+    def moved(ctx):
+        constants = original(ctx)
+        return replace(constants, **{name: mp.make_mpf(_moved(getattr(constants, name)._mpf_))})
+
+    monkeypatch.setattr(glaisher.context, "compute_constants", moved)
+
+
+def test_moved_log2_constant(good, monkeypatch):
+    # constants.log2, which the four DE routes' closed forms, the Fourier
+    # value and the identities read (log_2pi, computed beside it, stays).
+    # Every full-precision route moves, by 1.9e-32 to 1.4e-31 against
+    # estimates of 1e-51 to 7e-41.  pain2 and feaux move alike, as do
+    # kummer and fourier_series, so those two pairs agree; the eight
+    # others disagree, and all three identities fail.
+    _move_constant("log2", monkeypatch)
+    doc = run_all(make_context(50))
+
+    for e, before in zip(doc.estimates, good.estimates):
+        if e.route_id in FULL_ROUTES:
+            assert abs(e.value - before.value) > 10 * e.error_estimate, e.route_id
+        else:
+            assert e.value == before.value, e.route_id
+    assert doc.exit_code == EXIT_DISAGREE
+    assert not doc.failures
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    agreeing = {frozenset(("pain2", "feaux")), frozenset(("kummer", "fourier_series"))}
+    assert pairs == {frozenset(p) for p in combinations(FULL_ROUTES, 2)} - agreeing
+    assert [r.identity_id for r in doc.failed_residuals] == ["glaisher_half", "gla2", "log_sin"]
+
+
+def test_moved_euler_gamma_constant(good, monkeypatch):
+    # constants.euler_gamma, which of the routes only the Fourier value
+    # reads: it moves by 4.8e-32 against an estimate of 1e-51 and
+    # disagrees with each DE route, whose bits are unchanged, and the two
+    # identities that take their log A from it fail; log_sin keeps its bits.
+    _move_constant("euler_gamma", monkeypatch)
+    doc = run_all(make_context(50))
+
+    for e, before in zip(doc.estimates, good.estimates):
+        if e.route_id == "fourier_series":
+            assert abs(e.value - before.value) > 10 * e.error_estimate
+        else:
+            assert e.value == before.value, e.route_id
+    assert doc.exit_code == EXIT_DISAGREE
+    assert not doc.failures
+    pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
+    assert pairs == {frozenset((rid, "fourier_series")) for rid in DE_ROUTES}
+    assert [r.identity_id for r in doc.failed_residuals] == ["glaisher_half", "gla2"]
+    assert doc.residuals[2].residual == good.residuals[2].residual
+
+
+def test_moved_shared_exp_half(good, monkeypatch):
     # E = e^(-t/2), which the four route raw forms read from one shared
     # value per abscissa.  Moved, it stalls pain1 and pain2, whose raw
     # forms subtract E-terms that cancel to far below E: neither
@@ -180,12 +307,10 @@ def test_moved_shared_exp_half(monkeypatch):
     # and 4e-29 away against estimates near 5e-41, and disagree with each
     # other and with the Fourier value.  The identities and the other
     # full-precision routes read no E and keep their bits.
-    good = run_all(make_context(50))
     original = glaisher.routes.exp_neg
 
     def moved(t):
-        _, man, exp, _ = original(t)
-        return from_man_exp(man * (10**30 + 1) // 10**30, exp)
+        return _moved(original(t))
 
     monkeypatch.setattr(glaisher.routes, "exp_neg", moved)
     doc = run_all(make_context(50))
@@ -206,7 +331,7 @@ def test_moved_shared_exp_half(monkeypatch):
         assert r.residual == g.residual, r.identity_id
 
 
-def test_moved_log_three(monkeypatch):
+def test_moved_log_three(good, monkeypatch):
     # The fixed_logs entry for log 3, moved through smallt.mpf_log (its one
     # caller there is fixed_logs), so every composite built from 3 moves
     # with it.  Three routes read the table.  Fourier moves by 1.2e-32
@@ -214,15 +339,11 @@ def test_moved_log_three(monkeypatch):
     # bits are unchanged, and the two identities that take their log A
     # from it fail.  The limit (9e-26 against 1.6e-21) and Hasse (5.8e-7
     # against 6.9e-5) move too, but stay inside their estimates.
-    good = run_all(make_context(50))
     original, three = glaisher.smallt.mpf_log, from_int(3)
 
     def moved(x, prec, rounding):
         value = original(x, prec, rounding)
-        if x != three:
-            return value
-        _, man, exp, _ = value
-        return from_man_exp(man * (10**30 + 1) // 10**30, exp)
+        return _moved(value) if x == three else value
 
     monkeypatch.setattr(glaisher.smallt, "mpf_log", moved)
     doc = run_all(make_context(50))
