@@ -37,6 +37,17 @@ def good():
     return run_all(make_context(50))
 
 
+def _assert_moved(doc, good, routes):
+    """Each route in ``routes`` moved by more than ten times its estimate;
+    every other value keeps its bits."""
+    before = {e.route_id: e.value for e in good.estimates}
+    for e in doc.estimates:
+        if e.route_id in routes:
+            assert abs(e.value - before[e.route_id]) > 10 * e.error_estimate, e.route_id
+        else:
+            assert e.value == before[e.route_id], e.route_id
+
+
 def _moved(value):
     """A raw mpf moved by a relative 10^-30."""
     _, man, exp, _ = value
@@ -129,8 +140,7 @@ def test_moved_late_bernoulli_number_stays_green(good, monkeypatch):
     assert reads
     assert doc.exit_code == EXIT_OK
     assert not doc.failures and not doc.disagreements and not doc.failed_residuals
-    for e, before in zip(doc.estimates, good.estimates):
-        assert e.value == before.value, e.route_id
+    _assert_moved(doc, good, ())
     for r, g in zip(doc.residuals, good.residuals):
         assert r.residual == g.residual, r.identity_id
 
@@ -168,12 +178,7 @@ def test_moved_bernoulli_number(good, monkeypatch):
 
     assert doc.exit_code == EXIT_DISAGREE
     assert not doc.failures
-    before = {e.route_id: e for e in good.estimates}
-    for e in doc.estimates:
-        if e.route_id in ("kummer", "fourier_series"):
-            assert abs(e.value - before[e.route_id].value) > 10 * e.error_estimate, e.route_id
-        else:
-            assert e.value == before[e.route_id].value, e.route_id
+    _assert_moved(doc, good, ("kummer", "fourier_series"))
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
     others = ("pain1", "pain2", "feaux", "fourier_series")
     assert pairs == {frozenset(("kummer", rid)) for rid in others}
@@ -202,11 +207,7 @@ def test_moved_exp_table_entry(good, monkeypatch):
     monkeypatch.setattr(glaisher.smallt, "_EXP_TABLES", [width, tables])
     doc = run_all(make_context(50))
 
-    for e, before in zip(doc.estimates, good.estimates):
-        if e.route_id in DE_ROUTES:
-            assert abs(e.value - before.value) > 10 * e.error_estimate, e.route_id
-        else:
-            assert e.value == before.value, e.route_id
+    _assert_moved(doc, good, DE_ROUTES)
     assert doc.exit_code == EXIT_DISAGREE
     assert not doc.failures
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
@@ -232,11 +233,7 @@ def test_moved_node_stream(good, monkeypatch):
     monkeypatch.setattr(glaisher.quadrature, "_scaled_sinh_cosh", moved)
     doc = run_all(make_context(50))
 
-    for e, before in zip(doc.estimates, good.estimates):
-        if e.route_id in DE_ROUTES:
-            assert abs(e.value - before.value) > 10 * e.error_estimate, e.route_id
-        else:
-            assert e.value == before.value, e.route_id
+    _assert_moved(doc, good, DE_ROUTES)
     assert doc.exit_code == EXIT_DISAGREE
     assert not doc.failures
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
@@ -265,11 +262,7 @@ def test_moved_log2_constant(good, monkeypatch):
     _move_constant("log2", monkeypatch)
     doc = run_all(make_context(50))
 
-    for e, before in zip(doc.estimates, good.estimates):
-        if e.route_id in FULL_ROUTES:
-            assert abs(e.value - before.value) > 10 * e.error_estimate, e.route_id
-        else:
-            assert e.value == before.value, e.route_id
+    _assert_moved(doc, good, FULL_ROUTES)
     assert doc.exit_code == EXIT_DISAGREE
     assert not doc.failures
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
@@ -286,11 +279,7 @@ def test_moved_euler_gamma_constant(good, monkeypatch):
     _move_constant("euler_gamma", monkeypatch)
     doc = run_all(make_context(50))
 
-    for e, before in zip(doc.estimates, good.estimates):
-        if e.route_id == "fourier_series":
-            assert abs(e.value - before.value) > 10 * e.error_estimate
-        else:
-            assert e.value == before.value, e.route_id
+    _assert_moved(doc, good, ("fourier_series",))
     assert doc.exit_code == EXIT_DISAGREE
     assert not doc.failures
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
@@ -318,12 +307,7 @@ def test_moved_shared_exp_half(good, monkeypatch):
     assert doc.exit_code == EXIT_DISAGREE
     assert sorted(f.route_id for f in doc.failures) == ["pain1", "pain2"]
     assert all("did not converge" in f.error and not f.refused for f in doc.failures)
-    before = {e.route_id: e for e in good.estimates}
-    for e in doc.estimates:
-        if e.route_id in ("feaux", "kummer"):
-            assert abs(e.value - before[e.route_id].value) > 10 * e.error_estimate, e.route_id
-        else:
-            assert e.value == before[e.route_id].value, e.route_id
+    _assert_moved(doc, good, ("feaux", "kummer"))
     pairs = {frozenset((a, b)) for a, b, *_ in doc.disagreements}
     assert pairs == {frozenset(p) for p in combinations(("feaux", "kummer", "fourier_series"), 2)}
     assert not doc.failed_residuals
