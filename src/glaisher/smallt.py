@@ -412,17 +412,20 @@ def _log_tables(width: int, stages: int) -> list[list[int]]:
     """[L_1, ..., L_stages], L_k[j] = log(1 + j 2^-8k), j = 0..256, in
     ``width``-bit fixed point, within one unit: running sums of
     log((2^8k + j) / (2^8k + j - 1)) = 2 atanh(1/m), m = 2^(8k+1) + 2j - 1,
-    each series term truncated at width + 24 bits, each sum rounded once."""
+    each series summed exactly over d m^top by Horner's rule in m^2 and
+    floored at width + 24 bits, each sum rounded once."""
     bits = width + 24
     tables = []
     for k in range(1, stages + 1):
+        top = bits // (16 * k + 2) * 2 + 1      # terms 1/(n m^n), odd n <= top
+        d = lcm(*range(1, top + 1, 2))
+        numerators = [d // n for n in range(1, top + 1, 2)]
         row, total = [0], 0
         for m in range((2 << 8 * k) + 1, (2 << 8 * k) + 512, 2):
-            term, m2, odd = (2 << bits) // m, m * m, 1
-            while term:
-                total += term // odd
-                term //= m2
-                odd += 2
+            m2, p = m * m, 0
+            for c in numerators:
+                p = p * m2 + c
+            total += (p << bits + 1) // (d * m**top)
             row.append(total + (1 << 23) >> 24)
         tables.append(row)
     return tables
