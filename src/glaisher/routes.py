@@ -84,14 +84,14 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from math import ceil, comb, factorial, gcd, isqrt
+from math import ceil, comb, factorial, gcd, inf, isqrt
 from operator import sub
 from typing import Callable, Literal
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_log, mpf_mul, mpf_sin, mpf_sub,
-                          round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, mpf_log, mpf_mul, mpf_sin, mpf_sub, round_nearest,
+                          to_fixed)
 
 from .context import (
     MIN_PRECISION_DIGITS,
@@ -643,22 +643,19 @@ def hasse_required_digits(n_terms: int, output_digits: int = 20) -> int:
 
 
 def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
-    """Yield (n, outer term, partial sum) for n = 0..n_max at P+10 digits.
+    """(W, iterator of (n, head, partial sum) for n = 0..n_max): integers
+    in units of 2^-W, W = mp.prec + 10 at P+10 digits.
 
     The inner sum sum_k (-1)^k C(n,k) f(k), f(k) = (k+1)^2 log(k+1), is
-    (-1)^n Delta^n f(0), the head of row n of the forward-difference
-    table of f.  f(0..n_max) is taken once as W-bit fixed-point
-    integers, (k+1)^2 times the integer-log table of
-    :func:`~glaisher.smallt.fixed_logs` at P+10 digits (W = mp.prec + 10;
-    each log(k+1) rounded once, or summed from its factors' logs); each
-    row is then the exact integer differences of the one before, so no
-    binomial and no mpf product is formed.  Row n still adds up to 2^n
-    of those roundings, which is why the 0.302 N digit rule is unchanged.
-
-    Refuses to start when the context precision cannot absorb the
-    cancellation of the inner sums (the result would be silent garbage).
-    The steps sum on libmp at that precision, read once, so no step
-    changes the precision, and a caller that stops early changes none.
+    the head (-1)^n Delta^n f(0) of row n of the forward-difference table
+    of f.  f(0..n_max) is taken once as W-bit integers, (k+1)^2 times the
+    integer-log table of :func:`~glaisher.smallt.fixed_logs`; each row is
+    the exact integer differences of the one before, so no binomial and
+    no mpf is formed.  Row n still adds up to 2^n of the logs' roundings,
+    which is why the 0.302 N digit rule holds.  The partial sum adds each
+    outer term head/(n+1) divided to the nearest unit, so it is off by
+    at most (n+1)/2 units.  Refuses, before any work, a context that
+    cannot absorb the cancellation (the result would be silent garbage).
     """
     needed = hasse_required_digits(n_max)
     if ctx.precision_digits < needed:
@@ -668,42 +665,49 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
             f"(ceil(0.302 N) + 20)"
         )
     with ctx.workdps(10):
-        prec = mp.prec
         width, logs = fixed_logs(n_max + 1)
-    row = [m * m * logs[m] for m in range(1, n_max + 2)]
-    total = fzero
-    for n in range(n_max + 1):
-        head = -row[0] if n % 2 else row[0]
-        sign, man, exp, _ = _round(head, -width, prec)
-        outer = _quotient(-man if sign else man, n + 1, exp, prec)
-        total = mpf_add(total, outer, prec, round_nearest)
-        yield n, mp.make_mpf(outer), mp.make_mpf(total)
-        row = list(map(sub, row[1:], row))
+
+    def sums():
+        row = [m * m * logs[m] for m in range(1, n_max + 2)]
+        total = 0
+        for n in range(n_max + 1):
+            head = -row[0] if n % 2 else row[0]
+            total += (2 * head + n + 1) // (2 * n + 2)
+            yield n, head, total
+            row = list(map(sub, row[1:], row))
+
+    return width, sums()
 
 
 def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:
     """log A from the alternating binomial double sum.
 
     Refuses to run when the context precision cannot absorb the
-    cancellation (result would be silent garbage).  The error estimate is
-    the last outer term's share of log A, |term|/2, times 2N/3, a factor
-    fitted near N = 200.  The inner sums tend to about 2/(n (log n)^3)
-    and the outer terms to about 2/(n^2 (log n)^3) (n^{-5/2} is only
-    their local slope near n = 200), so the tail beyond N slowly
-    approaches N times the last term (measured 0.66 N at N = 200, 0.72 N
-    at N = 1000): true error over estimate tends to 1.5, inside the 10x
-    contract.  Four relative digits arrive first at N = 176, five at
-    N = 849 and six at N = 4597.
+    cancellation (result would be silent garbage).  The value is 1/8
+    minus half the last partial sum, rounded once at P+10 digits.  The
+    error estimate is the last outer term's share of log A, |term|/2,
+    times 2N/3, a factor fitted near N = 200; the term is the last head
+    rounded at P+10 digits, then divided by N + 1.  The inner sums tend
+    to about 2/(n (log n)^3) and the outer terms to about
+    2/(n^2 (log n)^3) (n^{-5/2} is only their local slope near n = 200),
+    so the tail beyond N slowly approaches N times the last term
+    (measured 0.66 N at N = 200, 0.72 N at N = 1000): true error over
+    estimate tends to 1.5, inside the 10x contract.  Four relative digits
+    arrive first at N = 176, five at N = 849 and six at N = 4597.
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     start = time.perf_counter()
-    for _, last_outer, total in _hasse_partial_sums(ctx, n_terms):
+    width, sums = _hasse_partial_sums(ctx, n_terms)
+    for _, head, total in sums:
         pass
     with ctx.workdps(10):
-        value = +(mpf(1) / 8 - total / 2)
+        prec = mp.prec
+        value = mp.make_mpf(_round((1 << width - 2) - total, -width - 1, prec))
+        _, man, exp, _ = _round(head, -width, prec)
+        last_outer = mp.make_mpf(_quotient(man, n_terms + 1, exp, prec))
         floor = mpf(10) ** (-(ctx.precision_digits + 1))
-        err = +(abs(last_outer) / 2 * max(1, 2 * n_terms // 3) + floor)
+        err = +(last_outer / 2 * max(1, 2 * n_terms // 3) + floor)
     return RouteEstimate(
         route_id="hasse",
         value=value,
@@ -723,22 +727,26 @@ def hasse_first_n(
     """First N <= n_max whose Hasse partial sum agrees with consensus to
     ``digits`` relative digits, plus the best relative gap seen.
 
-    One incremental pass (the partial sums nest), so the scan costs the
-    same as a single route_hasse run at n_max.  Returns (None, best_gap)
-    when no N qualifies: the outer terms decay only like
-    2/(n^2 (log n)^3), so the tail shrinks like 2/(N (log N)^3) (locally
-    N^{-3/2} near N = 200) and six digits arrive first at N = 4597.
+    One incremental pass (the partial sums nest), compared with the
+    consensus in integers, so the scan costs the same as a single
+    route_hasse run at n_max.  Returns (None, best_gap) when no N
+    qualifies: the outer terms decay only like 2/(n^2 (log n)^3), so the
+    tail shrinks like 2/(N (log N)^3) (locally N^{-3/2} near N = 200) and
+    six digits arrive first at N = 4597.
     """
+    width, sums = _hasse_partial_sums(ctx, n_max)
     with ctx.workdps(10):
-        target = mpf(10) ** (-digits)
-        best = mpmath.inf
-        for n, _, total in _hasse_partial_sums(ctx, n_max):
-            value = mpf(1) / 8 - total / 2
-            gap = abs(value - consensus) / abs(consensus)
+        # in units of 2^-(W+1), where 1/8 is 2^(W-2)
+        reference = to_fixed(mpf(consensus)._mpf_, width + 1)
+        scale = abs(reference)
+        threshold = -(-scale // 10**digits)     # gap < scale 10^-digits, gap an integer
+        best = inf
+        for n, _, total in sums:
+            gap = abs((1 << width - 2) - total - reference)
             best = min(best, gap)
-            if gap < target:
-                return n, +best
-        return None, +best
+            if gap < threshold:
+                return n, fixed_quotient(best, scale)
+        return None, fixed_quotient(best, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,14 @@ rounded correctly instead.  It takes 1/1.4, 1/1.9 and 1/2.9 of
 constants of a width: one set per process, at 9/8 of the widest wp asked
 (1028 entries at 50 digits; 1799, 0.28 MB, at 200).
 
-Sums of integer logarithms -- the Hasse forward-difference table, the
-limit route's log G(n+1) and the Fourier partial sum -- read one table,
-:func:`fixed_logs`: log 0..log N as W-bit fixed-point integers, W =
-mp.prec + 10.  Only a prime takes a logarithm, libmp's
-``mpf_log(from_int(p), mp.prec, round_nearest)`` (the bits of
-``mpmath.log(p)`` without its wrapper) taken to W bits; a composite m is
-the exact integer sum of the entries of its least prime factor p and of
-m/p, from a least-factor sieve.  So every entry is within
+Sums of integer logarithms -- the Hasse forward-difference table and
+its outer sum, the limit route's log G(n+1) and the Fourier partial sum
+-- read one table, :func:`fixed_logs`: log 0..log N as W-bit
+fixed-point integers, W = mp.prec + 10.  Only a prime takes a
+logarithm, libmp's ``mpf_log(from_int(p), mp.prec, round_nearest)``
+(the bits of ``mpmath.log(p)`` without its wrapper) taken to W bits; a
+composite m is the exact integer sum of the entries of its least prime
+factor p and of m/p, from a least-factor sieve.  So every entry is within
 2^-prec log m + Omega(m) 2^-W of log m, Omega(m) its prime factors
 counted with multiplicity, and a sum over the table is exact integer
 arithmetic rounded once.  The table is built per call and kept by

@@ -12,6 +12,10 @@ or import bound at a module's top level that nothing in the package
 reads: not its own module, by name, nor another module, by importing it
 or as an attribute.  A coefficient function left behind by the series it
 fed is such a name.
+
+A third scan fails on any name a module imports from ``mpmath`` or
+``mpmath.libmp`` (or any ``mpmath`` module it imports whole) and never
+reads: a libmp call left behind by a loop that moved to integers.
 """
 
 from __future__ import annotations
@@ -112,3 +116,38 @@ def test_the_scan_finds_an_unread_private_name():
 def test_no_private_name_is_left_unread():
     sources = {path.stem: path.read_text() for path in sorted(SOURCES.glob("*.py"))}
     assert _unread_private_names(sources) == []
+
+
+def _unread_mpmath_imports(text):
+    """(line, name) of each name imported from mpmath, or an mpmath module
+    imported whole, that the module's source never reads."""
+    tree = ast.parse(text)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            names = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names
+                     if alias.name.split(".")[0] == "mpmath"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name not in read]
+    return found
+
+
+def test_the_scan_finds_an_unread_mpmath_import():
+    text = ("import mpmath\nfrom mpmath import mp, mpf\n"
+            "from mpmath.libmp import fzero, mpf_add, round_nearest\n"
+            "def f(x):\n    return mpf(mpf_add(x, x, mp.prec, round_nearest))\n")
+    assert _unread_mpmath_imports(text) == [(1, "mpmath"), (3, "fzero")]
+    assert _unread_mpmath_imports("import mpmath.libmp\nx = mpmath.libmp.fzero\n") == []
+
+
+def test_no_module_imports_an_mpmath_name_it_never_reads():
+    misses = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SOURCES.glob("*.py"))
+        for line, name in _unread_mpmath_imports(path.read_text())
+    ]
+    assert misses == []

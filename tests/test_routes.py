@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
@@ -45,8 +46,9 @@ from glaisher.routes import (
 from conftest import abs_diff, rel_diff
 
 # route_hasse's value and estimate (mpf tuples, mantissa in hex) at
-# (digits, N), pinned before the integer logs moved to smallt.fixed_logs:
-# the table must give the same integers, so the same bits.
+# (digits, N).  The value is the integer partial sum rounded once; the
+# estimate, pinned before the integer logs moved to smallt.fixed_logs,
+# rounds the last head as it did then.
 _HASSE_PINS = {
     (50, 80): (
         (0, 0x1fd4689573d81b46bb66772bf507710f1d8957534b971434d5, -199, 197),
@@ -56,12 +58,21 @@ _HASSE_PINS = {
         (0, int("7f5c6478b13168b0ba4b536ea2074771ab5b8bf3fba6e891654d8b3082259a44"
                 "60d8a57957c9039088d267cbc2c42d75ad432b254728b09b001ef2f8849d018f"
                 "267b94186a93f59e4c5d4e383efb44d01404bd8318f93f65c4ddee2087b6bcd1"
-                "cf4d741e23bdf9f79a4625be0856d850211", 16), -909, 907),
+                "cf4d741e23bdf9f79a4625be0856d85020f", 16), -909, 907),
         (0, int("554927d5da98566ec4c33b633a70e88cffb648daa9fe94e8bb162faee385015a"
                 "c771f51eb9adbb725485d91d756a34dd8651a25be6b4f3ee59ba970caca1f386"
                 "109fbb33b8229ad9a2b529b4bcd95ba0818f0e7bb3289129d278f9767cecda31"
                 "0133275bc63a2c079ef174dad97fdd64259", 16), -925, 907),
     ),
+}
+
+
+# (W, sha256 of repr(list of heads)) of the Hasse table rows at
+# (digits, N), recorded from the table code before the sums moved to
+# integers: the table must give the same integers.
+_HASSE_HEAD_DIGESTS = {
+    (50, 80): (213, "805ab4f8b933b7c869a7c10a97ae347a0c2f0d690ef93e29bb1bb8c81465ae5e"),
+    (262, 800): (917, "ec0210cbd6845d011335d069a7343fa6355a297c6ee5b4ee504b9ffe5cc986c3"),
 }
 
 
@@ -465,8 +476,10 @@ class TestHasseRoute:
 
     @pytest.mark.parametrize("n_max", [1, 2, 40, 200])
     def test_difference_table_matches_direct_sums(self, n_max):
-        # Every outer term (1/(n+1)) sum_k (-1)^k C(n,k) (k+1)^2 log(k+1)
-        # against the same sum with exact binomials at 40 more digits.
+        # Every outer term head/(n+1) = (1/(n+1)) sum_k (-1)^k C(n,k)
+        # (k+1)^2 log(k+1) against the same sum with exact binomials at 40
+        # more digits, and every partial sum within (n+1)/2 units of 2^-W
+        # of the exact sum of those quotients.
         digits = hasse_required_digits(n_max)
         promised = digits - hasse_required_digits(n_max, output_digits=0)
         ctx = make_context(digits)
@@ -477,14 +490,25 @@ class TestHasseRoute:
                             for k in range(n + 1)) / (n + 1)
                 for n in range(n_max + 1)
             ]
+        width, sums = _hasse_partial_sums(ctx, n_max)
+        exact = Fraction(0)
         seen = 0
-        for n, outer, _ in _hasse_partial_sums(ctx, n_max):
+        for n, head, total in sums:
             with mp.workdps(digits + 40):
-                gap = abs(outer - direct[n])
+                gap = abs(mpf((head, -width)) / (n + 1) - direct[n])
             assert gap <= mpf(10) ** -promised, f"n={n}: |table - direct| = {mpmath.nstr(gap, 3)}"
+            exact += Fraction(head, n + 1)
+            assert abs(total - exact) <= Fraction(n + 1, 2), f"n={n}"
             seen += 1
         assert seen == n_max + 1
         assert route_hasse(ctx, n_terms=n_max).evaluations == (n_max + 1) * (n_max + 2) // 2
+
+    @pytest.mark.parametrize("digits, n_max", sorted(_HASSE_HEAD_DIGESTS))
+    def test_heads_pinned(self, digits, n_max):
+        width, sums = _hasse_partial_sums(make_context(digits), n_max)
+        heads = [head for _, head, _ in sums]
+        digest = hashlib.sha256(repr(heads).encode()).hexdigest()
+        assert (width, digest) == _HASSE_HEAD_DIGESTS[digits, n_max]
 
     @pytest.mark.slow
     def test_six_digits_first_at_4597(self, consensus50):
@@ -500,8 +524,8 @@ class TestHasseRoute:
         assert (est.value._mpf_, est.error_estimate._mpf_) == _HASSE_PINS[digits, n_terms]
 
     def test_precision_blocks_do_not_grow_with_n(self, workdps_blocks):
-        # The outer loop sums on libmp at one precision: no step opens a
-        # block of its own, so N = 800 enters as many as N = 80.
+        # The outer loop sums integers: no step opens a block of its own,
+        # so N = 800 enters as many as N = 80.
         ctx = make_context(262)
         counts = []
         for n_terms in (80, 800):
