@@ -2,9 +2,12 @@
 
 The inner alternating binomial sums reach ~2^n before collapsing to
 contributions of about 2/(n (log n)^3), so ~0.302 n decimal digits
-vanish into cancellation.  The route reads them off a fixed-point
-forward-difference table, whose row n adds up to 2^n roundings in the
-same way; it refuses precision budgets that cannot absorb that.
+vanish into cancellation.  The route sums over k first, weighting each
+fixed-point f(k) = (k+1)^2 log(k+1) by an exact integer; the weights
+reach ~2^N and multiply the roundings of f in the same way, so it
+refuses precision budgets that cannot absorb that.  The scan for the
+first N with enough digits reads every partial sum off a forward-
+difference table of f instead.
 Convergence is honest but slow: the outer terms decay like
 2/(n^2 (log n)^3), so the measured profile reaches 4 relative digits
 first at N = 176, 5 at N = 849, and 6 only at N = 4597.

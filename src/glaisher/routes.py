@@ -38,14 +38,13 @@ fourier_series  log A = (log 2)/36 + (gamma + log 2pi)/12
                 the accuracy (about 275 digits at N = 100), so the
                 default N is max(100, floor(0.37 P) + 10).
 hasse           log A = 1/8 - (1/2) sum_n 1/(n+1)
-                sum_k (-1)^k C(n,k) (k+1)^2 log(k+1).  The inner sum is
-                (-1)^n Delta^n f(0) for f(k) = (k+1)^2 log(k+1), read off
-                a forward-difference table of f kept in exact fixed-point
-                integers.  The alternating binomial sums cancel ~ 2^n,
-                i.e. 0.302 n decimal digits, and row n of the table adds
-                up to 2^n roundings of f in the same way, so the context
-                must carry that many digits above the requested output
-                accuracy.
+                sum_k (-1)^k C(n,k) (k+1)^2 log(k+1), summed over k
+                first with exact integer weights on f(k) = (k+1)^2
+                log(k+1) in fixed point.  The alternating binomial sums
+                cancel ~ 2^n, i.e. 0.302 n decimal digits, and the
+                weights multiply the roundings of f in the same way, so
+                the context must carry that many digits above the
+                requested output accuracy.
 
 The limit, Fourier and Hasse routes take their integer logarithms from
 one fixed-point table, :func:`~glaisher.smallt.fixed_logs`, built per call.
@@ -84,7 +83,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from math import ceil, comb, factorial, gcd, inf, isqrt
+from math import ceil, comb, factorial, gcd, inf, isqrt, lcm
 from operator import sub
 from typing import Callable, Literal
 
@@ -642,21 +641,11 @@ def hasse_required_digits(n_terms: int, output_digits: int = 20) -> int:
     return ceil(0.302 * n_terms) + output_digits
 
 
-def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
-    """(W, iterator of (n, head, partial sum) for n = 0..n_max): integers
-    in units of 2^-W, W = mp.prec + 10 at P+10 digits.
-
-    The inner sum sum_k (-1)^k C(n,k) f(k), f(k) = (k+1)^2 log(k+1), is
-    the head (-1)^n Delta^n f(0) of row n of the forward-difference table
-    of f.  f(0..n_max) is taken once as W-bit integers, (k+1)^2 times the
-    integer-log table of :func:`~glaisher.smallt.fixed_logs`; each row is
-    the exact integer differences of the one before, so no binomial and
-    no mpf is formed.  Row n still adds up to 2^n of the logs' roundings,
-    which is why the 0.302 N digit rule holds.  The partial sum adds each
-    outer term head/(n+1) divided to the nearest unit, so it is off by
-    at most (n+1)/2 units.  Refuses, before any work, a context that
-    cannot absorb the cancellation (the result would be silent garbage).
-    """
+def _hasse_f(ctx: ComputeContext, n_max: int) -> tuple[int, list[int]]:
+    """(W, [f(0), ..., f(n_max)]), f(k) = (k+1)^2 log(k+1) in units of
+    2^-W from :func:`~glaisher.smallt.fixed_logs` at P+10 digits.  Refuses,
+    before any work, a context that cannot absorb the cancellation (the
+    result would be silent garbage)."""
     needed = hasse_required_digits(n_max)
     if ctx.precision_digits < needed:
         raise PrecisionError(
@@ -666,9 +655,23 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
         )
     with ctx.workdps(10):
         width, logs = fixed_logs(n_max + 1)
+    return width, [m * m * logs[m] for m in range(1, n_max + 2)]
 
-    def sums():
-        row = [m * m * logs[m] for m in range(1, n_max + 2)]
+
+def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
+    """(W, iterator of (n, head, partial sum) for n = 0..n_max): integers
+    in units of 2^-W.
+
+    The inner sum sum_k (-1)^k C(n,k) f(k) is the head (-1)^n Delta^n
+    f(0) of row n of the forward-difference table of f, each row the
+    exact integer differences of the one before: O(n_max^2) subtractions,
+    paid only where every partial sum is needed.  The partial sum adds
+    each head/(n+1) divided to the nearest unit, so it is off by at most
+    (n+1)/2 units.
+    """
+    width, row = _hasse_f(ctx, n_max)
+
+    def sums(row):
         total = 0
         for n in range(n_max + 1):
             head = -row[0] if n % 2 else row[0]
@@ -676,7 +679,31 @@ def _hasse_partial_sums(ctx: ComputeContext, n_max: int):
             yield n, head, total
             row = list(map(sub, row[1:], row))
 
-    return width, sums()
+    return width, sums(row)
+
+
+def _hasse_sum(ctx: ComputeContext, n: int) -> tuple[int, int, int, int]:
+    """(W, num, L, head): the table's sum of head/(m+1), m <= n, as the
+    exact rational num/L in units of 2^-W, and its last head, in O(n).
+
+    Summed over k first it is sum_k (-1)^k f(k) c_k, c_k = sum_{m=k..n}
+    C(m,k)/(m+1), with c_0 = H_{n+1} and c_k + c_{k+1} = C(n+1,k+1)/(k+1)
+    (Pascal's rule, C(m+1,k+1)/(m+1) = C(m,k)/(k+1), hockey stick).  Each
+    d_k = L c_k, L = lcm(1..n+1), is an integer.
+    """
+    width, f = _hasse_f(ctx, n)
+    den = lcm(*range(1, n + 2))
+    weight = sum(den // m for m in range(1, n + 2))   # (-1)^k d_k
+    step = den * (n + 1)                              # (-1)^k L C(n+1,k+1)/(k+1)
+    binom = 1                                         # (-1)^k C(n,k)
+    num = head = 0
+    for k, fk in enumerate(f):
+        num += fk * weight
+        head += fk * binom
+        weight -= step
+        binom = binom * (k - n) // (k + 1)
+        step = step * ((k + 1) * (k - n)) // ((k + 2) * (k + 2))
+    return width, num, den, head
 
 
 def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:
@@ -684,7 +711,7 @@ def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:
 
     Refuses to run when the context precision cannot absorb the
     cancellation (result would be silent garbage).  The value is 1/8
-    minus half the last partial sum, rounded once at P+10 digits.  The
+    minus half the exact double sum, rounded once at P+10 digits.  The
     error estimate is the last outer term's share of log A, |term|/2,
     times 2N/3, a factor fitted near N = 200; the term is the last head
     rounded at P+10 digits, then divided by N + 1.  The inner sums tend
@@ -698,12 +725,10 @@ def route_hasse(ctx: ComputeContext, n_terms: int = 80) -> RouteEstimate:
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     start = time.perf_counter()
-    width, sums = _hasse_partial_sums(ctx, n_terms)
-    for _, head, total in sums:
-        pass
+    width, num, den, head = _hasse_sum(ctx, n_terms)
     with ctx.workdps(10):
         prec = mp.prec
-        value = mp.make_mpf(_round((1 << width - 2) - total, -width - 1, prec))
+        value = mp.make_mpf(_quotient((den << width - 2) - num, den, -width - 1, prec))
         _, man, exp, _ = _round(head, -width, prec)
         last_outer = mp.make_mpf(_quotient(man, n_terms + 1, exp, prec))
         floor = mpf(10) ** (-(ctx.precision_digits + 1))
@@ -727,13 +752,17 @@ def hasse_first_n(
     """First N <= n_max whose Hasse partial sum agrees with consensus to
     ``digits`` relative digits, plus the best relative gap seen.
 
-    One incremental pass (the partial sums nest), compared with the
-    consensus in integers, so the scan costs the same as a single
-    route_hasse run at n_max.  Returns (None, best_gap) when no N
-    qualifies: the outer terms decay only like 2/(n^2 (log n)^3), so the
-    tail shrinks like 2/(N (log N)^3) (locally N^{-3/2} near N = 200) and
-    six digits arrive first at N = 4597.
+    One pass over the difference table (the partial sums nest), compared
+    with the consensus in integers: O(n_max^2) work, against O(N) for
+    route_hasse.  Returns (None, best_gap) when no N qualifies: the
+    outer terms decay only like 2/(n^2 (log n)^3), so the tail shrinks
+    like 2/(N (log N)^3) (locally N^{-3/2} near N = 200) and six digits
+    arrive first at N = 4597.
     """
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
     width, sums = _hasse_partial_sums(ctx, n_max)
     with ctx.workdps(10):
         # in units of 2^-(W+1), where 1/8 is 2^(W-2)

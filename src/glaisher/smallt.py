@@ -87,9 +87,10 @@ rounded correctly instead.  It takes 1/1.4, 1/1.9 and 1/2.9 of
 constants of a width: one set per process, at 9/8 of the widest wp asked
 (1028 entries at 50 digits; 1799, 0.28 MB, at 200).
 
-Sums of integer logarithms -- the Hasse forward-difference table and
-its outer sum, the limit route's log G(n+1) and the Fourier partial sum
--- read one table, :func:`fixed_logs`: log 0..log N as W-bit
+Sums of integer logarithms -- the Hasse double sum, weighted by exact
+integers in the route and as a forward-difference table in its scan,
+the limit route's log G(n+1) and the Fourier partial sum -- read one
+table, :func:`fixed_logs`: log 0..log N as W-bit
 fixed-point integers, W = mp.prec + 10.  Only a prime takes a
 logarithm, libmp's ``mpf_log(from_int(p), mp.prec, round_nearest)``
 (the bits of ``mpmath.log(p)`` without its wrapper) taken to W bits; a

@@ -39,6 +39,7 @@ from glaisher.routes import (
     PAIN1_INTEGRAND,
     PAIN2_INTEGRAND,
     _hasse_partial_sums,
+    _hasse_sum,
     _log_barnes_g,
     fourier_default_terms,
 )
@@ -46,7 +47,7 @@ from glaisher.routes import (
 from conftest import abs_diff, rel_diff
 
 # route_hasse's value and estimate (mpf tuples, mantissa in hex) at
-# (digits, N).  The value is the integer partial sum rounded once; the
+# (digits, N).  The value is the exact double sum rounded once; the
 # estimate, pinned before the integer logs moved to smallt.fixed_logs,
 # rounds the last head as it did then.
 _HASSE_PINS = {
@@ -502,6 +503,45 @@ class TestHasseRoute:
             seen += 1
         assert seen == n_max + 1
         assert route_hasse(ctx, n_terms=n_max).evaluations == (n_max + 1) * (n_max + 2) // 2
+
+    @pytest.mark.parametrize("digits, n_max", [
+        (hasse_required_digits(n), n) for n in (1, 2, 40, 200)] + [(262, 800)])
+    def test_weighted_sum_is_the_table_sum_exactly(self, digits, n_max):
+        # The O(N) route sum is the table's sum of head/(n+1) as one
+        # exact rational, and its head is the table's last head.
+        ctx = make_context(digits)
+        width, num, den, head = _hasse_sum(ctx, n_max)
+        table_width, sums = _hasse_partial_sums(ctx, n_max)
+        exact = Fraction(0)
+        for n, table_head, _ in sums:
+            exact += Fraction(table_head, n + 1)
+        assert width == table_width
+        assert Fraction(num, den) == exact
+        assert head == table_head
+
+    @pytest.mark.parametrize("digits, n_terms", sorted(_HASSE_PINS))
+    def test_route_never_enters_the_table(self, digits, n_terms, monkeypatch):
+        def table(*args):
+            raise AssertionError("route_hasse entered the difference table")
+
+        monkeypatch.setattr(glaisher.routes, "_hasse_partial_sums", table)
+        est = route_hasse(make_context(digits), n_terms)
+        assert (est.value._mpf_, est.error_estimate._mpf_) == _HASSE_PINS[digits, n_terms]
+        # the double sum's inner-term count, which perfbench reconciles
+        assert est.evaluations == (n_terms + 1) * (n_terms + 2) // 2
+
+    @pytest.mark.parametrize("digits, n_max", [(4, -1), (4, 0), (0, 60), (-2, 60)])
+    def test_first_n_rejects_bad_arguments(self, ctx50, digits, n_max):
+        with pytest.raises(DomainError):
+            hasse_first_n(ctx50, digits, n_max, mpf("0.25"))
+
+    def test_first_n_refuses_precision_as_the_route_does(self):
+        ctx = make_context(30)
+        with pytest.raises(PrecisionError, match="insufficient precision") as scan:
+            hasse_first_n(ctx, 4, 60, mpf("0.25"))
+        with pytest.raises(PrecisionError) as route:
+            route_hasse(ctx, n_terms=60)
+        assert str(scan.value) == str(route.value)
 
     @pytest.mark.parametrize("digits, n_max", sorted(_HASSE_HEAD_DIGESTS))
     def test_heads_pinned(self, digits, n_max):
