@@ -15,6 +15,7 @@ from .context import (
     ComputeContext,
     ConstantsSet,
     DecimalParseError,
+    DomainError,
     PrecisionError,
     Real,
     euler_gamma_ref,
@@ -34,7 +35,6 @@ from .quadrature import (
     integrate_zero_to_inf,
 )
 from .loggamma import (
-    DomainError,
     FourierCoefficient,
     dirichlet_gamma,
     feaux_log_gamma1p,

@@ -9,8 +9,9 @@ Exit codes follow the verification-tool contract:
   value), an unknown route, an empty grid, too few digits or more than
   the audited ceiling of ``MAX_AUDITED_DIGITS`` (400), an ``--out``
   path that cannot be written (checked before any computation), or a
-  route that refused the requested precision or parameters while every
-  route that ran agreed.
+  route that refused the requested precision or parameters (such as a
+  log table above ``smallt.LOG_TABLE_CAP`` entries or an unknown kummer
+  measure) while every route that ran agreed.
 * 2 -- numerical disagreement (a route pair out of tolerance, a residual
   above tolerance) or a failure that is not a refusal, of a route or of
   the identity pass.
@@ -18,8 +19,9 @@ Exit codes follow the verification-tool contract:
 The CLI holds no verdict and no document layout of its own: each command
 parses its arguments, makes one call and prints.  ``compute`` prints
 ``run_all``'s report as text or JSON (``--output``) and exits with
-``ReportDocument.exit_code``; its parameter defaults come from
-``report.DEFAULT_PARAMS``.  ``verify`` prints ``report.identity_report``,
+``ReportDocument.exit_code``; its parameter defaults are the route
+functions' own, which ``report.DEFAULT_PARAMS`` reads from their
+signatures.  ``verify`` prints ``report.identity_report``,
 the same identity pass ``run_all`` makes, on the same default-N Fourier
 log A, without the routes or the dt control, each residual with its
 ``IdentityResidual.passed`` verdict, and exits with the same

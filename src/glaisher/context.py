@@ -46,10 +46,18 @@ MIN_PRECISION_DIGITS = 20
 # part (or a bare fractional part), optional e/E exponent.  No locale
 # separators.
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+# The prefixes of a decimal (strings more characters could still make
+# valid); matched from the start of a string, it ends where no decimal
+# could go on.
+_DECIMAL_PREFIX_RE = re.compile(r"[+-]?\d*(\.\d*)?([eE][+-]?\d*)?")
 
 
 class PrecisionError(ValueError):
     """Requested precision is too low for the cancellation-heavy integrands."""
+
+
+class DomainError(ValueError):
+    """Argument outside the domain a representation is valid on."""
 
 
 class DecimalParseError(ValueError):
@@ -185,15 +193,7 @@ def real_from_decimal(s: str, ctx: ComputeContext) -> Real:
 
 
 def _first_bad_position(text: str) -> int:
-    """Longest valid prefix of the decimal grammar; index of the first mismatch."""
-    for end in range(len(text), 0, -1):
-        prefix = text[:end]
-        if _DECIMAL_RE.match(prefix) or _is_decimal_prefix(prefix):
-            return end if end < len(text) else len(text) - 1
-    return 0
-
-
-def _is_decimal_prefix(prefix: str) -> bool:
-    # A string that could still become valid with more characters.
-    partial = re.compile(r"^[+-]?(\d*(\.\d*)?)([eE][+-]?\d*)?$")
-    return bool(partial.match(prefix))
+    """Index of the first character past the longest prefix more characters
+    could still make valid, or of the last character if that prefix is all
+    of ``text``."""
+    return min(_DECIMAL_PREFIX_RE.match(text).end(), max(len(text) - 1, 0))

@@ -60,13 +60,9 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_log, mpf_mul, mpf_pi, mpf_shift, round_nearest, to_fixed
 
-from .context import ComputeContext, Real
+from .context import ComputeContext, DomainError, Real
 from .quadrature import Integrand, QuadratureResult, integrate_zero_to_inf, shared
 from .smallt import PowerSeries, _horner, _round, bernoulli, cancellation_guard, far
-
-
-class DomainError(ValueError):
-    """Argument outside the domain a representation is valid on."""
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ including one of the identity pass (``identity_checks``), is numerical.
 from __future__ import annotations
 
 import datetime
+import inspect
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -43,12 +44,12 @@ from mpmath import mp, mpf
 from . import __version__
 from .context import (
     ComputeContext,
+    DomainError,
     PrecisionError,
     Real,
     real_from_decimal,
     real_to_decimal,
 )
-from .loggamma import DomainError
 from .quadrature import shared_work
 from .routes import (
     ROUTE_IDS,
@@ -152,13 +153,24 @@ class ReportDocument:
         return EXIT_CONFIG if self.failures else EXIT_OK
 
 
+# Route id -> ({params key: keyword of route_<id>}, the params key a
+# convergence grid sweeps, or None), in ROUTE_IDS order.
+_ROUTE_PARAMS = {
+    "limit": ({"limit_n": "n", "limit_order": "richardson_order"}, "limit_n"),
+    "pain1": ({}, None),
+    "pain2": ({}, None),
+    "feaux": ({}, None),
+    "kummer": ({"res2_measure": "measure"}, None),
+    "fourier_series": ({"fourier_n": "n_terms", "fourier_accelerate": "accelerate"}, "fourier_n"),
+    "hasse": ({"hasse_n": "n_terms"}, "hasse_n"),
+}
+
+# Each key's default is its keyword's default in the route's signature
+# (a fourier_n of None is routes.fourier_default_terms at the precision).
 DEFAULT_PARAMS = {
-    "limit_n": 64,
-    "limit_order": 3,
-    "fourier_n": None,          # from the precision: routes.fourier_default_terms
-    "fourier_accelerate": True,
-    "hasse_n": 80,
-    "res2_measure": "dt_over_t",
+    key: inspect.signature(globals()[f"route_{rid}"]).parameters[keyword].default
+    for rid, (keywords, _) in _ROUTE_PARAMS.items()
+    for key, keyword in keywords.items()
 }
 
 
@@ -176,23 +188,11 @@ def _merged_params(params: dict | None, ctx: ComputeContext) -> dict:
 
 
 def _route_runner(route_id: str, ctx: ComputeContext, params: dict):
-    if route_id == "limit":
-        return route_limit(ctx, n=params["limit_n"], richardson_order=params["limit_order"])
-    if route_id == "pain1":
-        return route_pain1(ctx)
-    if route_id == "pain2":
-        return route_pain2(ctx)
-    if route_id == "feaux":
-        return route_feaux(ctx)
-    if route_id == "kummer":
-        return route_kummer(ctx, measure=params["res2_measure"])
-    if route_id == "fourier_series":
-        return route_fourier_series(
-            ctx, n_terms=params["fourier_n"], accelerate=params["fourier_accelerate"]
-        )
-    if route_id == "hasse":
-        return route_hasse(ctx, n_terms=params["hasse_n"])
-    raise ConfigError(f"unknown route id {route_id!r}")
+    # route_<id> is looked up by name at each call, never stored, so a
+    # replaced module attribute (a tracer's wrapper, a test's stub) runs.
+    keywords, _ = _ROUTE_PARAMS[route_id]
+    route = globals()[f"route_{route_id}"]
+    return route(ctx, **{keyword: params[key] for key, keyword in keywords.items()})
 
 
 def _agreement_matrix(estimates: list[RouteEstimate], ctx: ComputeContext) -> dict:
@@ -305,14 +305,6 @@ def identity_report(ctx: ComputeContext, log2_coefficient: Real | None = None) -
     return doc
 
 
-# Route -> (parameter name in the records, params key) for convergence studies.
-_GRID_PARAMETERS = {
-    "limit": ("n", "limit_n"),
-    "fourier_series": ("n_terms", "fourier_n"),
-    "hasse": ("n_terms", "hasse_n"),
-}
-
-
 def convergence_study(
     route_id: str,
     grid: list[int],
@@ -327,14 +319,15 @@ def convergence_study(
     study is a measurement, and a point that cannot run (e.g. hasse beyond
     the precision rule) is itself a datum.
     """
-    if route_id not in ROUTE_IDS:
+    if route_id not in _ROUTE_PARAMS:
         raise ConfigError(f"unknown route id {route_id!r}")
-    if route_id not in _GRID_PARAMETERS:
+    keywords, key = _ROUTE_PARAMS[route_id]
+    if key is None:
+        gridded = [rid for rid, (_, grid_key) in _ROUTE_PARAMS.items() if grid_key]
         raise ConfigError(
             f"route {route_id!r} has no convergence parameter; "
-            "use one of: limit, fourier_series, hasse"
+            f"use one of: {', '.join(gridded)}"
         )
-    param_name, key = _GRID_PARAMETERS[route_id]
     if not grid:
         raise ConfigError("grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -345,7 +338,7 @@ def convergence_study(
 
     records = []
     for value in grid:
-        record = ConvergenceRecord(route_id, param_name, value, mpf(0), mpf(0), mpf(0))
+        record = ConvergenceRecord(route_id, keywords[key], value, mpf(0), mpf(0), mpf(0))
         try:
             estimate = _route_runner(route_id, ctx, {**merged, key: value})
             with ctx.workdps(10):

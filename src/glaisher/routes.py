@@ -96,11 +96,12 @@ from .context import (
     MIN_PRECISION_DIGITS,
     ComputeContext,
     ConstantsSet,
+    DomainError,
     PrecisionError,
     Real,
     make_context,
 )
-from .loggamma import DomainError, _log_gamma1p_series
+from .loggamma import _log_gamma1p_series
 from .quadrature import (
     Integrand,
     integrate_finite,
@@ -442,7 +443,7 @@ def route_kummer(ctx: ComputeContext, measure: Res2Measure = "dt_over_t") -> Rou
             label="kummer[dt control]",
             parameters={"measure": "dt", "truncation": DT_CONTROL_UPPER},
         )
-    raise ValueError(f"unknown res2 measure {measure!r}")
+    raise DomainError(f"unknown res2 measure {measure!r}")
 
 
 def route_pain1(ctx: ComputeContext) -> RouteEstimate:

@@ -99,7 +99,9 @@ factor p and of m/p, from a least-factor sieve.  So every entry is within
 2^-prec log m + Omega(m) 2^-W of log m, Omega(m) its prime factors
 counted with multiplicity, and a sum over the table is exact integer
 arithmetic rounded once.  The table is built per call and kept by
-nobody.
+nobody, and one of more than ``LOG_TABLE_CAP`` (2^20) entries is refused
+before any is built: the largest any default or documented grid asks
+runs to log 20001 (the Fourier route at N = 10000).
 
 What lives as long as the process is a constant of a precision or of
 nothing: each ``PowerSeries._cache`` (coefficients and term ``counts``
@@ -125,6 +127,8 @@ from typing import Callable
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, ln2_fixed, mpf_exp, mpf_log, normalize, round_nearest, to_fixed
+
+from .context import DomainError
 
 # Guard bits of the fixed-point sum beyond the working precision.
 _GUARD_BITS = 16
@@ -494,6 +498,9 @@ def bernoulli(n: int) -> tuple[int, int]:
     return mpmath.bernfrac(n)
 
 
+LOG_TABLE_CAP = 2 ** 20
+
+
 def fixed_logs(n: int) -> tuple[int, list[int]]:
     """(W, [log 0, log 1, ..., log n]) with each log m as the W-bit
     fixed-point integer of log m, W = mp.prec + 10; log 0 stands as 0.
@@ -501,8 +508,15 @@ def fixed_logs(n: int) -> tuple[int, list[int]]:
     A prime takes ``mpf_log`` at ``mp.prec`` with ``round_nearest`` (the
     bits of ``mpmath.log``); a composite adds the entries of its least
     prime factor and of the cofactor (see the module docstring for the
-    error).
+    error).  More than ``LOG_TABLE_CAP`` entries is a DomainError.
     """
+    if n + 1 > LOG_TABLE_CAP:
+        # Past 2^64 the count as a power of two: a decimal string of over
+        # 4300 digits raises ValueError.
+        entries = n + 1 if n < 2 ** 64 else f"2^{(n + 1).bit_length() - 1} or more"
+        raise DomainError(
+            f"a log table of {entries} entries is above the cap of {LOG_TABLE_CAP} entries"
+        )
     prec = mp.prec
     width = prec + 10
     # least[m] ends as the least prime factor of m: each d overwrites its

@@ -78,6 +78,17 @@ class TestComputeCommand:
             assert "error est" in rows[rid], rid
         assert "the routes that ran agree pairwise" in out
 
+    def test_oversized_log_table_exits_one_on_its_refused_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "--digits", "20", "--routes", "limit,fourier_series",
+            "--limit-order", "60",
+        )
+        assert code == EXIT_CONFIG
+        estimates = out.split("pairwise |difference| matrix:")[0]
+        rows = {line.split()[0]: line for line in estimates.splitlines()[1:]}
+        assert "REFUSED: a log table of" in rows["limit"]
+        assert "error est" in rows["fourier_series"]
+
     def test_refusal_with_a_disagreement_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys,

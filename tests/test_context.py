@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from glaisher import (
     real_from_decimal,
     real_to_decimal,
 )
+from glaisher.context import _DECIMAL_RE, _first_bad_position
 
 from conftest import abs_diff, rel_diff
 
@@ -153,6 +156,20 @@ class TestDecimalRoundTrip:
         with pytest.raises(DecimalParseError) as err:
             real_from_decimal(bad, ctx50)
         assert 0 <= err.value.position <= max(len(bad) - 1, 0)
+
+    @settings(derandomize=True, max_examples=500)
+    @given(st.text(alphabet="+-.eE09x ", max_size=8))
+    def test_first_bad_position_is_past_the_longest_valid_prefix(self, text):
+        # The one partial-decimal match against the longest-prefix search
+        # it replaced: the longest prefix that is a decimal or could still
+        # become one; index past it, or the last index if it is all of text.
+        partial = re.compile(r"^[+-]?(\d*(\.\d*)?)([eE][+-]?\d*)?$")
+        expected = 0
+        for end in range(len(text), 0, -1):
+            if _DECIMAL_RE.match(text[:end]) or partial.match(text[:end]):
+                expected = end if end < len(text) else len(text) - 1
+                break
+        assert _first_bad_position(text) == expected
 
     def test_exponent_format_accepted(self, ctx50):
         parsed = real_from_decimal("2.5E-7", ctx50)

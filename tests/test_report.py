@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -12,7 +13,9 @@ from mpmath import mp, mpf
 import glaisher.report
 import glaisher.routes
 from glaisher import (
+    ROUTE_IDS,
     ConfigError,
+    RouteEstimate,
     RouteFailure,
     convergence_study,
     deserialize_report,
@@ -21,7 +24,7 @@ from glaisher import (
     run_all,
     serialize,
 )
-from glaisher.report import CSV_HEADER
+from glaisher.report import CSV_HEADER, DEFAULT_PARAMS, EXIT_CONFIG
 from glaisher.routes import IdentityResidual
 
 from conftest import rel_diff
@@ -109,6 +112,86 @@ class TestRunAll:
             assert ea.evaluations == eb.evaluations
         for ra, rb in zip(a.residuals, b.residuals):
             assert ra.residual._mpf_ == rb.residual._mpf_
+
+
+class TestRouteTable:
+    def test_lists_every_route_in_order(self):
+        assert tuple(glaisher.report._ROUTE_PARAMS) == ROUTE_IDS
+
+    def test_defaults_are_the_route_functions_own(self):
+        def default(route, keyword):
+            return inspect.signature(route).parameters[keyword].default
+
+        assert DEFAULT_PARAMS == {
+            "limit_n": default(glaisher.routes.route_limit, "n"),
+            "limit_order": default(glaisher.routes.route_limit, "richardson_order"),
+            "res2_measure": default(glaisher.routes.route_kummer, "measure"),
+            "fourier_n": default(glaisher.routes.route_fourier_series, "n_terms"),
+            "fourier_accelerate": default(glaisher.routes.route_fourier_series, "accelerate"),
+            "hasse_n": default(glaisher.routes.route_hasse, "n_terms"),
+        }
+
+    def test_each_replaced_route_runs_once_with_its_keywords(self, ctx, monkeypatch):
+        # A tracer replaces each glaisher.report.route_<id> attribute with a
+        # wrapper; run_all must call the replacement, once, with every
+        # params value under its route's keyword.
+        calls = {}
+
+        def recorder(rid):
+            def record(ctx, **kwargs):
+                calls.setdefault(rid, []).append(kwargs)
+                return RouteEstimate(rid, mpf(1) / 4, mpf(1), kwargs)
+            return record
+
+        def no_identity_pass(*args, **kwargs):
+            raise RuntimeError("identity pass not under test")
+
+        for rid in ROUTE_IDS:
+            monkeypatch.setattr(glaisher.report, f"route_{rid}", recorder(rid))
+        monkeypatch.setattr(glaisher.report, "_identity_log_a", no_identity_pass)
+        params = {
+            "limit_n": 32,
+            "limit_order": 2,
+            "res2_measure": "dt",
+            "fourier_n": 150,
+            "fourier_accelerate": False,
+            "hasse_n": 10,
+        }
+        doc = run_all(ctx, list(ROUTE_IDS), params)
+        assert calls == {
+            "limit": [{"n": 32, "richardson_order": 2}],
+            "pain1": [{}],
+            "pain2": [{}],
+            "feaux": [{}],
+            "kummer": [{"measure": "dt"}],
+            "fourier_series": [{"n_terms": 150, "accelerate": False}],
+            "hasse": [{"n_terms": 10}],
+        }
+        assert [e.route_id for e in doc.estimates] == list(ROUTE_IDS)
+
+
+class TestRefusals:
+    def test_oversized_log_tables_are_refused(self, ctx):
+        doc = run_all(
+            ctx, ["limit", "fourier_series"], {"limit_order": 60, "fourier_n": 2 ** 50}
+        )
+        assert [(f.route_id, f.refused) for f in doc.failures] == [
+            ("limit", True), ("fourier_series", True),
+        ]
+        assert all("above the cap" in f.error for f in doc.failures)
+        assert doc.exit_code == EXIT_CONFIG
+
+    def test_unknown_kummer_measure_is_refused(self, ctx):
+        doc = run_all(ctx, ["kummer"], {"res2_measure": "dt/t"})
+        assert doc.failures == [
+            RouteFailure("kummer", "unknown res2 measure 'dt/t'", refused=True)
+        ]
+        assert doc.exit_code == EXIT_CONFIG
+
+    def test_oversized_grid_point_is_an_error_row(self, ctx):
+        records = convergence_study("fourier_series", [100, 2 ** 50], ctx)
+        assert records[0].error is None
+        assert "above the cap" in records[1].error
 
 
 class TestDisagreements:

@@ -227,6 +227,16 @@ class TestLimitRoute:
         with pytest.raises(DomainError):
             route_limit(ctx30, n=4, richardson_order=-1)
 
+    @pytest.mark.parametrize("n, order, entries", [
+        (2 ** 50, 3, str(2 ** 54)),
+        (4, 60, str(2 ** 63)),
+        (4, 15_000, "2\\^15003 or more"),     # too long to print in decimal
+    ])
+    def test_oversized_log_table_refused(self, ctx30, n, order, entries):
+        # The table holds n 2^(order+1) entries, far above the cap.
+        with pytest.raises(DomainError, match=f"log table of {entries} entries"):
+            route_limit(ctx30, n=n, richardson_order=order)
+
 
 class TestKummerMeasureControl:
     def test_dt_variant_disagrees_grossly(self, ctx50, consensus50):

@@ -13,10 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from glaisher import loggamma, make_context, routes
+from glaisher import DomainError, loggamma, make_context, routes
 from glaisher.loggamma import kummer_integrand
 from glaisher.quadrature import DEFAULT_NEAR_ZERO_THRESHOLD
-from glaisher.smallt import PowerSeries, _Lazy, bernoulli, cancellation_guard, far, fixed_logs
+from glaisher.smallt import (
+    LOG_TABLE_CAP,
+    PowerSeries,
+    _Lazy,
+    bernoulli,
+    cancellation_guard,
+    far,
+    fixed_logs,
+)
 
 from test_quadrature import SERIES_INTEGRANDS, build_integrand, threshold_points
 
@@ -323,6 +331,16 @@ def test_fixed_logs_short_tables():
         assert fixed_logs(1)[1] == [0, 0]
         width, logs = fixed_logs(4)
         assert logs[4] == 2 * logs[2] > 0
+
+
+def test_fixed_logs_refuses_a_table_above_the_cap():
+    # Refused before the sieve is allocated: a table of 2^50 + 1 entries
+    # would raise MemoryError at once if it were not.
+    with mp.workdps(30), pytest.raises(DomainError) as err:
+        fixed_logs(2 ** 50)
+    assert str(err.value) == (
+        f"a log table of {2 ** 50 + 1} entries is above the cap of {LOG_TABLE_CAP} entries"
+    )
 
 
 def test_kummer_integrand_vanishes_at_half(ctx50):
